@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 robust (or plain success), 1 not robust, 2 input error,
-3 schema outside the tractable class, 4 enumeration cap exceeded. Results
+3 schema outside the tractable class, 4 enumeration cap exceeded, 141 the
+reader of stdout closed it early (as a process killed by SIGPIPE). Results
 are JSON on stdout with sorted keys, so identical inputs produce identical
 bytes. ``certify`` dispatches by schema shape: a primary-key equivalent
 goes to the linear scan, any other lhs-chain equivalent to the DP, and
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from typing import Optional
@@ -28,6 +30,7 @@ EXIT_NOT_ROBUST = 1
 EXIT_INPUT = 2
 EXIT_NOT_CHAIN = 3
 EXIT_CAP = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def _emit(payload: dict) -> None:
@@ -342,6 +345,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone (``knncert ... | head``). Point stdout at devnull
+        # so the interpreter's flush at exit does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _run(args) -> int:
     try:
         return args.handler(args)
     except InputError as exc:

@@ -1,12 +1,17 @@
 """Labeled training points over an FD schema.
 
-Everything distance-related uses the exact surrogate sum(|dx|^p) in rational
-arithmetic: it is order-equivalent to the p-norm (the 1/p root is never
-taken), so orderings and tie-breaks are reproducible bit for bit.
+Everything distance-related uses the exact surrogate sum(|dx|^p): it is
+order-equivalent to the p-norm (the 1/p root is never taken), so orderings
+and tie-breaks are reproducible bit for bit. ``surrogate_distance`` states
+it in rational arithmetic for one tuple. ``order_by_distance`` ranks a whole
+dataset in exact Python integers instead: it scales every coordinate by the
+common denominator of all of them, which multiplies each distance by the
+same positive constant and so leaves the order unchanged.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -42,7 +47,8 @@ class TestPoint:
 @dataclass(frozen=True)
 class LabeledDataset:
     """An ordered list of labeled tuples plus the feature attributes used
-    for distance. Tuple ids are dense row indices 0..n-1."""
+    for distance. Tuple ids are dense row indices 0..n-1; ``labels`` is the
+    label alphabet in sorted order, so a label's index is its code."""
 
     schema: FdSchema
     tuples: tuple[TupleRec, ...]
@@ -55,6 +61,8 @@ class LabeledDataset:
                 raise InputError("tuple ids must be dense row indices 0..n-1")
             if len(t.values) != self.schema.arity:
                 raise InputError(f"tuple {i}: arity mismatch")
+        if list(self.labels) != sorted(set(self.labels)):
+            raise InputError("label alphabet must be sorted and distinct")
         observed = {t.label for t in self.tuples}
         if not observed <= set(self.labels):
             raise InputError(f"labels outside alphabet: {sorted(observed - set(self.labels))}")
@@ -150,21 +158,45 @@ def surrogate_distance(x: TestPoint, t: TupleRec, p: int, feature_indices: Seque
     return total
 
 
-def distance(x: TestPoint, t: TupleRec, p: int, feature_indices: Sequence[int]):
-    """Alias kept for callers that read better with the plain name."""
-    return surrogate_distance(x, t, p, feature_indices)
+def _first_non_numeric(column: Sequence) -> int:
+    for i, v in enumerate(column):
+        if _non_numeric(v):
+            return i
+    return len(column)
 
 
 def order_by_distance(dataset: LabeledDataset, x: TestPoint, p: int) -> Ordering:
-    """Rank all tuples by surrogate distance ascending, ties by ascending id."""
+    """Rank all tuples by surrogate distance ascending, ties by ascending id.
+
+    Each feature column is read once. Values and coordinates are scaled by
+    D, the lcm of all their denominators, so sum(|dx*D|^p) is a Python int,
+    exact and free of overflow, equal to D^p times the rational surrogate.
+    The stable sort keeps tied tuples in ascending id order.
+    """
     if len(x.coords) != len(dataset.features):
         raise InputError("test point arity must match the feature list")
-    idx = dataset.feature_indices
-    keyed = sorted(
-        dataset.ids(),
-        key=lambda i: (surrogate_distance(x, dataset.tuples[i], p, idx), i),
-    )
-    return Ordering(tuple(keyed), source=f"p-norm({p})")
+    if not isinstance(p, int) or p < 1:
+        raise InputError("p must be an integer >= 1")
+    # The error names the lowest id whose distance needs a non-numeric value;
+    # a non-numeric coordinate spoils every distance, the first at id 0.
+    if any(_non_numeric(c) for c in x.coords):
+        raise InputError("non-numeric feature value in tuple 0")
+    n = dataset.size
+    columns = [[t.values[idx] for t in dataset.tuples] for idx in dataset.feature_indices]
+    bad = min([_first_non_numeric(col) for col in columns], default=n)
+    if bad < n:
+        raise InputError(f"non-numeric feature value in tuple {bad}")
+    denominators = {c.denominator for c in x.coords}
+    for col in columns:
+        denominators.update(v.denominator for v in col)
+    scale = math.lcm(*denominators)
+    dist = [0] * n
+    for coord, col in zip(x.coords, columns):
+        at = coord.numerator * (scale // coord.denominator)
+        dist = [
+            d + abs(v.numerator * (scale // v.denominator) - at) ** p for d, v in zip(dist, col)
+        ]
+    return Ordering(tuple(sorted(range(n), key=dist.__getitem__)), source=f"p-norm({p})")
 
 
 @lru_cache(maxsize=None)

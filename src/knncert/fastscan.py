@@ -11,42 +11,43 @@ touched, how many are fully behind the frontier, and the two label
 counters; the exit test certifies that a repair exists whose k-neighborhood
 ties or beats the incumbent, and the witness is materialized per block.
 
-The scan core works on integer code arrays so million-tuple instances stay
-well inside interactive time.
+Everything runs on integer code arrays in rank order: a block code per
+tuple, numbered by first appearance, and a label code that indexes the
+sorted label alphabet. ``certify_pk`` builds them once per call and hands
+them to ``certify_pk_arrays``, the core that bulk workloads call directly:
+the greedy repair is the first tuple of each block, its vote names the
+incumbent, and one prune and scan per challenger, in alphabetical order,
+looks for a repair that ties or beats it. Ids become Python objects only
+for the witness, which the classifier re-verifies; a witness that fails is
+a bug and raises ``AssertionError``, as on the DP and ?-set paths.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import certify_dp
 from .certresult import CertResult
-from .dataset import LabeledDataset, Ordering, greedy_repair, predict
+from .dataset import LabeledDataset, Ordering, PredictOutcome, predict
 from .errors import InputError, NotPrimaryKeyError
 from .fdschema import closure, minimize
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KeyedDataset:
-    """A dataset whose conflicts are exactly "same key, different tuple"."""
+    """A dataset whose conflicts are exactly "same key, different tuple".
+
+    ``block_of[tid]`` is the block code of tuple ``tid``; codes number the
+    blocks 0..num_blocks-1 by first appearance in id order.
+    """
 
     dataset: LabeledDataset
     key: tuple[str, ...]
-    blocks: dict
-
-    @property
-    def block_of(self) -> dict:
-        return self._block_of
-
-    def __post_init__(self) -> None:
-        block_of = {}
-        for code, ids in enumerate(self.blocks.values()):
-            for tid in ids:
-                block_of[tid] = code
-        object.__setattr__(self, "_block_of", block_of)
+    block_of: np.ndarray
+    num_blocks: int
 
 
 @dataclass(frozen=True)
@@ -83,25 +84,29 @@ def as_keyed(dataset: LabeledDataset) -> KeyedDataset:
     key_attrs = tuple(schema.sort_attrs(key))
     key_idx = tuple(schema.index(a) for a in key_attrs)
 
-    blocks: dict = {}
-    for t in dataset.tuples:
-        blocks.setdefault(tuple(t.values[i] for i in key_idx), []).append(t.id)
-    for key_value, ids in blocks.items():
-        if len({dataset.tuples[t].values for t in ids}) != len(ids):
-            raise NotPrimaryKeyError(f"block {key_value!r} holds identical rows")
-        blocks[key_value] = tuple(ids)
-    return KeyedDataset(dataset, key_attrs, blocks)
+    # Dict factorization, not np.unique: key values may mix str, int and
+    # Fraction, which have no common order.
+    rows = [t.values for t in dataset.tuples]
+    code_of: dict = {}
+    codes = [code_of.setdefault(tuple([v[i] for i in key_idx]), len(code_of)) for v in rows]
+    # Identical rows share their key, so any repeated row sits in one block.
+    multiplicity = Counter(rows)
+    if len(multiplicity) != len(rows):
+        first = min(c for c, v in zip(codes, rows) if multiplicity[v] > 1)
+        raise NotPrimaryKeyError(f"block {list(code_of)[first]!r} holds identical rows")
+    block_of = np.fromiter(codes, np.int64, len(codes))
+    return KeyedDataset(dataset, key_attrs, block_of, len(code_of))
 
 
 def _codes(keyed: KeyedDataset, ordering: Ordering):
     """Key and label codes at rank positions, plus the ranked id array."""
     ds = keyed.dataset
-    ranked = np.asarray(ordering.ranked, dtype=np.int64)
-    block_of = keyed.block_of
-    keys = np.fromiter((block_of[t] for t in ordering.ranked), np.int64, ds.size)
+    if len(ordering.ranked) != ds.size:
+        raise InputError("ordering must rank every tuple of the dataset")
+    ranked = np.fromiter(ordering.ranked, np.int64, ds.size)
     lab_code = {lab: i for i, lab in enumerate(ds.labels)}
-    labels = np.fromiter((lab_code[ds.tuples[t].label] for t in ordering.ranked), np.int64, ds.size)
-    return keys, labels, ranked
+    label_of = np.fromiter((lab_code[t.label] for t in ds.tuples), np.int64, ds.size)
+    return keyed.block_of[ranked], label_of[ranked], ranked
 
 
 def _block_stats(keys: np.ndarray):
@@ -189,49 +194,32 @@ def fastscan(
 
 
 def _build_witness(
-    keyed: KeyedDataset,
-    kept: Sequence[int],
-    trigger: ScanTrigger,
-    ell1: str,
+    keys: np.ndarray,
+    labels: np.ndarray,
+    verdict: ArrayVerdict,
     k: int,
-) -> tuple[int, ...]:
-    """Materialize the repair promised by a scan trigger.
+) -> np.ndarray:
+    """Rank positions of the repair promised by a scan trigger.
 
-    Blocks fully inside the prefix contribute their last tuple (or any other
-    when the last is incumbent-labeled and the block allows a dodge); enough
-    straddling blocks contribute a prefix tuple to reach exactly k, the rest
-    stay outside; untouched blocks pick arbitrarily.
+    Blocks fully inside the prefix contribute their last tuple (or their
+    first when the last is incumbent-labeled and the block allows a dodge);
+    enough straddling blocks, nearest first, contribute their first tuple to
+    reach exactly k, the rest and the untouched blocks their last one.
     """
-    ds = keyed.dataset
-    block_of = keyed.block_of
-    members: dict[int, list[int]] = {}
-    for pos, tid in enumerate(kept):
-        members.setdefault(block_of[tid], []).append(pos)
-    kept = list(kept)
-    boundary = trigger.index  # prefix = kept positions < boundary
-
-    picks: list[int] = []
-    straddling: list[list[int]] = []
-    for block_positions in members.values():
-        first_pos, last_pos = block_positions[0], block_positions[-1]
-        if last_pos < boundary:
-            last_id = kept[last_pos]
-            if ds.tuples[last_id].label == ell1 and len(block_positions) > 1:
-                picks.append(kept[block_positions[0]])
-            else:
-                picks.append(last_id)
-        elif first_pos < boundary:
-            straddling.append(block_positions)
-        else:
-            picks.append(kept[block_positions[-1]])
-    need = k - trigger.blocks_closed
-    straddling.sort(key=lambda positions: positions[0])
-    for j, block_positions in enumerate(straddling):
-        picks.append(kept[block_positions[0] if j < need else block_positions[-1]])
-
-    # Untouched original blocks cannot exist: pruning never erases a block.
-    assert len(picks) == len(keyed.blocks)
-    return tuple(sorted(picks))
+    kept, trigger, num_blocks = verdict.kept, verdict.trigger, verdict.greedy.shape[0]
+    first, last, count = _block_stats(keys[kept])
+    # Pruning never erases a block, so every block has a pick.
+    assert count.shape[0] == num_blocks and count.all()
+    boundary = trigger.index  # the prefix is the pruned positions < boundary
+    closed = last < boundary
+    pick = last.copy()
+    dodge = closed & (labels[kept][last] == verdict.incumbent) & (count > 1)
+    pick[dodge] = first[dodge]
+    straddling = np.flatnonzero((first < boundary) & ~closed)
+    need = min(k, num_blocks) - trigger.blocks_closed
+    straddling = straddling[np.argsort(first[straddling])][:need]
+    pick[straddling] = first[straddling]
+    return kept[pick]
 
 
 def certify_pk(
@@ -241,81 +229,89 @@ def certify_pk(
 ) -> CertResult:
     """Certify robustness through the prune-and-scan path.
 
-    Votes are unweighted here; weighted certification goes through the DP.
-    k larger than the number of blocks is clamped: every repair holds one
-    tuple per block, so the neighborhood is then the whole repair. Each
-    witness is re-verified with the classifier; if that ever failed the
-    result would fall back to the general DP.
+    The key and label codes are built once and go through
+    ``certify_pk_arrays``. Votes are unweighted here; weighted certification
+    goes through the DP. k larger than the number of blocks is clamped:
+    every repair holds one tuple per block, so the neighborhood is then the
+    whole repair. The witness is re-verified with the classifier, and a
+    witness that still predicts the incumbent raises ``AssertionError``.
     """
     if k < 1:
         raise InputError("k must be >= 1")
     keyed = source if isinstance(source, KeyedDataset) else as_keyed(source)
     ds = keyed.dataset
+    keys, labels, ranked = _codes(keyed, ordering)
+    verdict = certify_pk_arrays(keys, labels, k)
+    if verdict.robust:
+        ell1 = ds.labels[verdict.incumbent]
+        return CertResult(True, ell1, (ell1,), ())
 
-    greedy = greedy_repair(ds, ordering)
-    incumbent = predict(ds, greedy, ordering, k)
-    if incumbent.kind != "label":
+    greedy = tuple(sorted(ranked[verdict.greedy].tolist()))
+    if verdict.incumbent is None:
+        incumbent = PredictOutcome.TIE if greedy else PredictOutcome.EMPTY
         return CertResult(False, None, (), ((greedy, incumbent),))
-    ell1 = incumbent.label
-
-    k_eff = min(k, len(keyed.blocks))
-    for ell2 in sorted(set(ds.labels) - {ell1}):
-        kept = prune(keyed, ell2, ell1, ordering)
-        trigger = fastscan(keyed, ell1, ell2, k_eff, ordering, kept)
-        if trigger is None:
-            continue
-        witness = _build_witness(keyed, kept, trigger, ell1, k_eff)
-        outcome = predict(ds, witness, ordering, k)
-        if outcome.is_label(ell1):
-            return certify_dp.certify(ds, ordering, k)
-        possible = {ell1}
-        if outcome.kind == "label":
-            possible.add(outcome.label)
-        return CertResult(
-            False,
-            None,
-            tuple(sorted(possible)),
-            ((greedy, incumbent), (witness, outcome)),
+    ell1 = ds.labels[verdict.incumbent]
+    witness = tuple(sorted(ranked[_build_witness(keys, labels, verdict, k)].tolist()))
+    outcome = predict(ds, witness, ordering, k)
+    if outcome.is_label(ell1):
+        raise AssertionError(
+            f"prune-and-scan witness for challenger {ds.labels[verdict.challenger]!r} "
+            f"still predicts {ell1!r}"
         )
-    return CertResult(True, ell1, (ell1,), ())
+    possible = {ell1}
+    if outcome.kind == "label":
+        possible.add(outcome.label)
+    return CertResult(
+        False,
+        None,
+        tuple(sorted(possible)),
+        ((greedy, PredictOutcome.of_label(ell1)), (witness, outcome)),
+    )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArrayVerdict:
+    """Outcome of the array core; positions index the rank-ordered codes.
+
+    ``greedy`` holds the positions of the greedy repair. When a challenger
+    fired, ``kept`` holds the positions that survived its pruning and
+    ``trigger`` the scan state over them.
+    """
+
     robust: bool
     incumbent: Optional[int]
+    greedy: np.ndarray
     challenger: Optional[int] = None
     trigger: Optional[ScanTrigger] = None
+    kept: Optional[np.ndarray] = None
 
 
 def certify_pk_arrays(keys: np.ndarray, labels: np.ndarray, k: int) -> ArrayVerdict:
     """Array-level certification: key and label codes already in rank order.
 
-    This is the path for bulk synthetic workloads; it performs the greedy
-    prediction, then one prune and scan per challenger label.
+    The greedy repair keeps the first tuple of each block and its top-k vote
+    names the incumbent (a shared maximum is a tie, never robust). Then one
+    prune and scan per challenger code, in ascending order and including
+    codes that label no tuple, stops at the first that fires.
     """
     keys = np.ascontiguousarray(keys, dtype=np.int64)
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     n = keys.shape[0]
     if n == 0:
-        return ArrayVerdict(False, None)
+        return ArrayVerdict(False, None, np.zeros(0, dtype=np.int64))
     first, _, _ = _block_stats(keys)
-    pos = np.arange(n, dtype=np.int64)
-    greedy_positions = np.flatnonzero(first[keys] == pos)
-    num_blocks = greedy_positions.shape[0]
-    top = labels[greedy_positions[: min(k, num_blocks)]]
-    counts = np.bincount(top)
-    best = counts.max()
-    if (counts == best).sum() > 1:
-        return ArrayVerdict(False, None)
+    greedy = np.flatnonzero(first[keys] == np.arange(n, dtype=np.int64))
+    k_eff = min(k, greedy.shape[0])
+    counts = np.bincount(labels[greedy[:k_eff]])
+    if (counts == counts.max()).sum() > 1:
+        return ArrayVerdict(False, None, greedy)
     ell1 = int(np.argmax(counts))
 
-    k_eff = min(k, num_blocks)
     for ell2 in range(int(labels.max()) + 1):
-        if ell2 == ell1 or not (labels == ell2).any():
+        if ell2 == ell1:
             continue
         mask = _prune_mask(keys, labels, ell2, ell1)
         trigger = _scan_arrays(keys[mask], labels[mask], ell2, ell1, k_eff)
         if trigger is not None:
-            return ArrayVerdict(False, ell1, ell2, trigger)
-    return ArrayVerdict(True, ell1)
+            return ArrayVerdict(False, ell1, greedy, ell2, trigger, np.flatnonzero(mask))
+    return ArrayVerdict(True, ell1, greedy)

@@ -2,17 +2,19 @@
 
 CSV conventions: the header carries the attribute names plus a required
 ``label`` column and optional ``weight``, ``rank`` and ``uncertain``
-columns. Scalar cells are integers, fractions like ``1/2`` or decimals
-(parsed exactly), anything else is a symbol. Uncertain tables additionally
-allow or-set cells ``<a|b|c>`` and interval cells ``[lo,hi]``.
+columns. Every non-blank row has exactly as many cells as the header.
+Scalar cells are integers, fractions like ``1/2`` or decimals (parsed
+exactly), anything else is a symbol. Uncertain tables additionally allow
+or-set cells ``<a|b|c>`` and interval cells ``[lo,hi]``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .dataset import LabeledDataset, Ordering, TestPoint, TupleRec
 from .errors import InputError
@@ -21,6 +23,7 @@ from .hardgen import Sat3R
 from .models import CoddCell, OrSetCell
 
 RESERVED = ("label", "weight", "rank", "uncertain")
+UNIT_WEIGHT = Fraction(1)  # shared by every row without a weight cell
 
 
 def load_schema(path: str) -> FdSchema:
@@ -35,13 +38,36 @@ def load_schema(path: str) -> FdSchema:
         raise InputError(f"malformed schema {path}: {exc}") from None
 
 
+_PLAIN_DECIMAL = re.compile(r"([+-]?)([0-9]+)(?:\.([0-9]+))?")
+
+
 def parse_scalar(text: str):
+    """The cell's value as ``Fraction(text)`` reads it, an int when whole,
+    or the stripped text itself when that is not a number.
+
+    Fraction's grammar needs a sign, a dot or a decimal digit first, so any
+    other first character is a symbol at once. Plain ASCII integers and
+    decimals ``[+-]d+[.d+]`` are built from ints, digit groups converted as
+    Fraction converts them; every other form goes through ``Fraction(text)``.
+    """
     text = text.strip()
+    if not text or not (text[0] in "+-." or text[0].isdecimal()):
+        return text
+    plain = _PLAIN_DECIMAL.fullmatch(text)
     try:
-        value = Fraction(text)
+        if plain is None:
+            value = Fraction(text)
+            return int(value) if value.denominator == 1 else value
+        sign, whole, frac = plain.groups()
+        num, scale = int(whole), 1
+        if frac is not None:
+            scale = 10 ** len(frac)
+            num = num * scale + int(frac)
     except (ValueError, ZeroDivisionError):
         return text
-    return int(value) if value.denominator == 1 else value
+    if sign == "-":
+        num = -num
+    return num // scale if num % scale == 0 else Fraction(num, scale)
 
 
 def parse_number(text: str) -> Fraction:
@@ -64,19 +90,25 @@ def parse_point(text: str, expected: int) -> TestPoint:
     return TestPoint(tuple(parse_number(p) for p in parts))
 
 
-def _read_rows(path: str) -> tuple[list[str], list[dict]]:
+def _read_rows(path: str) -> Iterator[list[str]]:
+    """Yield the stripped header, then each non-blank row, checked to be as
+    wide as the header. Rows stream, so raw cells never pile up in memory."""
     try:
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise InputError(f"{path}: empty file")
-            header = [h.strip() for h in reader.fieldnames]
-            rows = list(reader)
-    except OSError as exc:
+            header = [h.strip() for h in header]
+            if "label" not in header:
+                raise InputError(f"{path}: missing required column 'label'")
+            yield header
+            for i, row in enumerate(filter(None, reader)):
+                if len(row) != len(header):
+                    raise InputError(f"row {i}: expected {len(header)} cells, got {len(row)}")
+                yield row
+    except (OSError, csv.Error) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    if "label" not in header:
-        raise InputError(f"{path}: missing required column 'label'")
-    return header, rows
 
 
 def _attributes(header: Sequence[str], schema: Optional[FdSchema]) -> tuple[str, ...]:
@@ -104,32 +136,36 @@ def load_dataset(
     is not the same thing. With ``schema`` None the attributes are taken
     from the header and the FD set is empty.
     """
-    header, raw_rows = _read_rows(path)
+    raw_rows = _read_rows(path)
+    header = next(raw_rows)
     attrs = _attributes(header, schema)
     schema = schema or FdSchema.of(attrs, [])
+    column = {name: j for j, name in enumerate(header)}
+    attr_cols = [column[a] for a in attrs]
+    label_col = column["label"]
+    weight_col, rank_col = column.get("weight"), column.get("rank")
+    uncertain_col = column.get("uncertain")
 
     tuples = []
     ranks: list[int] = []
     uncertain = set()
     for i, row in enumerate(raw_rows):
-        if any(row.get(a) is None for a in attrs) or row.get("label") is None:
-            raise InputError(f"row {i}: missing cells")
-        values = tuple(parse_scalar(row[a]) for a in attrs)
-        label = row["label"].strip()
+        values = tuple([parse_scalar(row[j]) for j in attr_cols])
+        label = row[label_col].strip()
         if label == "":
             raise InputError(f"row {i}: empty label")
-        weight = Fraction(1)
-        if "weight" in header and (row.get("weight") or "").strip() != "":
-            weight = parse_number(row["weight"])
+        weight = UNIT_WEIGHT
+        if weight_col is not None and row[weight_col].strip() != "":
+            weight = parse_number(row[weight_col])
             if weight <= 0:
                 raise InputError(f"row {i}: weight must be positive")
         tuples.append(TupleRec(i, values, label, weight))
-        if "rank" in header:
+        if rank_col is not None:
             try:
-                ranks.append(int(row.get("rank") or ""))
+                ranks.append(int(row[rank_col]))
             except ValueError:
                 raise InputError(f"row {i}: rank must be an integer") from None
-        if "uncertain" in header and (row.get("uncertain") or "").strip() in ("1", "true", "yes"):
+        if uncertain_col is not None and row[uncertain_col].strip() in ("1", "true", "yes"):
             uncertain.add(i)
 
     dataset = LabeledDataset(
@@ -139,11 +175,11 @@ def load_dataset(
         tuple(features),
     )
     rank_order: Optional[tuple[int, ...]] = None
-    if "rank" in header:
+    if rank_col is not None:
         if len(set(ranks)) != len(ranks):
             raise InputError("rank column must hold distinct integers")
         rank_order = tuple(tid for _, tid in sorted(zip(ranks, range(len(ranks)))))
-    marked = frozenset(uncertain) if "uncertain" in header else None
+    marked = frozenset(uncertain) if uncertain_col is not None else None
     return dataset, rank_order, marked
 
 
@@ -169,14 +205,16 @@ def parse_cell(text: str):
 
 def load_uncertain_table(path: str) -> tuple[tuple[str, ...], list[tuple]]:
     """Load rows whose cells may be or-sets or intervals: (attributes, rows)."""
-    header, raw_rows = _read_rows(path)
+    raw_rows = _read_rows(path)
+    header = next(raw_rows)
     attrs = tuple(h for h in header if h not in RESERVED)
+    column = {name: j for j, name in enumerate(header)}
+    attr_cols = [column[a] for a in attrs]
+    label_col = column["label"]
     rows = []
     for i, row in enumerate(raw_rows):
-        if any(row.get(a) is None for a in attrs) or row.get("label") is None:
-            raise InputError(f"row {i}: missing cells")
-        cells = tuple(parse_cell(row[a]) for a in attrs)
-        label = row["label"].strip()
+        cells = tuple(parse_cell(row[j]) for j in attr_cols)
+        label = row[label_col].strip()
         if label == "":
             raise InputError(f"row {i}: empty label")
         rows.append((cells, label))

@@ -1,7 +1,12 @@
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
+import knncert
 from knncert import cli
 
 import helpers
@@ -151,6 +156,108 @@ class TestCertify:
             ["certify", "--schema", schema, "--data", data, "--features", "A,B", "--k", "3"],
         )
         assert code == 2 and "error" in payload
+
+
+KEY_SCHEMA = {"attributes": ["K", "X"], "fds": [{"lhs": ["K"], "rhs": ["X"]}]}
+
+
+def keyed_files(tmp_path, csv_text):
+    schema = tmp_path / "key.json"
+    schema.write_text(json.dumps(KEY_SCHEMA))
+    data = tmp_path / "key.csv"
+    data.write_text(csv_text)
+    return ["--schema", str(schema), "--data", str(data), "--features", "X", "--point", "0"]
+
+
+class TestMalformedCsv:
+    @pytest.mark.parametrize("row, cells", [("a,1", 2), ("a,1,0,9,9", 5)])
+    def test_row_width_must_match_header(self, tmp_path, capsys, row, cells):
+        files = keyed_files(tmp_path, f"K,X,label\nb,2,1\n{row}\n")
+        code, payload = run(capsys, ["certify", *files, "--k", "1"])
+        assert code == 2
+        assert payload == {"error": f"row 1: expected 3 cells, got {cells}"}
+
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        files = keyed_files(tmp_path, "K,X,label\n\na,1,0\n\na,2,1\n\n")
+        code, payload = run(capsys, ["certify", *files, "--k", "1"])
+        assert code == 1
+        assert [w["repair_ids"] for w in payload["witnesses"]] == [[0], [1]]
+
+
+def pk_csv(rng, blocks, planted):
+    """A keyed table in three-place decimals: ``planted`` label-0 singleton
+    blocks next to the origin, then two-tuple blocks with random labels."""
+    lines = ["K,X,Y,label"]
+    for i in range(planted):
+        lines.append(f"p{i},0.{i + 1:03d},0.{i + 1:03d},0")
+    for b in range(blocks):
+        for _ in range(2):
+            x, y = rng.randrange(1000, 100_000), rng.randrange(1000, 100_000)
+            cells = (f"k{b}", f"{x // 1000}.{x % 1000:03d}", f"{y // 1000}.{y % 1000:03d}")
+            lines.append(",".join(cells + (str(rng.randrange(3)),)))
+    return "\n".join(lines) + "\n"
+
+
+class TestFastscanAgreesWithDp:
+    """The primary-key scan and the general DP on the same CLI inputs."""
+
+    def agree(self, tmp_path, capsys, csv_text, point):
+        schema = tmp_path / "s.json"
+        schema.write_text(json.dumps(
+            {"attributes": ["K", "X", "Y"], "fds": [{"lhs": ["K"], "rhs": ["X", "Y"]}]}
+        ))
+        data = tmp_path / "d.csv"
+        data.write_text(csv_text)
+        argv = ["certify", "--schema", str(schema), "--data", str(data), "--features", "X,Y",
+                "--point", point, "--p", "2", "--k", "5"]
+        code, scan = run(capsys, argv)
+        dp_code, dp = run(capsys, argv + ["--force-dp"])
+        assert (scan["method"], dp["method"]) == ("fastscan", "dp")
+        assert code == dp_code
+        assert (scan["robust"], scan["certain_label"]) == (dp["robust"], dp["certain_label"])
+        if scan["robust"]:
+            assert scan["possible_labels"] == dp["possible_labels"] == [scan["certain_label"]]
+        else:
+            # Both start from the same greedy repair. The challenger witnesses
+            # differ, and one may end in a tie where the other names a label,
+            # so each path's possible_labels is checked against its witnesses.
+            assert scan["witnesses"][0] == dp["witnesses"][0]
+            for out in (scan, dp):
+                named = {w["predicted"].get("label") for w in out["witnesses"]} - {None}
+                assert out["possible_labels"] == sorted(named)
+        return scan
+
+    def test_random_point_on_thousands_of_rows(self, tmp_path, capsys):
+        csv_text = pk_csv(random.Random(21), blocks=1500, planted=4)
+        scan = self.agree(tmp_path, capsys, csv_text, "50.123,40.456")
+        assert scan["robust"] is False and len(scan["witnesses"][1]["repair_ids"]) == 1504
+
+    def test_planted_point(self, tmp_path, capsys):
+        # The DP sweeps every distance threshold when the answer is robust,
+        # quadratic in the rows, so this table is smaller.
+        csv_text = pk_csv(random.Random(22), blocks=250, planted=6)
+        scan = self.agree(tmp_path, capsys, csv_text, "0.000,0.000")
+        assert scan["robust"] is True and scan["certain_label"] == "0"
+
+
+def test_broken_pipe_exits_without_traceback(tmp_path):
+    # Two witnesses of 5000 ids each are far more than a pipe buffer holds,
+    # so the write fails once the reader has closed its end.
+    rows = [f"{b},{2 * b + j},{j}" for b in range(5000) for j in (0, 1)]
+    files = keyed_files(tmp_path, "K,X,label\n" + "\n".join(rows) + "\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(knncert.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "knncert.cli", "certify", *files, "--p", "1", "--k", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(20).startswith(b"{")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 
 class TestCount:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import knncert as kc
 from knncert import InputError, oracle
@@ -69,10 +71,77 @@ class TestOrdering:
             scaled = simple_dataset([(v * scale,) for v in values], ["0"] * n)
             assert kc.order_by_distance(scaled, x, 1).ranked == base
 
+    def test_non_numeric_error_names_lowest_id(self):
+        ds = simple_dataset([(1, 2), (3, "b"), ("a", 4)], ["0", "0", "1"], features=("A", "B"))
+        with pytest.raises(InputError, match=r"^non-numeric feature value in tuple 1$"):
+            kc.order_by_distance(ds, kc.TestPoint((0, 0)), 2)
+
+    def test_bad_p_rejected_up_front(self):
+        ds = simple_dataset([(1,), (2,)], ["0", "1"])
+        for p in (0, -1, 1.5):
+            with pytest.raises(InputError, match=r"^p must be an integer >= 1$"):
+                kc.order_by_distance(ds, kc.TestPoint((0,)), p)
+
     def test_rank_of_is_one_based(self, example1):
         _, _, ordering = example1
         assert ordering.rank_of[0] == 1
         assert ordering.rank_of[3] == 6
+
+
+# Cells for the ordering property: small ints tie often, huge ints pass
+# 2^63, and fractions with large coprime denominators make the lcm large.
+NUMBERS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**80), 2**80),
+    st.fractions(min_value=-10, max_value=10, max_denominator=50),
+    st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(1, 10**9)),
+)
+
+
+@st.composite
+def ordering_instances(draw, symbols=False):
+    d = draw(st.integers(1, 3))
+    pool = draw(st.lists(NUMBERS, min_size=1, max_size=4))
+    cell = st.one_of(st.sampled_from(pool), NUMBERS)
+    if symbols:
+        cell = st.one_of(cell, st.just("sym"))
+    n = draw(st.integers(1 if symbols else 0, 24))
+    rows = [tuple(draw(cell) for _ in range(d)) for _ in range(n)]
+    coord = st.one_of(st.sampled_from(pool), NUMBERS)
+    x = kc.TestPoint(tuple(draw(coord) for _ in range(d)))
+    schema = kc.FdSchema.of(helpers.ATTR_POOL[:d], [])
+    ds = kc.make_dataset(schema, [(r, "0") for r in rows], features=helpers.ATTR_POOL[:d])
+    return ds, x
+
+
+def rational_order(ds, x, p):
+    """The reference ranking: exact Fraction distances, ties by id."""
+
+    def key(i):
+        return kc.surrogate_distance(x, ds.tuples[i], p, ds.feature_indices), i
+
+    return tuple(sorted(ds.ids(), key=key))
+
+
+class TestOrderingMatchesRationalSurrogate:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(ordering_instances(), st.sampled_from((1, 2, 3)))
+    def test_same_order(self, inst, p):
+        ds, x = inst
+        assert kc.order_by_distance(ds, x, p).ranked == rational_order(ds, x, p)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(ordering_instances(symbols=True), st.sampled_from((1, 2)))
+    def test_same_error_on_symbols(self, inst, p):
+        ds, x = inst
+        try:
+            want = rational_order(ds, x, p)
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                kc.order_by_distance(ds, x, p)
+            assert str(got.value) == str(exc)
+        else:
+            assert kc.order_by_distance(ds, x, p).ranked == want
 
 
 class TestConflicts:

@@ -15,7 +15,7 @@ class TestAsKeyed:
         ds, _ = figure3
         keyed = fastscan.as_keyed(ds)
         assert keyed.key == ("K",)
-        assert len(keyed.blocks) == 5
+        assert keyed.num_blocks == 5
 
     def test_implied_key_through_minimization(self):
         # {A->B, AB->C} minimizes to lhs {A} covering everything.
@@ -38,14 +38,14 @@ class TestAsKeyed:
         # Identical rows never conflict, so they are not a real block clique.
         schema = kc.FdSchema.of(("K", "V"), [(["K"], ["V"])])
         ds = kc.make_dataset(schema, [((1, 1), "0"), ((1, 1), "1")], features=("V",))
-        with pytest.raises(NotPrimaryKeyError):
+        with pytest.raises(NotPrimaryKeyError, match=r"block \(1,\) holds identical rows"):
             fastscan.as_keyed(ds)
 
     def test_empty_fd_set_needs_distinct_rows(self):
         schema = kc.FdSchema.of(("A",), [])
         ds = kc.make_dataset(schema, [((1,), "0"), ((2,), "1")], features=("A",))
         keyed = fastscan.as_keyed(ds)
-        assert len(keyed.blocks) == 2
+        assert keyed.num_blocks == 2
 
 
 class TestPrune:
@@ -83,7 +83,7 @@ class TestPrune:
             blocks: dict = {}
             for pos, tid in enumerate(kept):
                 blocks.setdefault(keyed.block_of[tid], []).append(pos)
-            assert set(blocks) == set(range(len(keyed.blocks)))
+            assert set(blocks) == set(range(keyed.num_blocks))
             for positions in blocks.values():
                 special = [
                     p for p in positions if ds.tuples[kept[p]].label in (ell1, ell2)
@@ -183,6 +183,15 @@ class TestCertifyPk:
             want = oracle.brute_certify(ds, ordering, k)
             assert got.robust == dp.robust == want.robust
             assert got.certain_label == dp.certain_label == want.certain_label
+
+    def test_witness_failing_reverification_raises(self, figure3, monkeypatch):
+        # The greedy repair predicts the incumbent, so it can never be a witness.
+        ds, ordering = figure3
+        monkeypatch.setattr(
+            fastscan, "_build_witness", lambda keys, labels, verdict, k: verdict.greedy
+        )
+        with pytest.raises(AssertionError, match="still predicts '1'"):
+            fastscan.certify_pk(ds, ordering, 3)
 
 
 class TestArrayPath:

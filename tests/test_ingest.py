@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import knncert as kc
 from knncert import InputError, ingest, models
@@ -31,6 +33,38 @@ class TestScalars:
     def test_format_round_trip(self):
         for v in (7, Fraction(1, 3), Fraction(4, 2)):
             assert ingest.parse_scalar(ingest.format_value(v)) == v
+
+
+def reference_scalar(text):
+    """What a cell meant before the fast path: Fraction(text) or a symbol."""
+    text = text.strip()
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return text
+    return int(value) if value.denominator == 1 else value
+
+
+SCALAR_CORPUS = [
+    "42", "-0.500", "+3", ".5", "5.", "1e3", "1.5e-2", "1_000", " 2 ", "1/2", "1/0",
+    "\u0663", "\uff11", "nan", "inf", "k12", "", "-0", "007.250", "-12.000", "1.2.3", "+-1",
+]
+NUMERIC_TEXT = st.from_regex(
+    r"\s?[+-]?[0-9]{0,22}(\.[0-9]{0,22})?([eE][+-]?[0-9]{1,3}|/[0-9]{1,4})?\s?", fullmatch=True
+)
+
+
+class TestScalarFastPath:
+    @pytest.mark.parametrize("text", SCALAR_CORPUS)
+    def test_corpus_matches_fraction_reading(self, text):
+        got, want = ingest.parse_scalar(text), reference_scalar(text)
+        assert type(got) is type(want) and got == want
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.one_of(NUMERIC_TEXT, st.text(max_size=12)))
+    def test_matches_fraction_reading(self, text):
+        got, want = ingest.parse_scalar(text), reference_scalar(text)
+        assert type(got) is type(want) and got == want
 
 
 class TestCells:

@@ -108,7 +108,7 @@ class TestOrsetExpand:
     def test_plain_rows_stay_single(self):
         keyed = models.orset_expand(("A",), [((1,), "0"), ((2,), "1")], features=("A",))
         assert keyed.dataset.size == 2
-        assert len(keyed.blocks) == 2
+        assert keyed.num_blocks == 2
 
     def test_expansion_size_formula(self):
         rng = random.Random(7)
