@@ -8,7 +8,14 @@ attribute takes a max across values, a common lhs attribute combines per
 value tables by max-plus convolution. A non-negative entry at i = k for some
 threshold (or at i < k at the widest threshold, covering repairs smaller
 than k) falsifies robustness, and a witness repair is reconstructed by
-walking the recursion back.
+walking the stored tables back.
+
+The threshold sweep is incremental: raising tau by one admits one tuple,
+and ``decompose.Sweep`` updates only that tuple's leaf and its ancestors,
+each through a segment tree over the node's children. For L challenger
+labels, n tuples, fan-out f and tree depth, certification costs
+O(L * n * depth * log f * k^2), against O(L * n * |tree| * k^2) for
+re-evaluating the tree at every tau.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import Optional, Sequence
 
 from .certresult import CertResult
 from .dataset import LabeledDataset, Ordering, greedy_repair, predict
-from .decompose import ConsensusNode, Leaf, Node, build_tree
+from .decompose import ConsensusNode, Leaf, Sweep, TableOps, build_tree
 from .errors import InputError, NotChainError
 from .fdschema import Fd, decide_lhs_chain
 
@@ -41,47 +48,37 @@ class MaxDiffTable:
         return len(self.entries) - 1
 
 
-class _Ctx:
-    __slots__ = ("label", "ref_label", "tau", "k", "rank_of", "labels", "weights")
+def _row_ops(dataset: LabeledDataset, label: str, ref_label: str, k: int,
+             weighted: bool) -> TableOps:
+    """Max-plus rows. A leaf's row has one finite entry, at the number of
+    its admitted tuples, holding their (label minus ref_label) weight, until
+    more than k are admitted; consensus takes the max, common convolves."""
+    labels = [t.label for t in dataset.tuples]
+    weights = [t.weight for t in dataset.tuples] if weighted else None
+    dead: Row = [None] * (k + 1)
 
-    def __init__(self, label, ref_label, tau, k, rank_of, labels, weights):
-        self.label = label
-        self.ref_label = ref_label
-        self.tau = tau
-        self.k = k
-        self.rank_of = rank_of
-        self.labels = labels
-        self.weights = weights
+    def admit(row: Row, tid: int) -> Row:
+        size = next((i for i, v in enumerate(row) if v is not None), k)
+        if size == k:
+            return dead
+        diff = row[size]
+        if labels[tid] == label:
+            diff += 1 if weights is None else weights[tid]
+        elif labels[tid] == ref_label:
+            diff -= 1 if weights is None else weights[tid]
+        out: Row = [None] * (k + 1)
+        out[size + 1] = diff
+        return out
 
-
-def _leaf_row(ids, ctx: _Ctx) -> Row:
-    row: Row = [None] * (ctx.k + 1)
-    size = 0
-    diff = 0
-    for tid in ids:
-        if ctx.rank_of[tid] <= ctx.tau:
-            size += 1
-            if size > ctx.k:
-                return row
-            lab = ctx.labels[tid]
-            if lab == ctx.label:
-                diff += 1 if ctx.weights is None else ctx.weights[tid]
-            elif lab == ctx.ref_label:
-                diff -= 1 if ctx.weights is None else ctx.weights[tid]
-    row[size] = diff
-    return row
+    return TableOps([0] + [None] * k, admit, _max_rows, _convolve)
 
 
-def _max_rows(rows: Sequence[Row], k: int) -> Row:
-    out: Row = [None] * (k + 1)
-    for row in rows:
-        for i, v in enumerate(row):
-            if v is not None and (out[i] is None or v > out[i]):
-                out[i] = v
-    return out
+def _max_rows(a: Row, b: Row) -> Row:
+    return [x if y is None or (x is not None and x >= y) else y for x, y in zip(a, b)]
 
 
-def _convolve(a: Row, b: Row, k: int) -> Row:
+def _convolve(a: Row, b: Row) -> Row:
+    k = len(a) - 1
     out: Row = [None] * (k + 1)
     for i, va in enumerate(a):
         if va is None:
@@ -96,34 +93,24 @@ def _convolve(a: Row, b: Row, k: int) -> Row:
     return out
 
 
-def _eval(node: Node, ctx: _Ctx) -> Row:
-    if isinstance(node, Leaf):
-        return _leaf_row(node.ids, ctx)
-    rows = [_eval(child, ctx) for child in node.children]
-    if isinstance(node, ConsensusNode):
-        return _max_rows(rows, ctx.k)
-    acc = rows[0]
-    for row in rows[1:]:
-        acc = _convolve(acc, row, ctx.k)
-    return acc
-
-
-def _trace(node: Node, i: int, ctx: _Ctx) -> list[int]:
-    """Reconstruct a repair attaining the node's table value at index i."""
+def _trace(sweep: Sweep, v: int, i: int) -> list[int]:
+    """Reconstruct a repair attaining node v's stored table value at index i."""
+    node = sweep.nodes[v]
     if isinstance(node, Leaf):
         return list(node.ids)
-    rows = [_eval(child, ctx) for child in node.children]
+    kids = sweep.kids[v]
+    rows = [sweep.tables[c] for c in kids]
     if isinstance(node, ConsensusNode):
         best = None
         pick = None
-        for child, row in zip(node.children, rows):
+        for c, row in zip(kids, rows):
             if row[i] is not None and (best is None or row[i] > best):
                 best = row[i]
-                pick = child
-        return _trace(pick, i, ctx)
+                pick = c
+        return _trace(sweep, pick, i)
     prefixes = [rows[0]]
     for row in rows[1:]:
-        prefixes.append(_convolve(prefixes[-1], row, ctx.k))
+        prefixes.append(_convolve(prefixes[-1], row))
     chosen: list[int] = []
     target = i
     for c in range(len(rows) - 1, 0, -1):
@@ -131,10 +118,10 @@ def _trace(node: Node, i: int, ctx: _Ctx) -> list[int]:
         for u in range(target + 1):
             left, right = prefixes[c - 1][u], rows[c][target - u]
             if left is not None and right is not None and left + right == value:
-                chosen.extend(_trace(node.children[c], target - u, ctx))
+                chosen.extend(_trace(sweep, kids[c], target - u))
                 target = u
                 break
-    chosen.extend(_trace(node.children[0], target, ctx))
+    chosen.extend(_trace(sweep, kids[0], target))
     return chosen
 
 
@@ -155,8 +142,10 @@ def max_label_diff(
         raise InputError("k must be >= 1")
     fds = list(dataset.schema.fds) if fds is None else list(fds)
     tree = build_tree(dataset.tuples, sorted(ids), fds, dataset.schema)
-    ctx = _make_ctx(dataset, label, ref_label, tau, k, ordering, weighted)
-    return MaxDiffTable(tuple(_eval(tree, ctx)), label, ref_label, tau)
+    sweep = Sweep(tree, dataset.size, _row_ops(dataset, label, ref_label, k, weighted))
+    for tid in ordering.ranked[:tau]:
+        sweep.admit(tid)
+    return MaxDiffTable(tuple(sweep.root), label, ref_label, tau)
 
 
 def combine_rows(tables: Sequence[MaxDiffTable], k: Optional[int] = None) -> MaxDiffTable:
@@ -170,14 +159,23 @@ def combine_rows(tables: Sequence[MaxDiffTable], k: Optional[int] = None) -> Max
             raise InputError("tables disagree on (label, ref_label, tau, k)")
     acc = list(first.entries)
     for t in tables[1:]:
-        acc = _convolve(acc, list(t.entries), k)
+        acc = _convolve(acc, list(t.entries))
     return MaxDiffTable(tuple(acc), first.label, first.ref_label, first.tau)
 
 
-def _make_ctx(dataset, label, ref_label, tau, k, ordering, weighted) -> _Ctx:
-    labels = [t.label for t in dataset.tuples]
-    weights = [t.weight for t in dataset.tuples] if weighted else None
-    return _Ctx(label, ref_label, tau, k, ordering.rank_of, labels, weights)
+def _challenge(dataset, ordering, tree, ell, ell1, k, weighted) -> Optional[tuple[int, ...]]:
+    """Sweep tau for challenger ``ell``; return the traced repair at the
+    first hit whose best (ell minus ell1) difference is non-negative."""
+    n = dataset.size
+    sweep = Sweep(tree, n, _row_ops(dataset, ell, ell1, k, weighted))
+    for tau, tid in enumerate(ordering.ranked, start=1):
+        sweep.admit(tid)
+        row = sweep.root
+        hits = [k] if tau < n else [k] + list(range(1, k))
+        for i in hits:
+            if row[i] is not None and row[i] >= 0:
+                return tuple(sorted(_trace(sweep, 0, i)))
+    return None
 
 
 def certify(
@@ -205,26 +203,21 @@ def certify(
         return CertResult(False, None, (), ((greedy, incumbent),))
     ell1 = incumbent.label
 
-    n = dataset.size
     tree = build_tree(dataset.tuples, list(dataset.ids()), list(dataset.schema.fds), dataset.schema)
     for ell in sorted(set(dataset.labels) - {ell1}):
-        for tau in range(1, n + 1):
-            ctx = _make_ctx(dataset, ell, ell1, tau, k, ordering, weighted)
-            row = _eval(tree, ctx)
-            hits = [k] if tau < n else [k] + list(range(1, k))
-            for i in hits:
-                if row[i] is not None and row[i] >= 0:
-                    repair = tuple(sorted(_trace(tree, i, ctx)))
-                    outcome = predict(dataset, repair, ordering, k, weighted=weighted)
-                    if outcome.is_label(ell1):
-                        raise AssertionError("witness failed re-verification")
-                    possible = {ell1}
-                    if outcome.kind == "label":
-                        possible.add(outcome.label)
-                    return CertResult(
-                        False,
-                        None,
-                        tuple(sorted(possible)),
-                        ((greedy, incumbent), (repair, outcome)),
-                    )
+        repair = _challenge(dataset, ordering, tree, ell, ell1, k, weighted)
+        if repair is None:
+            continue
+        outcome = predict(dataset, repair, ordering, k, weighted=weighted)
+        if outcome.is_label(ell1):
+            raise AssertionError("witness failed re-verification")
+        possible = {ell1}
+        if outcome.kind == "label":
+            possible.add(outcome.label)
+        return CertResult(
+            False,
+            None,
+            tuple(sorted(possible)),
+            ((greedy, incumbent), (repair, outcome)),
+        )
     return CertResult(True, ell1, (ell1,), ())

@@ -9,12 +9,19 @@ cells never outnumber the repairs of the subinstance.
 
 A repair predicts the queried label when every difference is at most -1.
 To count each repair exactly once, the threshold is pinned to the rank of
-the k-th nearest kept tuple: for threshold tau the instance is restricted
-to tuples compatible with the tau-th ranked tuple, which forces it into
-every repair, and cells with prefix size exactly k are read off. Repairs
-with fewer than k tuples are picked up separately at the widest threshold,
-where the neighborhood is the whole repair. Counts are Python ints, so
-arbitrary precision comes for free.
+the k-th nearest kept tuple: at threshold tau only repairs that keep the
+tau-th ranked tuple (the anchor) are read, at prefix size exactly k. Those
+are the repairs that pick the anchor's child at every consensus node on
+its root-to-leaf path, so their table is that path merged again with each
+consensus node replaced by the anchor's child. Repairs with fewer than k
+tuples are picked up separately at the widest threshold, where the
+neighborhood is the whole repair. Counts are Python ints, so arbitrary
+precision comes for free.
+
+The sweep over tau is the incremental one of ``decompose.Sweep``: each
+tau admits one tuple and updates its path, and the anchor's table walks
+the same path again, so counting does O(n * depth * log f) merges of
+sparse tables for n tuples, tree depth and fan-out f.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .dataset import LabeledDataset, Ordering, conflicts
-from .decompose import ConsensusNode, Leaf, Node, build_tree
+from .dataset import LabeledDataset, Ordering
+from .decompose import ConsensusNode, Leaf, Node, Sweep, TableOps, build_tree
 from .errors import InputError, NotChainError
 from .fdschema import Fd, decide_lhs_chain
 
@@ -44,68 +51,47 @@ class CountTable:
         return sum(self.entries.values())
 
 
-class _Ctx:
-    __slots__ = ("label", "others", "tau", "k", "rank_of", "labels")
+def _cell_ops(dataset: LabeledDataset, label: str, others: tuple[str, ...], k: int) -> TableOps:
+    """Sparse count tables. A leaf's table is its one cell, (admitted
+    tuples, per-label differences), until more than k are admitted;
+    consensus adds, common convolves."""
+    labels = [t.label for t in dataset.tuples]
+    slot = {other: j for j, other in enumerate(others)}
 
-    def __init__(self, label, others, tau, k, rank_of, labels):
-        self.label = label
-        self.others = others
-        self.tau = tau
-        self.k = k
-        self.rank_of = rank_of
-        self.labels = labels
+    def admit(table: dict, tid: int) -> dict:
+        if not table:
+            return table
+        ((size, vec),) = table
+        if size == k:
+            return {}
+        if labels[tid] == label:
+            return {(size + 1, tuple(c - 1 for c in vec)): 1}
+        j = slot[labels[tid]]
+        return {(size + 1, vec[:j] + (vec[j] + 1,) + vec[j + 1:]): 1}
+
+    def convolve(a: dict, b: dict) -> dict:
+        out: dict = {}
+        for (ia, ca), va in a.items():
+            for (ib, cb), vb in b.items():
+                i = ia + ib
+                if i > k:
+                    continue
+                cell = (i, tuple(x + y for x, y in zip(ca, cb)))
+                out[cell] = out.get(cell, 0) + va * vb
+        return out
+
+    return TableOps({(0, (0,) * len(others)): 1}, admit, _add, convolve)
 
 
-def _leaf_cells(ids, ctx: _Ctx) -> dict:
-    counts: dict[str, int] = {}
-    size = 0
-    for tid in ids:
-        if ctx.rank_of[tid] <= ctx.tau:
-            size += 1
-            if size > ctx.k:
-                return {}
-            lab = ctx.labels[tid]
-            counts[lab] = counts.get(lab, 0) + 1
-    mine = counts.get(ctx.label, 0)
-    vec = tuple(counts.get(other, 0) - mine for other in ctx.others)
-    return {(size, vec): 1}
-
-
-def _add(tables: Sequence[dict]) -> dict:
-    out: dict = {}
-    for table in tables:
-        for cell, count in table.items():
-            out[cell] = out.get(cell, 0) + count
+def _add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for cell, count in b.items():
+        out[cell] = out.get(cell, 0) + count
     return out
 
 
-def _convolve(a: dict, b: dict, k: int) -> dict:
-    out: dict = {}
-    for (ia, ca), va in a.items():
-        for (ib, cb), vb in b.items():
-            i = ia + ib
-            if i > k:
-                continue
-            cell = (i, tuple(x + y for x, y in zip(ca, cb)))
-            out[cell] = out.get(cell, 0) + va * vb
-    return out
-
-
-def _eval(node: Node, ctx: _Ctx) -> dict:
-    if isinstance(node, Leaf):
-        return _leaf_cells(node.ids, ctx)
-    tables = [_eval(child, ctx) for child in node.children]
-    if isinstance(node, ConsensusNode):
-        return _add(tables)
-    acc = tables[0]
-    for table in tables[1:]:
-        acc = _convolve(acc, table, ctx.k)
-    return acc
-
-
-def _make_ctx(dataset: LabeledDataset, label: str, tau: int, k: int, ordering: Ordering) -> _Ctx:
-    others = tuple(sorted(set(dataset.labels) - {label}))
-    return _Ctx(label, others, tau, k, ordering.rank_of, [t.label for t in dataset.tuples])
+def _others(dataset: LabeledDataset, label: str) -> tuple[str, ...]:
+    return tuple(sorted(set(dataset.labels) - {label}))
 
 
 def count_table(
@@ -121,8 +107,11 @@ def count_table(
         raise InputError("k must be >= 1")
     fds = list(dataset.schema.fds) if fds is None else list(fds)
     tree = build_tree(dataset.tuples, sorted(ids), fds, dataset.schema)
-    ctx = _make_ctx(dataset, label, tau, k, ordering)
-    return CountTable(_eval(tree, ctx), label, ctx.others, tau, k)
+    others = _others(dataset, label)
+    sweep = Sweep(tree, dataset.size, _cell_ops(dataset, label, others, k))
+    for tid in ordering.ranked[:tau]:
+        sweep.admit(tid)
+    return CountTable(sweep.root, label, others, tau, k)
 
 
 def _predicting(entries: dict, sizes) -> int:
@@ -145,24 +134,19 @@ def count_label(dataset: LabeledDataset, ordering: Ordering, k: int, label: str)
     if n == 0:
         return 0
     schema = dataset.schema
-    fds = list(schema.fds)
+    tree = build_tree(dataset.tuples, list(dataset.ids()), list(schema.fds), schema)
+    sweep = Sweep(tree, n, _cell_ops(dataset, label, _others(dataset, label), k))
     total = 0
 
-    # Repairs with at least k tuples, pinned to the rank of their k-th
-    # nearest member. Restricting to tuples compatible with that member
-    # forces it into every repair, so no repair is counted twice.
-    for tau in range(1, n + 1):
-        anchor = dataset.tuples[ordering.ranked[tau - 1]]
-        ids = [u for u in dataset.ids() if not conflicts(dataset.tuples[u], anchor, schema)]
-        tree = build_tree(dataset.tuples, ids, fds, schema)
-        cells = _eval(tree, _make_ctx(dataset, label, tau, k, ordering))
-        total += _predicting(cells, {k})
+    # Repairs with at least k tuples, pinned to their k-th nearest member:
+    # the repairs that keep the tuple admitted at tau, read at size k.
+    for tid in ordering.ranked:
+        sweep.admit(tid)
+        total += _predicting(sweep.pinned(tid), {k})
 
     # Repairs with fewer than k tuples: neighborhood is the whole repair.
     if k > 1:
-        tree = build_tree(dataset.tuples, list(dataset.ids()), fds, schema)
-        cells = _eval(tree, _make_ctx(dataset, label, n, k, ordering))
-        total += _predicting(cells, set(range(1, k)))
+        total += _predicting(sweep.root, set(range(1, k)))
     return total
 
 

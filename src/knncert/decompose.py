@@ -6,13 +6,15 @@ attribute; when some attribute occurs in every lhs, tuples with different
 values of it never conflict, so repairs are unions of per-value repairs.
 The resulting partition tree depends only on the tuple set and the FDs, so
 it is built once and shared by the certification DP, the counting DP, and
-the minimum-weight repair recursion.
+the minimum-weight repair recursion. ``Sweep`` keeps the table of every
+node while tuples are admitted in rank order, for certification and
+counting alike; ``TableOps`` says how tables are built and merged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Any, Callable, NamedTuple, Sequence, Union
 
 from .dataset import TupleRec
 from .errors import NotChainError
@@ -82,3 +84,118 @@ def _split(tuples, ids, fds, schema, attr) -> tuple[Node, ...]:
         parts.setdefault(tuples[tid].values[idx], []).append(tid)
     reduced = _subtract(fds, attr)
     return tuple(build_tree(tuples, part, reduced, schema) for part in parts.values())
+
+
+class TableOps(NamedTuple):
+    """How a sweep builds and merges node tables.
+
+    Every leaf starts from ``blank``, its table with no tuple admitted, and
+    ``admit(table, tid)`` returns the leaf's table with ``tid`` added.
+    ``choose`` merges two children of a consensus node (a repair picks one
+    child), ``combine`` two children of a common node (a repair unions one
+    repair per child). Both merges must be associative and commutative.
+    """
+
+    blank: Any
+    admit: Callable[[Any, int], Any]
+    choose: Callable[[Any, Any], Any]
+    combine: Callable[[Any, Any], Any]
+
+
+class Sweep:
+    """The table of every tree node while the distance threshold grows.
+
+    Nodes are numbered in preorder, so the root is node 0, and per-node
+    state lives in flat lists indexed by that number. Tuples are admitted
+    one at a time in rank order. Admitting a tuple updates its leaf's table
+    and then only the leaf's ancestors: an internal node with f children
+    keeps their tables in a segment tree, a list of 2f slots with child j at
+    slot f + j, slot p merging slots 2p and 2p + 1, and the node's own
+    table at slot 1.
+    One admission thus costs O(depth * log f) merges, and it stops early at
+    the first slot whose value does not change.
+    """
+
+    def __init__(self, tree: Node, n: int, ops: TableOps) -> None:
+        self.ops = ops
+        self.nodes: list[Node] = []
+        self.kids: list[tuple[int, ...]] = []
+        self.parent: list[int] = []
+        self.slot: list[int] = []
+        self.leaf_of = [-1] * n
+        self._number(tree, -1, 0)
+        size = len(self.nodes)
+        self.tables: list = [None] * size
+        self.segs: list = [None] * size
+        self.merge: list = [None] * size
+        for v in range(size - 1, -1, -1):  # children before parents
+            kids = self.kids[v]
+            if not kids:
+                self.tables[v] = ops.blank
+                continue
+            merge = ops.choose if isinstance(self.nodes[v], ConsensusNode) else ops.combine
+            f = len(kids)
+            seg = [None] * f + [self.tables[c] for c in kids]
+            for p in range(f - 1, 0, -1):
+                seg[p] = merge(seg[2 * p], seg[2 * p + 1])
+            self.segs[v], self.merge[v], self.tables[v] = seg, merge, seg[1]
+
+    def _number(self, node: Node, parent: int, slot: int) -> int:
+        v = len(self.nodes)
+        self.nodes.append(node)
+        self.kids.append(())
+        self.parent.append(parent)
+        self.slot.append(slot)
+        if isinstance(node, Leaf):
+            for tid in node.ids:
+                self.leaf_of[tid] = v
+        else:
+            self.kids[v] = tuple(self._number(c, v, j) for j, c in enumerate(node.children))
+        return v
+
+    @property
+    def root(self):
+        return self.tables[0]
+
+    def admit(self, tid: int) -> None:
+        """Add ``tid`` to the prefix; a tuple outside the tree is skipped."""
+        v = self.leaf_of[tid]
+        if v < 0:
+            return
+        table = self.ops.admit(self.tables[v], tid)
+        while table != self.tables[v]:
+            self.tables[v] = table
+            u = self.parent[v]
+            if u < 0:
+                break
+            seg, merge = self.segs[u], self.merge[u]
+            p = len(seg) // 2 + self.slot[v]
+            seg[p] = table
+            p //= 2
+            while p:
+                value = merge(seg[2 * p], seg[2 * p + 1])
+                if value == seg[p]:
+                    return
+                seg[p] = value
+                p //= 2
+            v, table = u, seg[1]
+
+    def pinned(self, tid: int):
+        """The root table over the repairs that keep ``tid``.
+
+        Such a repair picks tid's child at every consensus node on tid's
+        path and any repair of every sibling at each common node on it, so
+        the path is merged again with each consensus node replaced by that
+        child. ``tid`` must be in the tree.
+        """
+        v = self.leaf_of[tid]
+        table = self.tables[v]
+        while (u := self.parent[v]) >= 0:
+            if isinstance(self.nodes[u], CommonNode):
+                seg, merge = self.segs[u], self.merge[u]
+                p = len(seg) // 2 + self.slot[v]
+                while p > 1:
+                    table = merge(table, seg[p ^ 1])
+                    p //= 2
+            v = u
+        return table

@@ -128,16 +128,18 @@ def random_keyed_instance(rng, n_max=12, max_labels=3, extra_attr=False):
     return ds, _random_ordering(rng, ds)
 
 
-def brute_max_diff(ds, ordering, label, ref_label, tau, k):
+def brute_max_diff(ds, ordering, label, ref_label, tau, k, weighted=False):
     """Independent oracle for the certification table: classify every repair
-    by its prefix size and take per-size maxima of the label difference."""
+    by its prefix size and take per-size maxima of the label difference
+    (of label weights when ``weighted``)."""
+    weight = [t.weight if weighted else 1 for t in ds.tuples]
     rows = [None] * (k + 1)
     for repair in oracle.enumerate_repairs(ds).repairs:
         prefix = [t for t in repair if ordering.rank_of[t] <= tau]
         if len(prefix) > k:
             continue
-        diff = sum(1 for t in prefix if ds.tuples[t].label == label) - sum(
-            1 for t in prefix if ds.tuples[t].label == ref_label
+        diff = sum(weight[t] for t in prefix if ds.tuples[t].label == label) - sum(
+            weight[t] for t in prefix if ds.tuples[t].label == ref_label
         )
         i = len(prefix)
         if rows[i] is None or diff > rows[i]:

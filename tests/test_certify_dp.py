@@ -46,6 +46,27 @@ class TestMaxLabelDiff:
             want = helpers.brute_max_diff(ds, ordering, ell, ell1, tau, k)
             assert list(got.entries) == want
 
+    def test_block_tables_combine_to_the_whole(self):
+        # Key blocks never conflict with each other, so the whole table is
+        # the max-plus combination of per-block tables, and each per-block
+        # table must skip the tuples outside its block.
+        rng = random.Random(61)
+        for _ in range(30):
+            ds, ordering = helpers.random_keyed_instance(rng, n_max=12)
+            if len(ds.labels) < 2:
+                continue
+            ell, ell1 = rng.sample(ds.labels, 2)
+            k = rng.choice((1, 2, 3))
+            tau = rng.randint(1, ds.size)
+            blocks: dict = {}
+            for t in ds.tuples:
+                blocks.setdefault(t.values[0], []).append(t.id)
+            parts = [
+                max_label_diff(ds, ids, ell, ell1, tau, k, ordering) for ids in blocks.values()
+            ]
+            whole = max_label_diff(ds, ds.ids(), ell, ell1, tau, k, ordering)
+            assert combine_rows(parts, k).entries == whole.entries
+
     def test_rejects_non_chain(self):
         schema = kc.FdSchema.of(("A", "B", "C"), [(["A"], ["C"]), (["B"], ["C"])])
         ds = kc.make_dataset(schema, [((1, 1, 1), "0")], features=("A",))
@@ -183,36 +204,44 @@ class TestCertify:
                 repair = res.witnesses[1][0]
                 assert repair in oracle.enumerate_repairs(ds).repairs
 
-    def test_traceback_attains_every_finite_entry(self):
-        # Every finite table entry must be witnessed by the repair the
-        # traceback reconstructs: right prefix size, exact difference.
-        from knncert.certify_dp import _eval, _make_ctx, _trace
-        from knncert.decompose import build_tree
+    def check_sweep_and_traceback(self, rng, weighted):
+        # At every tau the sweep's root row must equal the brute-force table,
+        # and the traceback over the stored tables must rebuild a repair
+        # attaining each finite entry: right prefix size, exact difference.
+        from knncert.certify_dp import _row_ops, _trace
+        from knncert.decompose import Sweep, build_tree
 
-        rng = random.Random(53)
         for _ in range(25):
-            ds, ordering = helpers.random_chain_instance(rng, n_max=8)
+            ds, ordering = helpers.random_chain_instance(rng, n_max=8, weighted=weighted)
             if ds.size == 0 or len(ds.labels) < 2:
                 continue
             ell, ell1 = rng.sample(ds.labels, 2)
             k = rng.choice((2, 3))
             tree = build_tree(ds.tuples, list(ds.ids()), list(ds.schema.fds), ds.schema)
+            sweep = Sweep(tree, ds.size, _row_ops(ds, ell, ell1, k, weighted))
             repairs = set(oracle.enumerate_repairs(ds).repairs)
-            for tau in range(1, ds.size + 1):
-                ctx = _make_ctx(ds, ell, ell1, tau, k, ordering, weighted=False)
-                row = _eval(tree, ctx)
-                assert row == helpers.brute_max_diff(ds, ordering, ell, ell1, tau, k)
+            weight = [t.weight if weighted else 1 for t in ds.tuples]
+            for tau, tid in enumerate(ordering.ranked, start=1):
+                sweep.admit(tid)
+                row = sweep.root
+                assert row == helpers.brute_max_diff(ds, ordering, ell, ell1, tau, k, weighted)
                 for i, value in enumerate(row):
                     if value is None:
                         continue
-                    repair = tuple(sorted(_trace(tree, i, ctx)))
+                    repair = tuple(sorted(_trace(sweep, 0, i)))
                     assert repair in repairs
                     prefix = [t for t in repair if ordering.rank_of[t] <= tau]
                     assert len(prefix) == i
                     diff = sum(
-                        1 for t in prefix if ds.tuples[t].label == ell
-                    ) - sum(1 for t in prefix if ds.tuples[t].label == ell1)
+                        weight[t] for t in prefix if ds.tuples[t].label == ell
+                    ) - sum(weight[t] for t in prefix if ds.tuples[t].label == ell1)
                     assert diff == value
+
+    def test_traceback_attains_every_finite_entry(self):
+        self.check_sweep_and_traceback(random.Random(53), weighted=False)
+
+    def test_weighted_traceback_attains_every_finite_entry(self):
+        self.check_sweep_and_traceback(random.Random(59), weighted=True)
 
     def test_rejects_non_chain(self):
         schema = kc.FdSchema.of(("A", "B", "C"), [(["A"], ["C"]), (["B"], ["C"])])

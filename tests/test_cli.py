@@ -233,9 +233,7 @@ class TestFastscanAgreesWithDp:
         assert scan["robust"] is False and len(scan["witnesses"][1]["repair_ids"]) == 1504
 
     def test_planted_point(self, tmp_path, capsys):
-        # The DP sweeps every distance threshold when the answer is robust,
-        # quadratic in the rows, so this table is smaller.
-        csv_text = pk_csv(random.Random(22), blocks=250, planted=6)
+        csv_text = pk_csv(random.Random(22), blocks=1500, planted=6)
         scan = self.agree(tmp_path, capsys, csv_text, "0.000,0.000")
         assert scan["robust"] is True and scan["certain_label"] == "0"
 

@@ -8,6 +8,23 @@ from knncert import NotChainError, certify_dp, counting, oracle
 import helpers
 
 
+def classify_repairs(ds, ordering, table):
+    """The cells ``table`` should hold, by classifying every repair."""
+    want: dict = {}
+    for repair in oracle.enumerate_repairs(ds).repairs:
+        prefix = [t for t in repair if ordering.rank_of[t] <= table.tau]
+        if len(prefix) > table.k:
+            continue
+        mine = sum(1 for t in prefix if ds.tuples[t].label == table.label)
+        vec = tuple(
+            sum(1 for t in prefix if ds.tuples[t].label == other) - mine
+            for other in table.other_labels
+        )
+        cell = (len(prefix), vec)
+        want[cell] = want.get(cell, 0) + 1
+    return want
+
+
 class TestCountTable:
     def test_consistent_base_case_single_cell(self):
         schema = kc.FdSchema.of(("A",), [])
@@ -29,19 +46,37 @@ class TestCountTable:
         ds, _, ordering = example1
         k, tau = 3, 4
         table = counting.count_table(ds, ds.ids(), "0", tau, k, ordering)
-        want: dict = {}
-        for repair in oracle.enumerate_repairs(ds).repairs:
-            prefix = [t for t in repair if ordering.rank_of[t] <= tau]
-            if len(prefix) > k:
-                continue
-            mine = sum(1 for t in prefix if ds.tuples[t].label == "0")
-            vec = tuple(
-                sum(1 for t in prefix if ds.tuples[t].label == other) - mine
-                for other in table.other_labels
-            )
-            cell = (len(prefix), vec)
-            want[cell] = want.get(cell, 0) + 1
-        assert table.entries == want
+        assert table.entries == classify_repairs(ds, ordering, table)
+
+    def test_cells_match_repair_classification_on_randoms(self):
+        rng = random.Random(71)
+        for _ in range(40):
+            ds, ordering = helpers.random_chain_instance(rng, n_max=9)
+            label = rng.choice(ds.labels)
+            k = rng.choice((1, 2, 3))
+            tau = rng.randint(1, ds.size)
+            table = counting.count_table(ds, ds.ids(), label, tau, k, ordering)
+            assert table.entries == classify_repairs(ds, ordering, table)
+
+    def test_block_subset_skips_outside_tuples(self):
+        # A key block's repairs are its single tuples; tuples of other
+        # blocks are outside the ids and must not reach any cell.
+        rng = random.Random(67)
+        for _ in range(30):
+            ds, ordering = helpers.random_keyed_instance(rng, n_max=12)
+            label = rng.choice(ds.labels)
+            tau = rng.randint(1, ds.size)
+            block = [t.id for t in ds.tuples if t.values[0] == ds.tuples[0].values[0]]
+            table = counting.count_table(ds, block, label, tau, 2, ordering)
+            want: dict = {}
+            for t in block:
+                inside = int(ordering.rank_of[t] <= tau)
+                lab = ds.tuples[t].label
+                vec = tuple(
+                    inside * ((lab == other) - (lab == label)) for other in table.other_labels
+                )
+                want[(inside, vec)] = want.get((inside, vec), 0) + 1
+            assert table.entries == want
 
 
 class TestCountLabel:
