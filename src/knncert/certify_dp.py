@@ -53,8 +53,8 @@ def _row_ops(dataset: LabeledDataset, label: str, ref_label: str, k: int,
     """Max-plus rows. A leaf's row has one finite entry, at the number of
     its admitted tuples, holding their (label minus ref_label) weight, until
     more than k are admitted; consensus takes the max, common convolves."""
-    labels = [t.label for t in dataset.tuples]
-    weights = [t.weight for t in dataset.tuples] if weighted else None
+    labels = dataset.row_labels
+    weights = dataset.weights if weighted else None
     dead: Row = [None] * (k + 1)
 
     def admit(row: Row, tid: int) -> Row:

@@ -55,7 +55,7 @@ def _cell_ops(dataset: LabeledDataset, label: str, others: tuple[str, ...], k: i
     """Sparse count tables. A leaf's table is its one cell, (admitted
     tuples, per-label differences), until more than k are admitted;
     consensus adds, common convolves."""
-    labels = [t.label for t in dataset.tuples]
+    labels = dataset.row_labels
     slot = {other: j for j, other in enumerate(others)}
 
     def admit(table: dict, tid: int) -> dict:

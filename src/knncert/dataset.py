@@ -1,4 +1,11 @@
-"""Labeled training points over an FD schema.
+"""Labeled training points over an FD schema, stored column by column.
+
+A ``LabeledDataset`` keeps one ``Column`` per attribute plus each row's
+label and weight. A numeric column holds ints over one scale for the whole
+column, so equal values hold equal ints: keys, FD lookups and the
+identical-row check compare those ints directly, and ranking reads them
+without building a ``Fraction`` per cell. ``tuples`` rebuilds one
+``TupleRec`` per row on first use, for the paths that walk rows.
 
 Everything distance-related uses the exact surrogate sum(|dx|^p): it is
 order-equivalent to the p-norm (the 1/p root is never taken), so orderings
@@ -11,11 +18,13 @@ same positive constant and so leaves the order unchanged.
 
 from __future__ import annotations
 
+import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
 from .fdschema import FdSchema
@@ -44,41 +53,153 @@ class TestPoint:
     coords: tuple
 
 
-@dataclass(frozen=True)
+def _rational(num: int, scale: int):
+    return num // scale if num % scale == 0 else Fraction(num, scale)
+
+
+@dataclass(frozen=True, eq=False)
+class Column:
+    """One attribute's cells in row order.
+
+    A numeric column has an int ``scale`` and cell i is ``data[i] / scale``;
+    the ints sit in an ``array('q')`` when they fit in 64 bits. Any other
+    column has ``scale`` None and ``data`` holds the values themselves.
+    ``Column.of`` picks the kind, so a column of the second kind holds at
+    least one value that is not a number. Within one column, equal cells
+    have equal ``data`` entries either way.
+    """
+
+    data: Sequence
+    scale: Optional[int] = None
+
+    @staticmethod
+    def numeric(nums: Sequence[int], scale: int) -> "Column":
+        try:
+            nums = array("q", nums)
+        except OverflowError:
+            nums = list(nums)
+        return Column(nums, scale)
+
+    @staticmethod
+    def of(values: Sequence) -> "Column":
+        """The column of ``values``: numeric over the lcm of their
+        denominators when every value is an int or a Fraction."""
+        if all(isinstance(v, (int, Fraction)) for v in values):
+            scale = math.lcm(*{v.denominator for v in values})
+            return Column.numeric([v.numerator * (scale // v.denominator) for v in values], scale)
+        return Column(tuple(values))
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def value(self, i: int):
+        """Cell i as a value: an int when whole, else a reduced Fraction,
+        or the stored value in a non-numeric column."""
+        return self.data[i] if self.scale is None else _rational(self.data[i], self.scale)
+
+    def values(self) -> list:
+        scale = self.scale
+        if scale is None or scale == 1:
+            return list(self.data)
+        return [_rational(v, scale) for v in self.data]
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class LabeledDataset:
-    """An ordered list of labeled tuples plus the feature attributes used
-    for distance. Tuple ids are dense row indices 0..n-1; ``labels`` is the
-    label alphabet in sorted order, so a label's index is its code."""
+    """Labeled tuples, one column per attribute, plus the feature
+    attributes used for distance. Tuple ids are dense row indices 0..n-1;
+    ``row_labels`` and ``weights`` hold each row's label and weight, and
+    ``labels`` is the label alphabet in sorted order, so a label's index
+    is its code.
+
+    ``LabeledDataset(schema, tuples, labels, features)`` builds the columns
+    from ``TupleRec``s; ``from_columns`` takes them ready-made.
+    """
 
     schema: FdSchema
-    tuples: tuple[TupleRec, ...]
+    columns: tuple[Column, ...]
+    row_labels: tuple[str, ...]
+    weights: tuple[Fraction, ...]
     labels: tuple[str, ...]
     features: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        for i, t in enumerate(self.tuples):
+    def __init__(
+        self,
+        schema: FdSchema,
+        tuples: Sequence[TupleRec],
+        labels: Sequence[str],
+        features: Sequence[str],
+    ) -> None:
+        for i, t in enumerate(tuples):
             if t.id != i:
                 raise InputError("tuple ids must be dense row indices 0..n-1")
-            if len(t.values) != self.schema.arity:
+            if len(t.values) != schema.arity:
                 raise InputError(f"tuple {i}: arity mismatch")
-        if list(self.labels) != sorted(set(self.labels)):
+        columns = tuple(Column.of([t.values[j] for t in tuples]) for j in range(schema.arity))
+        row_labels = tuple(t.label for t in tuples)
+        weights = tuple(t.weight for t in tuples)
+        self._fill(schema, columns, row_labels, weights, tuple(labels), tuple(features))
+
+    @classmethod
+    def from_columns(
+        cls,
+        schema: FdSchema,
+        columns: tuple[Column, ...],
+        row_labels: tuple[str, ...],
+        weights: tuple[Fraction, ...],
+        labels: tuple[str, ...],
+        features: tuple[str, ...],
+    ) -> "LabeledDataset":
+        """A dataset over ready-made columns; weights must be positive."""
+        dataset = cls.__new__(cls)
+        dataset._fill(schema, columns, row_labels, weights, labels, features)
+        return dataset
+
+    def _fill(self, schema, columns, row_labels, weights, labels, features) -> None:
+        for name, value in zip(
+            ("schema", "columns", "row_labels", "weights", "labels", "features"),
+            (schema, columns, row_labels, weights, labels, features),
+        ):
+            object.__setattr__(self, name, value)
+        n = len(row_labels)
+        if len(columns) != schema.arity:
+            raise InputError("one column per schema attribute is required")
+        if len(weights) != n or any(len(c) != n for c in columns):
+            raise InputError("columns, labels and weights must have one entry per row")
+        if list(labels) != sorted(set(labels)):
             raise InputError("label alphabet must be sorted and distinct")
-        observed = {t.label for t in self.tuples}
-        if not observed <= set(self.labels):
-            raise InputError(f"labels outside alphabet: {sorted(observed - set(self.labels))}")
-        for f in self.features:
-            self.schema.index(f)
+        observed = set(row_labels)
+        if not observed <= set(labels):
+            raise InputError(f"labels outside alphabet: {sorted(observed - set(labels))}")
+        for f in features:
+            schema.index(f)
 
     @property
     def size(self) -> int:
-        return len(self.tuples)
+        return len(self.row_labels)
 
     @cached_property
     def feature_indices(self) -> tuple[int, ...]:
         return tuple(self.schema.index(f) for f in self.features)
 
+    @cached_property
+    def tuples(self) -> tuple[TupleRec, ...]:
+        """One ``TupleRec`` per row, built from the columns on first use."""
+        rows = zip(*[c.values() for c in self.columns]) if self.columns else itertools.repeat(())
+        return tuple(
+            TupleRec(i, values, label, weight)
+            for i, (values, label, weight) in enumerate(zip(rows, self.row_labels, self.weights))
+        )
+
+    def row_cells(self, indices: Sequence[int]) -> Iterator[tuple]:
+        """Per row, the ``data`` entries of the columns at ``indices``: two
+        rows agree on those attributes iff their entries are equal."""
+        if not indices:
+            return itertools.repeat((), self.size)
+        return zip(*[self.columns[i].data for i in indices])
+
     def ids(self) -> range:
-        return range(len(self.tuples))
+        return range(self.size)
 
 
 def make_dataset(
@@ -168,10 +289,11 @@ def _first_non_numeric(column: Sequence) -> int:
 def order_by_distance(dataset: LabeledDataset, x: TestPoint, p: int) -> Ordering:
     """Rank all tuples by surrogate distance ascending, ties by ascending id.
 
-    Each feature column is read once. Values and coordinates are scaled by
-    D, the lcm of all their denominators, so sum(|dx*D|^p) is a Python int,
-    exact and free of overflow, equal to D^p times the rational surrogate.
-    The stable sort keeps tied tuples in ascending id order.
+    Feature columns are read as their ints. Those and the coordinates are
+    scaled to D, the lcm of the column scales and the coordinates'
+    denominators, so sum(|dx*D|^p) is a Python int, exact and free of
+    overflow, equal to D^p times the rational surrogate. The stable sort
+    keeps tied tuples in ascending id order.
     """
     if len(x.coords) != len(dataset.features):
         raise InputError("test point arity must match the feature list")
@@ -182,20 +304,19 @@ def order_by_distance(dataset: LabeledDataset, x: TestPoint, p: int) -> Ordering
     if any(_non_numeric(c) for c in x.coords):
         raise InputError("non-numeric feature value in tuple 0")
     n = dataset.size
-    columns = [[t.values[idx] for t in dataset.tuples] for idx in dataset.feature_indices]
-    bad = min([_first_non_numeric(col) for col in columns], default=n)
+    columns = [dataset.columns[idx] for idx in dataset.feature_indices]
+    bad = min([_first_non_numeric(c.data) for c in columns if c.scale is None], default=n)
     if bad < n:
         raise InputError(f"non-numeric feature value in tuple {bad}")
-    denominators = {c.denominator for c in x.coords}
-    for col in columns:
-        denominators.update(v.denominator for v in col)
-    scale = math.lcm(*denominators)
+    scale = math.lcm(*[c.scale for c in columns], *[c.denominator for c in x.coords])
     dist = [0] * n
     for coord, col in zip(x.coords, columns):
         at = coord.numerator * (scale // coord.denominator)
-        dist = [
-            d + abs(v.numerator * (scale // v.denominator) - at) ** p for d, v in zip(dist, col)
-        ]
+        factor = scale // col.scale
+        if factor == 1:
+            dist = [d + abs(v - at) ** p for d, v in zip(dist, col.data)]
+        else:
+            dist = [d + abs(v * factor - at) ** p for d, v in zip(dist, col.data)]
     return Ordering(tuple(sorted(range(n), key=dist.__getitem__)), source=f"p-norm({p})")
 
 
@@ -255,38 +376,29 @@ def knn_predict(
 
 def predict(dataset: LabeledDataset, ids: Iterable[int], ordering: Ordering, k: int,
             weighted: bool = False) -> PredictOutcome:
-    labels = [t.label for t in dataset.tuples]
-    weights = [t.weight for t in dataset.tuples] if weighted else None
-    return knn_predict(ids, ordering, labels, weights, k)
+    weights = dataset.weights if weighted else None
+    return knn_predict(ids, ordering, dataset.row_labels, weights, k)
 
 
 def greedy_repair(dataset: LabeledDataset, ordering: Ordering) -> tuple[int, ...]:
     """Scan nearest-first, keeping each tuple that conflicts with nothing kept.
 
-    One dict per FD maps seen lhs values to their rhs values, so the scan is
+    One dict per FD maps seen lhs cells to their rhs cells, so the scan is
     linear in expectation. The result is a repair: consistent and maximal.
     """
-    schema = dataset.schema
-    fd_slots = [
-        (
-            tuple(schema.index(a) for a in schema.sort_attrs(fd.lhs)),
-            tuple(schema.index(a) for a in schema.sort_attrs(fd.rhs)),
-            {},
-        )
-        for fd in schema.fds
-    ]
+    cols = [c.data for c in dataset.columns]
+    fd_slots = [(lhs_idx, rhs_idx, {}) for lhs_idx, rhs_idx in _fd_index_pairs(dataset.schema)]
     kept: list[int] = []
     for tid in ordering.ranked:
-        values = dataset.tuples[tid].values
         ok = True
         for lhs_idx, rhs_idx, index in fd_slots:
-            key = tuple(values[i] for i in lhs_idx)
-            rhs = tuple(values[i] for i in rhs_idx)
+            key = tuple(cols[i][tid] for i in lhs_idx)
+            rhs = tuple(cols[i][tid] for i in rhs_idx)
             if index.get(key, rhs) != rhs:
                 ok = False
                 break
         if ok:
             kept.append(tid)
             for lhs_idx, rhs_idx, index in fd_slots:
-                index[tuple(values[i] for i in lhs_idx)] = tuple(values[i] for i in rhs_idx)
+                index[tuple(cols[i][tid] for i in lhs_idx)] = tuple(cols[i][tid] for i in rhs_idx)
     return tuple(sorted(kept))

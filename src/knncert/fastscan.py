@@ -13,8 +13,11 @@ ties or beats the incumbent, and the witness is materialized per block.
 
 Everything runs on integer code arrays in rank order: a block code per
 tuple, numbered by first appearance, and a label code that indexes the
-sorted label alphabet. ``certify_pk`` builds them once per call and hands
-them to ``certify_pk_arrays``, the core that bulk workloads call directly:
+sorted label alphabet. ``as_keyed`` reads the block codes and the
+identical-row check off the dataset's columns (fixed-point ints for
+numeric cells) and the label codes come from its row labels, so no
+per-row record is built. ``certify_pk`` puts both in rank order once per
+call and hands them to ``certify_pk_arrays``, the core that bulk workloads call directly:
 the greedy repair is the first tuple of each block, its vote names the
 incumbent, and one prune and scan per challenger, in alphabetical order,
 looks for a repair that ties or beats it. Ids become Python objects only
@@ -84,16 +87,18 @@ def as_keyed(dataset: LabeledDataset) -> KeyedDataset:
     key_attrs = tuple(schema.sort_attrs(key))
     key_idx = tuple(schema.index(a) for a in key_attrs)
 
-    # Dict factorization, not np.unique: key values may mix str, int and
+    # Dict factorization, not np.unique: key cells may mix str, int and
     # Fraction, which have no common order.
-    rows = [t.values for t in dataset.tuples]
     code_of: dict = {}
-    codes = [code_of.setdefault(tuple([v[i] for i in key_idx]), len(code_of)) for v in rows]
+    codes = [code_of.setdefault(cells, len(code_of)) for cells in dataset.row_cells(key_idx)]
     # Identical rows share their key, so any repeated row sits in one block.
-    multiplicity = Counter(rows)
-    if len(multiplicity) != len(rows):
-        first = min(c for c, v in zip(codes, rows) if multiplicity[v] > 1)
-        raise NotPrimaryKeyError(f"block {list(code_of)[first]!r} holds identical rows")
+    every = range(schema.arity)
+    if len(set(dataset.row_cells(every))) != dataset.size:
+        multiplicity = Counter(dataset.row_cells(every))
+        first = min(c for c, cells in zip(codes, dataset.row_cells(every)) if multiplicity[cells] > 1)
+        tid = codes.index(first)
+        key = tuple(dataset.columns[i].value(tid) for i in key_idx)
+        raise NotPrimaryKeyError(f"block {key!r} holds identical rows")
     block_of = np.fromiter(codes, np.int64, len(codes))
     return KeyedDataset(dataset, key_attrs, block_of, len(code_of))
 
@@ -105,7 +110,7 @@ def _codes(keyed: KeyedDataset, ordering: Ordering):
         raise InputError("ordering must rank every tuple of the dataset")
     ranked = np.fromiter(ordering.ranked, np.int64, ds.size)
     lab_code = {lab: i for i, lab in enumerate(ds.labels)}
-    label_of = np.fromiter((lab_code[t.label] for t in ds.tuples), np.int64, ds.size)
+    label_of = np.fromiter(map(lab_code.__getitem__, ds.row_labels), np.int64, ds.size)
     return keyed.block_of[ranked], label_of[ranked], ranked
 
 
@@ -123,9 +128,11 @@ def _block_stats(keys: np.ndarray):
     return first, last, count
 
 
-def _prune_mask(keys: np.ndarray, labels: np.ndarray, ell2: int, ell1: int) -> np.ndarray:
+def _prune_mask(keys: np.ndarray, labels: np.ndarray, last: np.ndarray, ell2: int,
+                ell1: int) -> np.ndarray:
+    """Survivors of the (ell2, ell1) pruning; ``last`` is the last position
+    of each block, from ``_block_stats(keys)``."""
     n = keys.shape[0]
-    _, last, _ = _block_stats(keys)
     pos = np.arange(n, dtype=np.int64)
     nkeys = last.shape[0]
     first_target = np.full(nkeys, n, dtype=np.int64)
@@ -167,7 +174,8 @@ def prune(keyed: KeyedDataset, ell2: str, ell1: str, ordering: Ordering) -> tupl
         if lab not in ds.labels:
             raise InputError(f"unknown label {lab!r}")
     keys, labels, ranked = _codes(keyed, ordering)
-    mask = _prune_mask(keys, labels, ds.labels.index(ell2), ds.labels.index(ell1))
+    _, last, _ = _block_stats(keys)
+    mask = _prune_mask(keys, labels, last, ds.labels.index(ell2), ds.labels.index(ell1))
     return tuple(int(t) for t in ranked[mask])
 
 
@@ -273,14 +281,16 @@ def certify_pk(
 class ArrayVerdict:
     """Outcome of the array core; positions index the rank-ordered codes.
 
-    ``greedy`` holds the positions of the greedy repair. When a challenger
-    fired, ``kept`` holds the positions that survived its pruning and
-    ``trigger`` the scan state over them.
+    ``greedy`` holds the positions of the greedy repair, the first witness
+    of a verdict that is not robust; a robust verdict needs no witness and
+    holds None, so it keeps no array of the size of the input alive. When a
+    challenger fired, ``kept`` holds the positions that survived its
+    pruning and ``trigger`` the scan state over them.
     """
 
     robust: bool
     incumbent: Optional[int]
-    greedy: np.ndarray
+    greedy: Optional[np.ndarray]
     challenger: Optional[int] = None
     trigger: Optional[ScanTrigger] = None
     kept: Optional[np.ndarray] = None
@@ -299,7 +309,7 @@ def certify_pk_arrays(keys: np.ndarray, labels: np.ndarray, k: int) -> ArrayVerd
     n = keys.shape[0]
     if n == 0:
         return ArrayVerdict(False, None, np.zeros(0, dtype=np.int64))
-    first, _, _ = _block_stats(keys)
+    first, last, _ = _block_stats(keys)
     greedy = np.flatnonzero(first[keys] == np.arange(n, dtype=np.int64))
     k_eff = min(k, greedy.shape[0])
     counts = np.bincount(labels[greedy[:k_eff]])
@@ -310,8 +320,8 @@ def certify_pk_arrays(keys: np.ndarray, labels: np.ndarray, k: int) -> ArrayVerd
     for ell2 in range(int(labels.max()) + 1):
         if ell2 == ell1:
             continue
-        mask = _prune_mask(keys, labels, ell2, ell1)
+        mask = _prune_mask(keys, labels, last, ell2, ell1)
         trigger = _scan_arrays(keys[mask], labels[mask], ell2, ell1, k_eff)
         if trigger is not None:
             return ArrayVerdict(False, ell1, greedy, ell2, trigger, np.flatnonzero(mask))
-    return ArrayVerdict(True, ell1, greedy)
+    return ArrayVerdict(True, ell1, None)

@@ -6,6 +6,12 @@ columns. Every non-blank row has exactly as many cells as the header.
 Scalar cells are integers, fractions like ``1/2`` or decimals (parsed
 exactly), anything else is a symbol. Uncertain tables additionally allow
 or-set cells ``<a|b|c>`` and interval cells ``[lo,hi]``.
+
+``load_dataset`` streams rows, checks each in order, and hands the
+attribute cells to one builder per column, a batch of rows at a time:
+plain decimals become fixed-point ints over the column's largest number
+of places, so a column of them never builds a ``Fraction``, and no
+per-row record is built (see ``dataset.Column``).
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import re
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .dataset import LabeledDataset, Ordering, TestPoint, TupleRec
+from .dataset import Column, LabeledDataset, Ordering, TestPoint
 from .errors import InputError
 from .fdschema import FdSchema
 from .hardgen import Sat3R
@@ -38,7 +44,24 @@ def load_schema(path: str) -> FdSchema:
         raise InputError(f"malformed schema {path}: {exc}") from None
 
 
-_PLAIN_DECIMAL = re.compile(r"([+-]?)([0-9]+)(?:\.([0-9]+))?")
+_PLAIN_DECIMAL = re.compile(r"\s*([+-]?[0-9]+)(?:\.([0-9]+))?\s*")
+
+
+def _plain_decimal(text: str) -> Optional[tuple[int, int]]:
+    """``(digits, places)`` when ``text`` is a plain ASCII decimal
+    ``[+-]d+[.d+]``, padding allowed: its value is digits / 10**places.
+
+    None for every other form, and for digit runs longer than ``int()``
+    converts, which ``Fraction(text)`` reads group by group instead.
+    """
+    plain = _PLAIN_DECIMAL.fullmatch(text)
+    if plain is None:
+        return None
+    whole, frac = plain.groups()
+    try:
+        return (int(whole + frac), len(frac)) if frac else (int(whole), 0)
+    except ValueError:
+        return None
 
 
 def parse_scalar(text: str):
@@ -47,27 +70,21 @@ def parse_scalar(text: str):
 
     Fraction's grammar needs a sign, a dot or a decimal digit first, so any
     other first character is a symbol at once. Plain ASCII integers and
-    decimals ``[+-]d+[.d+]`` are built from ints, digit groups converted as
-    Fraction converts them; every other form goes through ``Fraction(text)``.
+    decimals ``[+-]d+[.d+]`` are built from ints; every other form goes
+    through ``Fraction(text)``.
     """
     text = text.strip()
     if not text or not (text[0] in "+-." or text[0].isdecimal()):
         return text
-    plain = _PLAIN_DECIMAL.fullmatch(text)
+    plain = _plain_decimal(text)
+    if plain is not None:
+        num, scale = plain[0], 10 ** plain[1]
+        return num // scale if num % scale == 0 else Fraction(num, scale)
     try:
-        if plain is None:
-            value = Fraction(text)
-            return int(value) if value.denominator == 1 else value
-        sign, whole, frac = plain.groups()
-        num, scale = int(whole), 1
-        if frac is not None:
-            scale = 10 ** len(frac)
-            num = num * scale + int(frac)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         return text
-    if sign == "-":
-        num = -num
-    return num // scale if num % scale == 0 else Fraction(num, scale)
+    return int(value) if value.denominator == 1 else value
 
 
 def parse_number(text: str) -> Fraction:
@@ -124,6 +141,66 @@ def _attributes(header: Sequence[str], schema: Optional[FdSchema]) -> tuple[str,
     return schema.attributes
 
 
+class _ColumnBuilder:
+    """One attribute's cells as the rows stream in.
+
+    A plain ASCII decimal ``[+-]d+[.d+]``, padding allowed, is kept as its
+    digit integer, rescaled to the largest number of places seen so far
+    (a cell with more places rescales the ints already kept), so the
+    column ends numeric over 10**places. The first cell of any other form
+    switches the column to ``parse_scalar`` values, and ``Column.of`` makes
+    them numeric over the lcm of their denominators when all are numbers.
+    """
+
+    __slots__ = ("nums", "places", "values")
+
+    def __init__(self) -> None:
+        self.nums: list = []
+        self.places = 0
+        self.values: Optional[list] = None
+
+    def extend(self, texts: Sequence[str]) -> None:
+        """Take the column's next cells."""
+        if self.values is None:
+            nums, top = self.nums, self.places
+            for i, text in enumerate(texts):
+                plain = _plain_decimal(text)
+                if plain is None:
+                    self.nums = []
+                    self.values = Column(nums, 10**top).values()
+                    texts = texts[i:]
+                    break
+                num, places = plain
+                if places > top:
+                    shift = 10 ** (places - top)
+                    nums = [v * shift for v in nums]
+                    top = places
+                elif places < top:
+                    num *= 10 ** (top - places)
+                nums.append(num)
+            else:
+                self.nums, self.places = nums, top
+                return
+        self.values.extend(map(parse_scalar, texts))
+
+    def column(self) -> Column:
+        if self.values is None:
+            return Column.numeric(self.nums, 10**self.places)
+        return Column.of(self.values)
+
+
+_BATCH_ROWS = 1024  # rows whose attribute cells go to the builders together
+
+
+def _feed(builders: Sequence[tuple[_ColumnBuilder, int]], rows: list) -> None:
+    """Hand the attribute cells of ``rows`` to the builders column by column,
+    then empty ``rows``."""
+    cells = list(zip(*rows))
+    for builder, j in builders:
+        builder.extend(cells[j])
+    rows.clear()
+
+
 def load_dataset(
     path: str,
     schema: Optional[FdSchema],
@@ -134,32 +211,39 @@ def load_dataset(
     ``ranks`` and ``uncertain`` are None when the respective column is
     absent; an all-zero uncertain column is an explicit empty marking, which
     is not the same thing. With ``schema`` None the attributes are taken
-    from the header and the FD set is empty.
+    from the header and the FD set is empty. Rows are checked in order, so
+    an error names the first offending row.
     """
     raw_rows = _read_rows(path)
     header = next(raw_rows)
     attrs = _attributes(header, schema)
     schema = schema or FdSchema.of(attrs, [])
     column = {name: j for j, name in enumerate(header)}
-    attr_cols = [column[a] for a in attrs]
+    builders = [(_ColumnBuilder(), column[a]) for a in attrs]
     label_col = column["label"]
     weight_col, rank_col = column.get("weight"), column.get("rank")
     uncertain_col = column.get("uncertain")
 
-    tuples = []
+    alphabet: dict[str, str] = {}  # one shared str per label
+    weight_of: dict[str, Fraction] = {}  # and one Fraction per weight cell text
+    row_labels: list[str] = []
+    weights: list[Fraction] = []
     ranks: list[int] = []
     uncertain = set()
+    batch: list[list[str]] = []
     for i, row in enumerate(raw_rows):
-        values = tuple([parse_scalar(row[j]) for j in attr_cols])
         label = row[label_col].strip()
         if label == "":
             raise InputError(f"row {i}: empty label")
+        row_labels.append(alphabet.setdefault(label, label))
         weight = UNIT_WEIGHT
         if weight_col is not None and row[weight_col].strip() != "":
-            weight = parse_number(row[weight_col])
-            if weight <= 0:
-                raise InputError(f"row {i}: weight must be positive")
-        tuples.append(TupleRec(i, values, label, weight))
+            weight = weight_of.get(row[weight_col])
+            if weight is None:
+                weight = weight_of[row[weight_col]] = parse_number(row[weight_col])
+                if weight <= 0:
+                    raise InputError(f"row {i}: weight must be positive")
+        weights.append(weight)
         if rank_col is not None:
             try:
                 ranks.append(int(row[rank_col]))
@@ -167,11 +251,18 @@ def load_dataset(
                 raise InputError(f"row {i}: rank must be an integer") from None
         if uncertain_col is not None and row[uncertain_col].strip() in ("1", "true", "yes"):
             uncertain.add(i)
+        batch.append(row)
+        if len(batch) == _BATCH_ROWS:
+            _feed(builders, batch)
+    if batch:
+        _feed(builders, batch)
 
-    dataset = LabeledDataset(
+    dataset = LabeledDataset.from_columns(
         schema,
-        tuple(tuples),
-        tuple(sorted({t.label for t in tuples})),
+        tuple(b.column() for b, _ in builders),
+        tuple(row_labels),
+        tuple(weights),
+        tuple(sorted(alphabet)),
         tuple(features),
     )
     rank_order: Optional[tuple[int, ...]] = None

@@ -32,7 +32,7 @@ def min_rep(
     """
     ids = list(dataset.ids()) if ids is None else sorted(ids)
     if weights is None:
-        weights = [t.weight for t in dataset.tuples]
+        weights = dataset.weights
     fds = list(dataset.schema.fds) if fds is None else list(fds)
     tree = build_tree(dataset.tuples, ids, fds, dataset.schema)
     repair, weight = _min_rep(tree, weights)

@@ -56,7 +56,7 @@ def _qset_scan(q: QSetInstance, ordering: Ordering, k: int, ell: str, ell1: str)
     the world deleting the evicted tuples.
     """
     ds = q.dataset
-    labels = [t.label for t in ds.tuples]
+    labels = ds.row_labels
 
     def priority(lab: str) -> int:
         if lab == ell1:

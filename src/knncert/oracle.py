@@ -123,6 +123,8 @@ def brute_count(
     cap: Optional[int] = None,
 ) -> int:
     """Number of repairs whose prediction is exactly ``label``."""
+    if label not in dataset.labels:
+        raise InputError(f"unknown label {label!r}")
     repairs = enumerate_repairs(dataset, cap=cap).repairs
     want = PredictOutcome.of_label(label)
     return sum(1 for r in repairs if predict(dataset, r, ordering, k) == want)
@@ -135,7 +137,7 @@ def brute_min_repair(
 ) -> tuple[tuple[int, ...], Fraction]:
     """Minimum-total-weight repair, ties broken by the canonical repair order."""
     if weights is None:
-        weights = [t.weight for t in dataset.tuples]
+        weights = dataset.weights
     best = None
     for r in enumerate_repairs(dataset, cap=cap).repairs:
         total = sum((weights[t] for t in r), Fraction(0))

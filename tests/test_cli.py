@@ -184,6 +184,47 @@ class TestMalformedCsv:
         assert [w["repair_ids"] for w in payload["witnesses"]] == [[0], [1]]
 
 
+# Every subcommand that loads an instance and takes --k, with the flags it
+# needs besides the instance files; the oracle ones take their own subcommand.
+INSTANCE_COMMANDS = {
+    "certify": ["certify"],
+    "certify-dp": ["certify", "--force-dp"],
+    "count": ["count", "--label", "0"],
+    "poison-certify": ["poison-certify", "--budget", "1"],
+    "oracle-certify": ["oracle", "certify"],
+    "oracle-count": ["oracle", "count", "--label", "0"],
+}
+GOOD_KEYED = "K,X,label\na,1,0\nb,2,1\nc,3,0\n"
+MALFORMED = {
+    "non-numeric": ("K,X,label\na,1,0\nb,x,1\nc,y,0\n", [], "non-numeric feature value in tuple 1"),
+    "p-zero": (GOOD_KEYED, ["--p", "0"], "p must be an integer >= 1"),
+    "k-zero": (GOOD_KEYED, ["--k", "0"], "k must be >= 1"),
+    "duplicate-ranks": (
+        "K,X,label,rank\na,1,0,1\nb,2,1,1\n", ["--use-rank"], "rank column must hold distinct integers"
+    ),
+    "empty-label-before-ragged": ("K,X,label\na,1,0\nb,2,\nc\n", [], "row 1: empty label"),
+    "unknown-label": (GOOD_KEYED, ["--label", "9"], "unknown label '9'"),
+}
+MALFORMED_CASES = [
+    (command, case)
+    for command in INSTANCE_COMMANDS
+    for case in MALFORMED
+    if case != "unknown-label" or "--label" in INSTANCE_COMMANDS[command]
+]
+
+
+@pytest.mark.parametrize("command, case", MALFORMED_CASES)
+def test_malformed_input_exits_two_with_json_error(tmp_path, capsys, command, case):
+    csv_text, extra, message = MALFORMED[case]
+    # A later flag overrides an earlier one, so ``extra`` can replace a value.
+    argv = INSTANCE_COMMANDS[command] + keyed_files(tmp_path, csv_text) + ["--k", "1"] + extra
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    assert json.loads(captured.out) == {"error": message}
+    assert captured.err == ""
+
+
 def pk_csv(rng, blocks, planted):
     """A keyed table in three-place decimals: ``planted`` label-0 singleton
     blocks next to the origin, then two-tuple blocks with random labels."""

@@ -18,6 +18,28 @@ def simple_dataset(values_rows, labels, features=("A",)):
     return kc.make_dataset(schema, rows, features=features)
 
 
+class TestColumns:
+    def test_numeric_columns_share_one_scale(self):
+        schema = kc.FdSchema.of(("A", "B", "C"), [])
+        rows = [((1, Fraction(1, 2), "x"), "0", 2), ((Fraction(3, 4), 2, 5), "1")]
+        ds = kc.make_dataset(schema, rows, features=("A",))
+        assert [(list(c.data), c.scale) for c in ds.columns] == [
+            ([4, 3], 4), ([1, 4], 2), (["x", 5], None)
+        ]
+        assert ds.row_labels == ("0", "1") and ds.weights == (2, 1)
+        values = [t.values for t in ds.tuples]
+        assert values == [(1, Fraction(1, 2), "x"), (Fraction(3, 4), 2, 5)]
+        assert [type(v) for v in values[0]] == [int, Fraction, str]
+
+    def test_constructor_rebuilds_the_same_columns(self, example1):
+        ds, _, _ = example1
+        again = kc.LabeledDataset(ds.schema, ds.tuples, ds.labels, ds.features)
+        assert [(list(c.data), c.scale) for c in again.columns] == [
+            (list(c.data), c.scale) for c in ds.columns
+        ]
+        assert again.tuples == ds.tuples
+
+
 class TestDistance:
     def test_l1_unit(self):
         ds = simple_dataset([(1, 0)], ["0"], features=("A", "B"))

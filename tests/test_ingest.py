@@ -1,3 +1,4 @@
+import csv
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knncert as kc
-from knncert import InputError, ingest, models
+from knncert import InputError, NotPrimaryKeyError, fastscan, ingest, models
 
 
 class TestScalars:
@@ -137,6 +138,128 @@ class TestDatasetCsv:
         loaded, _, _ = ingest.load_dataset(str(path), schema, ["A"])
         assert [t.values for t in loaded.tuples] == [t.values for t in ds.tuples]
         assert [t.label for t in loaded.tuples] == ["0", "1"]
+
+
+def write_columns(path, columns, header=None):
+    """A CSV with the given cell texts column by column, every label 0."""
+    header = header or [f"C{j}" for j in range(len(columns))]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(header) + ["label"])
+        for cells in zip(*columns):
+            writer.writerow(list(cells) + ["0"])
+    return str(path)
+
+
+# Plain decimals with a varying number of places, and the forms around them
+# that take other routes: no digits on one side of the dot, exponents,
+# fractions, non-ASCII digits, padding, and symbols.
+PLAIN_CELL = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", "+", "-", "-00"]),
+    st.integers(0, 10**7),
+    st.one_of(
+        st.just(""),
+        st.integers(1, 5).flatmap(lambda places: st.integers(0, 10**places - 1).map(
+            lambda digits: "." + str(digits).zfill(places))),
+    ),
+)
+OTHER_CELL = st.sampled_from([
+    "2.000", "-0.000", "+0", "007.250", "5.", ".5", "-.5", "1/3", "-4/6", "1e3", "2.5E-1",
+    "1_000", "\u0663", "\uff11.5", " 2 ", "\t-1.25 ", "\u00a012", "x", "k12", "", "nan",
+    "1/0", "1.2.3", "+-1", "9" * 30 + "." + "9" * 30,
+])
+CELL = st.one_of(
+    PLAIN_CELL, PLAIN_CELL, OTHER_CELL,
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=5),
+)
+
+
+@st.composite
+def cell_columns(draw):
+    rows = draw(st.integers(1, 12))
+    width = draw(st.integers(1, 3))
+    return [draw(st.lists(CELL, min_size=rows, max_size=rows)) for _ in range(width)]
+
+
+@pytest.fixture(scope="module")
+def cells_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("cells") / "d.csv"
+
+
+class TestColumnarIngest:
+    """Columns parsed as they stream must read exactly as parse_scalar."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(cell_columns())
+    def test_values_match_parse_scalar(self, cells_path, columns):
+        path = write_columns(cells_path, columns)
+        ds, _, _ = ingest.load_dataset(path, None, [])
+        for j, column in enumerate(columns):
+            for i, text in enumerate(column):
+                got, want = ds.tuples[i].values[j], ingest.parse_scalar(text)
+                assert type(got) is type(want) and got == want, (i, j, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1" * 3000 + "." + "1" * 3000, "-" + "2" * 5000, "3." + "0" * 4400],
+        ids=["groups-within-limit", "whole-past-limit", "places-past-limit"],
+    )
+    def test_digit_runs_past_the_int_limit(self, tmp_path, text):
+        # int() converts at most 4300 digits; Fraction converts the whole
+        # and fractional digit groups separately.
+        want = reference_scalar(text)
+        got = ingest.parse_scalar(text)
+        assert type(got) is type(want) and got == want
+        path = write_columns(tmp_path / "d.csv", [["1.5", text]])
+        ds, _, _ = ingest.load_dataset(path, None, [])
+        assert ds.tuples[1].values == (want,) and type(ds.tuples[1].values[0]) is type(want)
+
+    def test_columns_span_batches(self, tmp_path):
+        rows = 2 * ingest._BATCH_ROWS + 5
+        plain = [f"{i}.{i % 7}" if i % 3 else str(-i) for i in range(rows)]
+        plain[ingest._BATCH_ROWS + 3] = "1.23456"  # more places, in a later batch
+        mixed = list(plain)
+        mixed[-3] = "x"  # the switch to values, in the last batch
+        path = write_columns(tmp_path / "d.csv", [plain, mixed])
+        ds, _, _ = ingest.load_dataset(path, None, [])
+        assert ds.size == rows and ds.columns[0].scale == 10**5
+        for j, column in enumerate([plain, mixed]):
+            got = [t.values[j] for t in ds.tuples]
+            want = [ingest.parse_scalar(text) for text in column]
+            assert got == want and [type(v) for v in got] == [type(v) for v in want]
+
+    def test_mixed_places_share_one_scale(self, tmp_path):
+        path = write_columns(tmp_path / "d.csv", [["1.5", "-2", "0.125", "3.10"]])
+        ds, _, _ = ingest.load_dataset(path, None, [])
+        (column,) = ds.columns
+        assert column.scale == 1000 and list(column.data) == [1500, -2000, 125, 3100]
+        assert ds.tuples[3].values == (Fraction(31, 10),)
+
+    def test_symbol_after_decimals_keeps_values(self, tmp_path):
+        path = write_columns(tmp_path / "d.csv", [["1.50", "2", "abc", "1/4"]])
+        ds, _, _ = ingest.load_dataset(path, None, [])
+        assert ds.columns[0].scale is None
+        assert [t.values[0] for t in ds.tuples] == [Fraction(3, 2), 2, "abc", Fraction(1, 4)]
+
+    def test_equal_values_in_any_form_share_a_block(self, tmp_path):
+        schema = kc.FdSchema.of(("K", "V"), [(["K"], ["V"])])
+        path = write_columns(tmp_path / "d.csv", [["1.5", "1.50", "3/2"], ["1", "2", "3"]], "KV")
+        ds, _, _ = ingest.load_dataset(path, schema, [])
+        assert fastscan.as_keyed(ds).num_blocks == 1
+
+    def test_rows_equal_in_value_are_identical(self, tmp_path):
+        schema = kc.FdSchema.of(("K", "V"), [(["K"], ["V"])])
+        path = write_columns(tmp_path / "d.csv", [["a", "a"], ["2", "2.000"]], "KV")
+        ds, _, _ = ingest.load_dataset(path, schema, [])
+        with pytest.raises(NotPrimaryKeyError, match=r"^block \('a',\) holds identical rows$"):
+            fastscan.as_keyed(ds)
+        # The error names the first block, by first appearance, with such rows.
+        keys, values = ["x", "c", "b", "c", "b"], ["9", "5", "1.5", "5.0", "3/2"]
+        path = write_columns(tmp_path / "e.csv", [keys, values], "KV")
+        ds, _, _ = ingest.load_dataset(path, schema, [])
+        with pytest.raises(NotPrimaryKeyError, match=r"^block \('c',\) holds identical rows$"):
+            fastscan.as_keyed(ds)
 
 
 class TestFormulaFiles:
