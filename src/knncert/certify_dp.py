@@ -26,8 +26,8 @@ from typing import Optional, Sequence
 from .certresult import CertResult
 from .dataset import LabeledDataset, Ordering, greedy_repair, predict
 from .decompose import ConsensusNode, Leaf, Sweep, TableOps, build_tree
-from .errors import InputError, NotChainError
-from .fdschema import Fd, decide_lhs_chain
+from .errors import InputError
+from .fdschema import Fd
 
 # A table is a list of length k+1; None stands for minus infinity, meaning
 # no repair attains that prefix size.
@@ -42,10 +42,6 @@ class MaxDiffTable:
     label: str
     ref_label: str
     tau: int
-
-    @property
-    def k(self) -> int:
-        return len(self.entries) - 1
 
 
 def _row_ops(dataset: LabeledDataset, label: str, ref_label: str, k: int,
@@ -148,21 +144,6 @@ def max_label_diff(
     return MaxDiffTable(tuple(sweep.root), label, ref_label, tau)
 
 
-def combine_rows(tables: Sequence[MaxDiffTable], k: Optional[int] = None) -> MaxDiffTable:
-    """Max-plus convolution of per-partition tables at a shared total index."""
-    if not tables:
-        raise InputError("nothing to combine")
-    first = tables[0]
-    k = first.k if k is None else k
-    for t in tables:
-        if (t.label, t.ref_label, t.tau, t.k) != (first.label, first.ref_label, first.tau, k):
-            raise InputError("tables disagree on (label, ref_label, tau, k)")
-    acc = list(first.entries)
-    for t in tables[1:]:
-        acc = _convolve(acc, list(t.entries))
-    return MaxDiffTable(tuple(acc), first.label, first.ref_label, first.tau)
-
-
 def _challenge(dataset, ordering, tree, ell, ell1, k, weighted) -> Optional[tuple[int, ...]]:
     """Sweep tau for challenger ``ell``; return the traced repair at the
     first hit whose best (ell minus ell1) difference is non-negative."""
@@ -195,15 +176,13 @@ def certify(
     """
     if k < 1:
         raise InputError("k must be >= 1")
-    if not decide_lhs_chain(dataset.schema).is_chain_equivalent:
-        raise NotChainError("certify requires an lhs-chain-equivalent schema")
+    tree = build_tree(dataset.tuples, list(dataset.ids()), list(dataset.schema.fds), dataset.schema)
     greedy = greedy_repair(dataset, ordering)
     incumbent = predict(dataset, greedy, ordering, k, weighted=weighted)
     if incumbent.kind != "label":
         return CertResult(False, None, (), ((greedy, incumbent),))
     ell1 = incumbent.label
 
-    tree = build_tree(dataset.tuples, list(dataset.ids()), list(dataset.schema.fds), dataset.schema)
     for ell in sorted(set(dataset.labels) - {ell1}):
         repair = _challenge(dataset, ordering, tree, ell, ell1, k, weighted)
         if repair is None:

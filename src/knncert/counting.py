@@ -31,8 +31,8 @@ from typing import Optional, Sequence
 
 from .dataset import LabeledDataset, Ordering
 from .decompose import ConsensusNode, Leaf, Node, Sweep, TableOps, build_tree
-from .errors import InputError, NotChainError
-from .fdschema import Fd, decide_lhs_chain
+from .errors import InputError
+from .fdschema import Fd
 
 Cell = tuple[int, tuple[int, ...]]
 
@@ -128,13 +128,11 @@ def count_label(dataset: LabeledDataset, ordering: Ordering, k: int, label: str)
         raise InputError(f"unknown label {label!r}")
     if k < 1:
         raise InputError("k must be >= 1")
-    if not decide_lhs_chain(dataset.schema).is_chain_equivalent:
-        raise NotChainError("counting requires an lhs-chain-equivalent schema")
+    schema = dataset.schema
+    tree = build_tree(dataset.tuples, list(dataset.ids()), list(schema.fds), schema)
     n = dataset.size
     if n == 0:
         return 0
-    schema = dataset.schema
-    tree = build_tree(dataset.tuples, list(dataset.ids()), list(schema.fds), schema)
     sweep = Sweep(tree, n, _cell_ops(dataset, label, _others(dataset, label), k))
     total = 0
 

@@ -4,8 +4,10 @@ Repairs of an instance factor along attribute values: when an FD with an
 empty lhs is present, a repair must commit to a single value of that
 attribute; when some attribute occurs in every lhs, tuples with different
 values of it never conflict, so repairs are unions of per-value repairs.
-The resulting partition tree depends only on the tuple set and the FDs, so
-it is built once and shared by the certification DP, the counting DP, and
+Which attribute each level of the tree splits on depends on the FDs only:
+``build_tree`` follows the steps of ``fdschema.decide_lhs_chain``, computed
+once per call, and partitions the tuples by value one level at a time. The
+tree is built once and shared by the certification DP, the counting DP, and
 the minimum-weight repair recursion. ``Sweep`` keeps the table of every
 node while tuples are admitted in rank order, for certification and
 counting alike; ``TableOps`` says how tables are built and merged.
@@ -18,7 +20,7 @@ from typing import Any, Callable, NamedTuple, Sequence, Union
 
 from .dataset import TupleRec
 from .errors import NotChainError
-from .fdschema import Fd, FdSchema, _subtract
+from .fdschema import Fd, FdSchema, _chain_steps
 
 
 @dataclass(frozen=True)
@@ -55,35 +57,30 @@ def build_tree(
 ) -> Node:
     """Build the partition tree for ``ids`` under ``fds``.
 
-    Raises NotChainError when the simplification gets stuck, i.e. the FDs
-    are not equivalent to an lhs chain on this path.
+    The simplification steps of ``fdschema.decide_lhs_chain`` run once:
+    depth d splits on the d-th consensus or common-lhs step's attribute,
+    and a node is a leaf when the steps run out. Raises NotChainError when
+    the steps get stuck, i.e. the FDs are not equivalent to an lhs chain.
     """
-    fds = [fd for fd in fds if not fd.is_trivial()]
-    if not fds or not ids:
+    steps = _chain_steps(fds, schema)
+    if steps and steps[-1][0] == "stuck":
+        raise NotChainError("FD set is not equivalent to an lhs chain")
+    splits = [
+        (ConsensusNode if kind == "consensus" else CommonNode, attr, schema.index(attr))
+        for kind, attr in steps
+        if attr is not None
+    ]
+    return _grow(tuples, ids, splits, 0)
+
+
+def _grow(tuples, ids, splits, depth) -> Node:
+    if depth == len(splits) or not ids:
         return Leaf(tuple(ids))
-
-    consensus = {a for fd in fds if not fd.lhs for a in fd.rhs}
-    if consensus:
-        attr = min(consensus, key=schema.index)
-        return ConsensusNode(attr, _split(tuples, ids, fds, schema, attr))
-
-    common = set(fds[0].lhs)
-    for fd in fds[1:]:
-        common &= fd.lhs
-    if common:
-        attr = min(common, key=schema.index)
-        return CommonNode(attr, _split(tuples, ids, fds, schema, attr))
-
-    raise NotChainError("FD set is not equivalent to an lhs chain")
-
-
-def _split(tuples, ids, fds, schema, attr) -> tuple[Node, ...]:
-    idx = schema.index(attr)
+    node, attr, idx = splits[depth]
     parts: dict[object, list[int]] = {}
     for tid in ids:
         parts.setdefault(tuples[tid].values[idx], []).append(tid)
-    reduced = _subtract(fds, attr)
-    return tuple(build_tree(tuples, part, reduced, schema) for part in parts.values())
+    return node(attr, tuple(_grow(tuples, part, splits, depth + 1) for part in parts.values()))
 
 
 class TableOps(NamedTuple):

@@ -6,7 +6,9 @@ chain under inclusion. That chain test is the dispatch point for every
 polynomial algorithm in this package: the recursion removes trivial FDs,
 then repeatedly eliminates either a consensus attribute (an FD with empty
 lhs) or an attribute common to every lhs, and succeeds iff the FD set
-empties.
+empties. The steps depend on the FDs only and come from ``_chain_steps``:
+``decide_lhs_chain`` formats them as its trace, and ``decompose.build_tree``
+splits level d of its tree on the d-th consensus or common-lhs attribute.
 """
 
 from __future__ import annotations
@@ -123,40 +125,46 @@ def subtract_attribute(schema: FdSchema, attr: str) -> FdSchema:
     return FdSchema(schema.attributes, tuple(_subtract(schema.fds, attr)))
 
 
-def decide_lhs_chain(schema: FdSchema) -> ChainDecision:
-    """Run the simplification recursion and report whether it empties the FDs.
+def _chain_steps(fds: Iterable[Fd], schema: FdSchema) -> list[tuple[str, Optional[str]]]:
+    """The steps of the simplification recursion on ``fds``, in order.
 
-    Steps, repeated until the FD set is empty or no step applies:
-    drop trivial FDs (rhs contained in lhs); if a consensus FD exists,
-    eliminate its smallest-index rhs attribute; otherwise, if some attribute
-    occurs in every lhs, eliminate the smallest-index such attribute.
-    Attribute choices are broken by schema index so traces are reproducible.
+    Until the FDs empty: drop trivial FDs, ``("removed-trivial", None)``;
+    eliminate the smallest-index rhs attribute of a consensus FD,
+    ``("consensus", attr)``, or else the smallest-index attribute of every
+    lhs, ``("common-lhs", attr)``; when neither exists, end with
+    ``("stuck", None)``. Ties break by schema index, so steps reproduce.
     """
-    fds = list(schema.fds)
-    trace: list[str] = []
+    fds = list(fds)
+    steps: list[tuple[str, Optional[str]]] = []
     while True:
         nontrivial = [fd for fd in fds if not fd.is_trivial()]
         if len(nontrivial) != len(fds):
-            trace.append("removed-trivial")
+            steps.append(("removed-trivial", None))
         fds = nontrivial
         if not fds:
-            return ChainDecision(True, tuple(trace))
+            return steps
         consensus = {a for fd in fds if not fd.lhs for a in fd.rhs}
         if consensus:
-            attr = min(consensus, key=schema.index)
-            trace.append(f"consensus({attr})")
-            fds = _subtract(fds, attr)
-            continue
-        common = set(fds[0].lhs)
-        for fd in fds[1:]:
-            common &= fd.lhs
-        if common:
-            attr = min(common, key=schema.index)
-            trace.append(f"common-lhs({attr})")
-            fds = _subtract(fds, attr)
-            continue
-        trace.append("stuck")
-        return ChainDecision(False, tuple(trace))
+            step = ("consensus", min(consensus, key=schema.index))
+        else:
+            common = frozenset.intersection(*(fd.lhs for fd in fds))
+            if not common:
+                steps.append(("stuck", None))
+                return steps
+            step = ("common-lhs", min(common, key=schema.index))
+        steps.append(step)
+        fds = _subtract(fds, step[1])
+
+
+def decide_lhs_chain(schema: FdSchema) -> ChainDecision:
+    """Run the simplification recursion and report whether it empties the FDs.
+
+    The trace lists the steps of ``_chain_steps`` as ``removed-trivial``,
+    ``consensus(attr)``, ``common-lhs(attr)`` and a final ``stuck``.
+    """
+    steps = _chain_steps(schema.fds, schema)
+    trace = tuple(kind if attr is None else f"{kind}({attr})" for kind, attr in steps)
+    return ChainDecision(not steps or steps[-1][0] != "stuck", trace)
 
 
 def _fd_key(schema: FdSchema, fd: Fd) -> tuple:

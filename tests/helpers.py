@@ -147,6 +147,44 @@ def brute_max_diff(ds, ordering, label, ref_label, tau, k, weighted=False):
     return rows
 
 
+def repair_problems(ds, repair, ids=None):
+    """Why ``repair`` is not a repair of ``ids`` (default: every id), as a
+    list of messages; empty when it is one. Linear in the instance: one dict
+    per FD maps the lhs values of a kept tuple to its rhs values, so a kept
+    tuple that maps the same lhs elsewhere is a conflict inside the repair,
+    and a left-out tuple that meets no such mismatch could be added."""
+    ids = list(ds.ids()) if ids is None else list(ids)
+    kept = set(repair)
+    if len(kept) != len(repair) or not kept <= set(ids):
+        return ["repair repeats ids or holds ids outside the instance"]
+    values = [t.values for t in ds.tuples]
+    slots = [
+        ([ds.schema.index(a) for a in fd.lhs], [ds.schema.index(a) for a in fd.rhs])
+        for fd in ds.schema.fds
+    ]
+
+    def cells(row, cols):
+        return tuple(row[j] for j in cols)
+
+    problems = []
+    indexes = []
+    for lhs, rhs in slots:
+        index: dict = {}
+        for tid in repair:
+            row = values[tid]
+            if index.setdefault(cells(row, lhs), cells(row, rhs)) != cells(row, rhs):
+                problems.append(f"tuple {tid} conflicts inside the repair")
+        indexes.append((lhs, rhs, index))
+    for tid in ids:
+        if tid in kept:
+            continue
+        row = values[tid]
+        if all(index.get(cells(row, lhs), cells(row, rhs)) == cells(row, rhs)
+               for lhs, rhs, index in indexes):
+            problems.append(f"tuple {tid} could be added")
+    return problems
+
+
 def satisfiable(phi) -> bool:
     for bits in itertools.product((False, True), repeat=phi.num_vars):
         if all(any((lit > 0) == bits[abs(lit) - 1] for lit in clause) for clause in phi.clauses):

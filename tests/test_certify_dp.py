@@ -1,10 +1,11 @@
+import functools
 import random
 
 import pytest
 
 import knncert as kc
 from knncert import NotChainError, certify_dp, oracle
-from knncert.certify_dp import MaxDiffTable, combine_rows, max_label_diff
+from knncert.certify_dp import _convolve, max_label_diff
 
 import helpers
 
@@ -65,7 +66,7 @@ class TestMaxLabelDiff:
                 max_label_diff(ds, ids, ell, ell1, tau, k, ordering) for ids in blocks.values()
             ]
             whole = max_label_diff(ds, ds.ids(), ell, ell1, tau, k, ordering)
-            assert combine_rows(parts, k).entries == whole.entries
+            assert tuple(convolve_all(p.entries for p in parts)) == whole.entries
 
     def test_rejects_non_chain(self):
         schema = kc.FdSchema.of(("A", "B", "C"), [(["A"], ["C"]), (["B"], ["C"])])
@@ -75,52 +76,44 @@ class TestMaxLabelDiff:
             max_label_diff(ds, ds.ids(), "0", "0", 1, 1, ordering)
 
 
-def table(entries, label="x", ref="y", tau=1):
-    return MaxDiffTable(tuple(entries), label, ref, tau)
+def convolve_all(rows):
+    """Max-plus combination of rows at a shared total prefix size."""
+    return functools.reduce(_convolve, [list(r) for r in rows])
 
 
 class TestCombineRows:
     def test_single_row_unchanged(self):
-        t = table([None, 1, 0])
-        assert combine_rows([t]).entries == t.entries
+        assert convolve_all([[None, 1, 0]]) == [None, 1, 0]
 
     def test_forced_indices_add(self):
-        a = table([None, 0, None])
-        b = table([None, 0, None])
-        assert combine_rows([a, b]).entries == (None, None, 0)
+        assert convolve_all([[None, 0, None], [None, 0, None]]) == [None, None, 0]
 
     def test_mixed_infinities(self):
-        a = table([None, 1, 0])
-        b = table([2, None, None])
-        assert combine_rows([a, b]).entries == (None, 3, 2)
+        assert convolve_all([[None, 1, 0], [2, None, None]]) == [None, 3, 2]
 
     def test_exhaustive_pairing_oracle(self):
         rng = random.Random(33)
         for _ in range(50):
             k = rng.randint(1, 5)
             rows = [
-                table([rng.choice((None, rng.randint(-3, 3))) for _ in range(k + 1)])
+                [rng.choice((None, rng.randint(-3, 3))) for _ in range(k + 1)]
                 for _ in range(rng.randint(1, 4))
             ]
-            got = combine_rows(rows, k).entries
+            got = convolve_all(rows)
             want = [None] * (k + 1)
             import itertools
 
             for combo in itertools.product(*(range(k + 1) for _ in rows)):
                 if sum(combo) > k:
                     continue
-                parts = [r.entries[c] for r, c in zip(rows, combo)]
+                parts = [r[c] for r, c in zip(rows, combo)]
                 if any(p is None for p in parts):
                     continue
                 s = sum(parts)
                 i = sum(combo)
                 if want[i] is None or s > want[i]:
                     want[i] = s
-            assert list(got) == want
-
-    def test_context_mismatch_rejected(self):
-        with pytest.raises(kc.InputError):
-            combine_rows([table([None, 0]), table([None, 0], label="z")])
+            assert got == want
 
 
 class TestCertify:

@@ -1,0 +1,133 @@
+"""The decomposition tree against the lhs-chain simplification it follows.
+
+Every level of ``build_tree`` splits on the attribute of one consensus or
+common-lhs step of ``decide_lhs_chain``, in order, so the tree's shape can
+be checked against the schema-level trace without an oracle.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import knncert as kc
+from knncert import NotChainError, counting, minrepair
+from knncert.decompose import CommonNode, ConsensusNode, Leaf, build_tree
+
+import helpers
+
+KINDS = {"consensus": ConsensusNode, "common-lhs": CommonNode}
+NON_CHAIN = kc.FdSchema.of(("A", "B", "C"), [(["A"], ["C"]), (["B"], ["C"])])
+
+
+def split_steps(schema):
+    """(node kind, attribute) of each consensus and common-lhs step."""
+    out = []
+    for step in kc.decide_lhs_chain(schema).trace:
+        kind, _, attr = step.partition("(")
+        if kind in KINDS:
+            out.append((KINDS[kind], attr.rstrip(")")))
+    return out
+
+
+def paths(node, prefix=()):
+    """(splits from the root, leaf) for every leaf."""
+    if isinstance(node, Leaf):
+        yield prefix, node
+        return
+    for child in node.children:
+        yield from paths(child, prefix + ((type(node), node.attr),))
+
+
+def ids_under(node):
+    return [tid for _, leaf in paths(node) for tid in leaf.ids]
+
+
+def random_case(rng):
+    """A chain instance with trivial FDs mixed in, a random FD subset (still
+    a chain, since removing FDs keeps the lhs sets a chain) and an id subset."""
+    ds, _ = helpers.random_chain_instance(rng, n_max=30, d_max=5)
+    schema = ds.schema
+    fds = list(schema.fds)
+    for _ in range(rng.randint(0, 2)):
+        lhs = rng.sample(schema.attributes, rng.randint(1, schema.arity))
+        trivial = kc.Fd.of(lhs, rng.sample(lhs, rng.randint(1, len(lhs))))
+        fds.insert(rng.randint(0, len(fds)), trivial)
+    if rng.random() < 0.5:
+        fds = [fd for fd in fds if rng.random() < 0.6]
+    ids = list(ds.ids())
+    if rng.random() < 0.5:
+        ids = sorted(rng.sample(ids, rng.randint(1, len(ids))))
+    return ds, fds, ids
+
+
+class TestTreeFollowsTheChainSteps:
+    def test_properties_on_random_chains(self):
+        rng = random.Random(71)
+        for _ in range(300):
+            ds, fds, ids = random_case(rng)
+            schema = ds.schema
+            steps = split_steps(kc.FdSchema(schema.attributes, tuple(fds)))
+            tree = build_tree(ds.tuples, ids, fds, schema)
+
+            def value(tid, attr):
+                return ds.tuples[tid].values[schema.index(attr)]
+
+            # Every root-to-leaf path splits on the steps' attributes, in
+            # order and with the steps' node kinds; its leaf's ids agree on
+            # all of them.
+            for path, leaf in paths(tree):
+                assert list(path) == steps
+                assert leaf.ids
+                for _, attr in steps:
+                    assert len({value(tid, attr) for tid in leaf.ids}) == 1
+
+            # Siblings differ on their parent's attribute.
+            stack = [tree]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, Leaf):
+                    continue
+                seen = [value(ids_under(child)[0], node.attr) for child in node.children]
+                assert len(set(seen)) == len(seen)
+                stack.extend(node.children)
+
+            # The leaves partition the ids.
+            assert sorted(ids_under(tree)) == sorted(ids)
+
+    def test_no_split_without_fds(self):
+        schema = kc.FdSchema.of(("A", "B"), [(["A", "B"], ["A"])])
+        ds = kc.make_dataset(schema, [((1, 1), "0"), ((1, 2), "0")], features=("A",))
+        assert build_tree(ds.tuples, [0, 1], list(schema.fds), schema) == Leaf((0, 1))
+
+    def test_empty_ids_on_a_chain_is_the_empty_leaf(self):
+        schema = kc.FdSchema.of(("A", "B"), [([], ["A"]), (["A"], ["B"])])
+        ds = kc.make_dataset(schema, [((1, 1), "0")], features=("A",))
+        assert build_tree(ds.tuples, [], list(schema.fds), schema) == Leaf(())
+        assert counting.count_repairs(ds, ids=[]) == 1
+        assert minrepair.min_rep(ds, ids=[]) == ((), Fraction(0))
+
+
+class TestNonChainRejected:
+    def test_with_ids(self):
+        ds = kc.make_dataset(NON_CHAIN, [((1, 1, 1), "0")], features=("A",))
+        with pytest.raises(NotChainError):
+            build_tree(ds.tuples, [0], list(NON_CHAIN.fds), NON_CHAIN)
+
+    def test_with_empty_ids(self):
+        # The decision depends on the FDs only, not on whether any tuple
+        # reaches the step that gets stuck.
+        ds = kc.make_dataset(NON_CHAIN, [((1, 1, 1), "0")], features=("A",))
+        with pytest.raises(NotChainError):
+            build_tree(ds.tuples, [], list(NON_CHAIN.fds), NON_CHAIN)
+        with pytest.raises(NotChainError):
+            minrepair.min_rep(ds, ids=[])
+        with pytest.raises(NotChainError):
+            counting.count_repairs(ds, ids=[])
+        with pytest.raises(NotChainError):
+            minrepair.forbidden_repair(ds, [], ids=[])
+
+    def test_empty_dataset(self):
+        ds = kc.make_dataset(NON_CHAIN, [], features=("A",), labels=("0",))
+        with pytest.raises(NotChainError):
+            counting.count_label(ds, kc.Ordering(()), 1, "0")

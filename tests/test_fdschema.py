@@ -79,6 +79,12 @@ class TestDecideLhsChain:
     def test_trivial_schema(self):
         assert kc.decide_lhs_chain(schema("A", [])).is_chain_equivalent
 
+    def test_full_trace_breaks_ties_by_schema_index(self):
+        s = schema("ABCD", [("CA", "DB"), ("CAB", "A")])
+        assert kc.decide_lhs_chain(s).trace == (
+            "removed-trivial", "common-lhs(A)", "common-lhs(C)", "consensus(B)", "consensus(D)",
+        )
+
     def test_agrees_with_minimized_form(self):
         rng = random.Random(11)
         for _ in range(200):

@@ -2,21 +2,26 @@
 
 The brute-force oracle stops at a dozen tuples. These properties tie the
 polynomial routines to each other instead, at sizes where the oracle cannot
-follow: the key scan against the DP on keyed data, and counting against
-certification on chain data.
+follow: the key scan against the DP on keyed data, counting against
+certification on chain data, and every repair the chain routines return
+against a linear consistency-and-maximality check.
 """
 
 import random
+from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import knncert as kc
-from knncert import certify_dp, counting, fastscan
+from knncert import certify_dp, counting, fastscan, minrepair
 
 import helpers
 
-AT_SCALE = settings(derandomize=True, max_examples=10, deadline=None)
+# No shrinking: a failing example of a thousand tuples takes minutes to
+# shrink and stays about as large.
+AT_SCALE = settings(derandomize=True, max_examples=10, deadline=None,
+                    phases=(Phase.explicit, Phase.generate))
 
 
 def _ordering(rng, ds, planted):
@@ -96,3 +101,38 @@ class TestCountsAgreeWithCertification:
         else:
             assert all(c < total for c in counts.values())
         assert sum(counts.values()) <= total
+
+
+class TestOutputsAreRepairs:
+    @settings(AT_SCALE, max_examples=6)
+    @given(chain_instances(), st.integers(0, 2**32 - 1))
+    def test_witnesses_min_repairs_and_forbidden_repairs(self, inst, seed):
+        ds, ordering, k = inst
+        rng = random.Random(seed)
+        for repair, _ in certify_dp.certify(ds, ordering, k).witnesses:
+            assert helpers.repair_problems(ds, repair) == []
+
+        weights = [Fraction(rng.randint(0, 1)) for _ in ds.ids()]
+        repair, weight = minrepair.min_rep(ds, weights=weights)
+        assert helpers.repair_problems(ds, repair) == []
+        assert weight == sum(weights[t] for t in repair)
+
+        # Forbidding everything outside a repair leaves exactly that repair.
+        forbidden = set(ds.ids()) - set(repair)
+        assert minrepair.forbidden_repair(ds, forbidden) == repair
+
+        pool = sorted(rng.sample(range(ds.size), ds.size // 2))
+        for size in (1, 3, 10):
+            forbidden = rng.sample(pool, size)
+            avoiding = minrepair.forbidden_repair(ds, forbidden, ids=pool)
+            if avoiding is not None:
+                assert helpers.repair_problems(ds, avoiding, ids=pool) == []
+                assert not set(avoiding) & set(forbidden)
+
+    def test_check_rejects_broken_repairs(self):
+        schema = kc.FdSchema.of(("A", "B"), [(["A"], ["B"])])
+        ds = kc.make_dataset(schema, [((1, 1), "0"), ((1, 2), "0"), ((2, 1), "0")], features=())
+        assert helpers.repair_problems(ds, (0, 2)) == []
+        assert helpers.repair_problems(ds, (0,)) == ["tuple 2 could be added"]
+        assert helpers.repair_problems(ds, (0, 1, 2)) == ["tuple 1 conflicts inside the repair"]
+        assert helpers.repair_problems(ds, (0,), ids=[0, 1]) == []

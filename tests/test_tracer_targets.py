@@ -1,0 +1,44 @@
+"""The names the benchmark's tracer wraps still exist.
+
+``perfbench/tracing.py`` looks up every ``SPANNED`` and ``COUNTED`` name
+with ``getattr`` and ``perfbench/run.py`` measures the tree that
+``build_tree`` returns for a loaded table, so a refactor that renames one of
+those functions or changes ``build_tree``'s record-based signature breaks
+``perfbench/run.py --trace 1``. The tracer's file is read, not imported.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import knncert as kc
+from knncert import decompose
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def traced_names():
+    names = []
+    for stmt in ast.parse(TRACING.read_text()).body:
+        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+            target = stmt.targets[0]
+            if isinstance(target, ast.Name) and target.id in ("SPANNED", "COUNTED"):
+                names += ast.literal_eval(stmt.value)
+    return names
+
+
+def test_every_traced_name_is_a_function():
+    names = traced_names()
+    assert "decompose.build_tree" in names and "dataset.conflicts" in names
+    for name in names:
+        module, function = name.split(".")
+        assert callable(getattr(importlib.import_module(f"knncert.{module}"), function)), name
+
+
+def test_build_tree_takes_records_and_returns_nodes_with_children():
+    schema = kc.FdSchema.of(("A", "B", "C"), [(["A"], ["B"]), (["A", "B"], ["C"])])
+    rows = [((1, 1, 1), "0"), ((1, 2, 1), "1"), ((2, 1, 1), "0")]
+    ds = kc.make_dataset(schema, rows, features=("A",))
+    tree = decompose.build_tree(ds.tuples, list(ds.ids()), list(schema.fds), schema)
+    assert len(tree.children) == 2
+    assert all(hasattr(child, "children") for child in tree.children)
