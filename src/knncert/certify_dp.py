@@ -20,28 +20,16 @@ re-evaluating the tree at every tau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .certresult import CertResult
-from .dataset import LabeledDataset, Ordering, greedy_repair, predict
+from .certresult import CertResult, challenge
+from .dataset import LabeledDataset, Ordering, greedy_repair
 from .decompose import ConsensusNode, Leaf, Sweep, TableOps, build_tree
 from .errors import InputError
-from .fdschema import Fd
 
 # A table is a list of length k+1; None stands for minus infinity, meaning
 # no repair attains that prefix size.
 Row = list
-
-
-@dataclass(frozen=True)
-class MaxDiffTable:
-    """Best label-weight difference per prefix size, for one (label, tau)."""
-
-    entries: tuple
-    label: str
-    ref_label: str
-    tau: int
 
 
 def _row_ops(dataset: LabeledDataset, label: str, ref_label: str, k: int,
@@ -121,29 +109,6 @@ def _trace(sweep: Sweep, v: int, i: int) -> list[int]:
     return chosen
 
 
-def max_label_diff(
-    dataset: LabeledDataset,
-    ids: Sequence[int],
-    label: str,
-    ref_label: str,
-    tau: int,
-    k: int,
-    ordering: Ordering,
-    fds: Optional[Sequence[Fd]] = None,
-    weighted: bool = False,
-) -> MaxDiffTable:
-    """Table of best (label minus ref_label) prefix differences over all
-    repairs of ``ids``, indexed by the exact number of tuples at rank <= tau."""
-    if k < 1:
-        raise InputError("k must be >= 1")
-    fds = list(dataset.schema.fds) if fds is None else list(fds)
-    tree = build_tree(dataset.tuples, sorted(ids), fds, dataset.schema)
-    sweep = Sweep(tree, dataset.size, _row_ops(dataset, label, ref_label, k, weighted))
-    for tid in ordering.ranked[:tau]:
-        sweep.admit(tid)
-    return MaxDiffTable(tuple(sweep.root), label, ref_label, tau)
-
-
 def _challenge(dataset, ordering, tree, ell, ell1, k, weighted) -> Optional[tuple[int, ...]]:
     """Sweep tau for challenger ``ell``; return the traced repair at the
     first hit whose best (ell minus ell1) difference is non-negative."""
@@ -171,32 +136,14 @@ def certify(
     falsifies). For every other label and every threshold, robustness
     survives only if the best difference stays negative; the i < k entries
     at the widest threshold cover repairs with fewer than k tuples, whose
-    neighborhood is the whole repair. Witnesses are re-verified with the
-    classifier before being returned.
+    neighborhood is the whole repair. ``certresult.challenge`` runs the
+    challenger loop and re-verifies the witness.
     """
     if k < 1:
         raise InputError("k must be >= 1")
     tree = build_tree(dataset.tuples, list(dataset.ids()), list(dataset.schema.fds), dataset.schema)
-    greedy = greedy_repair(dataset, ordering)
-    incumbent = predict(dataset, greedy, ordering, k, weighted=weighted)
-    if incumbent.kind != "label":
-        return CertResult(False, None, (), ((greedy, incumbent),))
-    ell1 = incumbent.label
-
-    for ell in sorted(set(dataset.labels) - {ell1}):
-        repair = _challenge(dataset, ordering, tree, ell, ell1, k, weighted)
-        if repair is None:
-            continue
-        outcome = predict(dataset, repair, ordering, k, weighted=weighted)
-        if outcome.is_label(ell1):
-            raise AssertionError("witness failed re-verification")
-        possible = {ell1}
-        if outcome.kind == "label":
-            possible.add(outcome.label)
-        return CertResult(
-            False,
-            None,
-            tuple(sorted(possible)),
-            ((greedy, incumbent), (repair, outcome)),
-        )
-    return CertResult(True, ell1, (ell1,), ())
+    return challenge(
+        dataset, ordering, k, greedy_repair(dataset, ordering),
+        lambda ell, ell1: _challenge(dataset, ordering, tree, ell, ell1, k, weighted),
+        weighted,
+    )

@@ -202,7 +202,7 @@ def _cmd_gen_hard(args) -> int:
         "k": args.k,
         "p": args.p,
     }
-    with open(args.point_out, "w") as fh:
+    with ingest.open_for_writing(args.point_out) as fh:
         json.dump(point_doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
     _emit(

@@ -26,29 +26,11 @@ sparse tables for n tuples, tree depth and fan-out f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .dataset import LabeledDataset, Ordering
 from .decompose import ConsensusNode, Leaf, Node, Sweep, TableOps, build_tree
 from .errors import InputError
-from .fdschema import Fd
-
-Cell = tuple[int, tuple[int, ...]]
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Sparse map from (prefix size, difference vector) to repair counts."""
-
-    entries: dict
-    label: str
-    other_labels: tuple[str, ...]
-    tau: int
-    k: int
-
-    def total(self) -> int:
-        return sum(self.entries.values())
 
 
 def _cell_ops(dataset: LabeledDataset, label: str, others: tuple[str, ...], k: int) -> TableOps:
@@ -94,26 +76,6 @@ def _others(dataset: LabeledDataset, label: str) -> tuple[str, ...]:
     return tuple(sorted(set(dataset.labels) - {label}))
 
 
-def count_table(
-    dataset: LabeledDataset,
-    ids: Sequence[int],
-    label: str,
-    tau: int,
-    k: int,
-    ordering: Ordering,
-    fds: Optional[Sequence[Fd]] = None,
-) -> CountTable:
-    if k < 1:
-        raise InputError("k must be >= 1")
-    fds = list(dataset.schema.fds) if fds is None else list(fds)
-    tree = build_tree(dataset.tuples, sorted(ids), fds, dataset.schema)
-    others = _others(dataset, label)
-    sweep = Sweep(tree, dataset.size, _cell_ops(dataset, label, others, k))
-    for tid in ordering.ranked[:tau]:
-        sweep.admit(tid)
-    return CountTable(sweep.root, label, others, tau, k)
-
-
 def _predicting(entries: dict, sizes) -> int:
     total = 0
     for (i, vec), count in entries.items():
@@ -148,15 +110,10 @@ def count_label(dataset: LabeledDataset, ordering: Ordering, k: int, label: str)
     return total
 
 
-def count_repairs(
-    dataset: LabeledDataset,
-    ids: Optional[Sequence[int]] = None,
-    fds: Optional[Sequence[Fd]] = None,
-) -> int:
+def count_repairs(dataset: LabeledDataset, ids: Optional[Sequence[int]] = None) -> int:
     """Total number of repairs (lhs-chain schemas only)."""
-    fds = list(dataset.schema.fds) if fds is None else list(fds)
     ids = list(dataset.ids()) if ids is None else sorted(ids)
-    tree = build_tree(dataset.tuples, ids, fds, dataset.schema)
+    tree = build_tree(dataset.tuples, ids, list(dataset.schema.fds), dataset.schema)
     return _count(tree)
 
 

@@ -21,8 +21,8 @@ call and hands them to ``certify_pk_arrays``, the core that bulk workloads call 
 the greedy repair is the first tuple of each block, its vote names the
 incumbent, and one prune and scan per challenger, in alphabetical order,
 looks for a repair that ties or beats it. Ids become Python objects only
-for the witness, which the classifier re-verifies; a witness that fails is
-a bug and raises ``AssertionError``, as on the DP and ?-set paths.
+for the witness, which ``certresult.refuted`` re-verifies as on every
+other path.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .certresult import CertResult
-from .dataset import LabeledDataset, Ordering, PredictOutcome, predict
+from .certresult import CertResult, refuted
+from .dataset import LabeledDataset, Ordering, PredictOutcome
 from .errors import InputError, NotPrimaryKeyError
 from .fdschema import closure, minimize
 
@@ -241,8 +241,7 @@ def certify_pk(
     ``certify_pk_arrays``. Votes are unweighted here; weighted certification
     goes through the DP. k larger than the number of blocks is clamped:
     every repair holds one tuple per block, so the neighborhood is then the
-    whole repair. The witness is re-verified with the classifier, and a
-    witness that still predicts the incumbent raises ``AssertionError``.
+    whole repair. ``certresult.refuted`` re-verifies the witness.
     """
     if k < 1:
         raise InputError("k must be >= 1")
@@ -258,23 +257,9 @@ def certify_pk(
     if verdict.incumbent is None:
         incumbent = PredictOutcome.TIE if greedy else PredictOutcome.EMPTY
         return CertResult(False, None, (), ((greedy, incumbent),))
-    ell1 = ds.labels[verdict.incumbent]
     witness = tuple(sorted(ranked[_build_witness(keys, labels, verdict, k)].tolist()))
-    outcome = predict(ds, witness, ordering, k)
-    if outcome.is_label(ell1):
-        raise AssertionError(
-            f"prune-and-scan witness for challenger {ds.labels[verdict.challenger]!r} "
-            f"still predicts {ell1!r}"
-        )
-    possible = {ell1}
-    if outcome.kind == "label":
-        possible.add(outcome.label)
-    return CertResult(
-        False,
-        None,
-        tuple(sorted(possible)),
-        ((greedy, PredictOutcome.of_label(ell1)), (witness, outcome)),
-    )
+    return refuted(ds, ordering, k, greedy, ds.labels[verdict.incumbent],
+                   ds.labels[verdict.challenger], witness)
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,11 +33,6 @@ class Fd:
     def is_trivial(self) -> bool:
         return self.rhs <= self.lhs
 
-    def describe(self, schema: "FdSchema") -> str:
-        lhs = ",".join(schema.sort_attrs(self.lhs)) or "()"
-        rhs = ",".join(schema.sort_attrs(self.rhs))
-        return f"{lhs}->{rhs}"
-
 
 @dataclass(frozen=True)
 class FdSchema:

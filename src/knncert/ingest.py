@@ -312,8 +312,16 @@ def load_uncertain_table(path: str) -> tuple[tuple[str, ...], list[tuple]]:
     return attrs, rows
 
 
+def open_for_writing(path: str, **kwargs):
+    """``open(path, "w")``, failing with an InputError instead of OSError."""
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
 def write_dataset_csv(path: str, dataset: LabeledDataset) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_for_writing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(dataset.schema.attributes) + ["label"])
         for t in dataset.tuples:
@@ -345,6 +353,6 @@ def load_formula(path: str) -> Sat3R:
 
 
 def write_formula(path: str, phi: Sat3R) -> None:
-    with open(path, "w") as fh:
+    with open_for_writing(path) as fh:
         for clause in phi.clauses:
             fh.write(" ".join(str(l) for l in clause) + " 0\n")

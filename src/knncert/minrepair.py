@@ -8,18 +8,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .certresult import CertResult
-from .dataset import LabeledDataset, Ordering, conflicts, greedy_repair, predict
+from .certresult import CertResult, challenge
+from .dataset import LabeledDataset, Ordering, conflicts, greedy_repair
 from .decompose import ConsensusNode, Leaf, Node, build_tree
 from .errors import InputError
-from .fdschema import Fd
 
 
 def min_rep(
     dataset: LabeledDataset,
     ids: Optional[Sequence[int]] = None,
     weights: Optional[Sequence[Fraction]] = None,
-    fds: Optional[Sequence[Fd]] = None,
 ) -> tuple[tuple[int, ...], Fraction]:
     """A repair of minimum total weight, with that weight.
 
@@ -33,8 +31,7 @@ def min_rep(
     ids = list(dataset.ids()) if ids is None else sorted(ids)
     if weights is None:
         weights = dataset.weights
-    fds = list(dataset.schema.fds) if fds is None else list(fds)
-    tree = build_tree(dataset.tuples, ids, fds, dataset.schema)
+    tree = build_tree(dataset.tuples, ids, list(dataset.schema.fds), dataset.schema)
     repair, weight = _min_rep(tree, weights)
     return tuple(repair), weight
 
@@ -81,36 +78,27 @@ def certify_1nn_via_forbidden(dataset: LabeledDataset, ordering: Ordering) -> Ce
     but avoids everything closer: drop t and its conflict partners, then
     ask for a repair avoiding the remaining closer tuples.
     """
-    n = dataset.size
-    greedy = greedy_repair(dataset, ordering)
-    incumbent = predict(dataset, greedy, ordering, 1)
-    if incumbent.kind != "label":
-        return CertResult(False, None, (), ((greedy, incumbent),))
-    ell1 = incumbent.label
+    return challenge(
+        dataset, ordering, 1, greedy_repair(dataset, ordering),
+        lambda ell2, ell1: _nearest_first(dataset, ordering, ell2),
+    )
 
+
+def _nearest_first(dataset: LabeledDataset, ordering: Ordering, ell2: str):
+    """A repair whose nearest tuple is labeled ``ell2``, or None."""
     schema = dataset.schema
-    for ell2 in sorted(set(dataset.labels) - {ell1}):
-        for position, tid in enumerate(ordering.ranked):
-            t = dataset.tuples[tid]
-            if t.label != ell2:
-                continue
-            pool = [
-                u
-                for u in dataset.ids()
-                if u != tid and not conflicts(dataset.tuples[u], t, schema)
-            ]
-            closer = set(ordering.ranked[:position])
-            avoiding = forbidden_repair(dataset, closer & set(pool), ids=pool)
-            if avoiding is None:
-                continue
-            witness = tuple(sorted(avoiding + (tid,)))
-            outcome = predict(dataset, witness, ordering, 1)
-            if not outcome.is_label(ell2):
-                raise AssertionError("witness failed re-verification")
-            return CertResult(
-                False,
-                None,
-                tuple(sorted({ell1, ell2})),
-                ((greedy, incumbent), (witness, outcome)),
-            )
-    return CertResult(True, ell1, (ell1,), ())
+    for position, tid in enumerate(ordering.ranked):
+        t = dataset.tuples[tid]
+        if t.label != ell2:
+            continue
+        pool = [
+            u
+            for u in dataset.ids()
+            if u != tid and not conflicts(dataset.tuples[u], t, schema)
+        ]
+        closer = set(ordering.ranked[:position])
+        avoiding = forbidden_repair(dataset, closer & set(pool), ids=pool)
+        if avoiding is not None:
+            assert closer.isdisjoint(avoiding), "1-NN witness keeps a closer tuple"
+            return tuple(sorted(avoiding + (tid,)))
+    return None

@@ -17,15 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .certresult import CertResult
-from .dataset import (
-    LabeledDataset,
-    Ordering,
-    TestPoint,
-    make_dataset,
-    order_by_distance,
-    predict,
-)
+from .certresult import CertResult, challenge
+from .dataset import LabeledDataset, Ordering, TestPoint, make_dataset, order_by_distance
 from .errors import CapExceededError, InputError
 from .fastscan import KeyedDataset, as_keyed, certify_pk
 from .fdschema import FdSchema
@@ -113,30 +106,15 @@ def qset_certify(q: QSetInstance, ordering: Ordering, k: int) -> CertResult:
     if k > n - q.budget:
         raise InputError("k must be at most n - budget")
     everything = tuple(ds.ids())
-    incumbent = predict(ds, everything, ordering, k)
-    if incumbent.kind != "label":
-        return CertResult(False, None, (), ((everything, incumbent),))
-    ell1 = incumbent.label
 
-    for ell in sorted(set(ds.labels) - {ell1}):
+    def world(ell: str, ell1: str):
         removed = _qset_scan(q, ordering, k, ell, ell1)
         if removed is None:
-            continue
+            return None
         assert len(removed) <= q.budget and set(removed) <= q.uncertain
-        world = tuple(sorted(set(everything) - set(removed)))
-        outcome = predict(ds, world, ordering, k)
-        if outcome.is_label(ell1):
-            raise AssertionError("?-set witness failed re-verification")
-        possible = {ell1}
-        if outcome.kind == "label":
-            possible.add(outcome.label)
-        return CertResult(
-            False,
-            None,
-            tuple(sorted(possible)),
-            ((everything, incumbent), (world, outcome)),
-        )
-    return CertResult(True, ell1, (ell1,), ())
+        return tuple(sorted(set(everything) - set(removed)))
+
+    return challenge(ds, ordering, k, everything, world)
 
 
 @dataclass(frozen=True)
@@ -157,7 +135,6 @@ def orset_expand(
     attributes: Sequence[str],
     rows: Sequence[tuple],
     features: Sequence[str],
-    id_attr: str = "id",
     cap: int = 100_000,
 ) -> KeyedDataset:
     """Expand or-set rows into one tuple per realization under a fresh key.
@@ -166,9 +143,9 @@ def orset_expand(
     an OrSetCell. All realizations of a row share its id, so the expanded
     schema is a primary key on id and worlds become block repairs.
     """
-    if id_attr in attributes:
-        raise InputError(f"attribute {id_attr!r} already present")
-    schema = FdSchema.of(tuple(attributes) + (id_attr,), [([id_attr], list(attributes))])
+    if "id" in attributes:
+        raise InputError("attribute 'id' already present")
+    schema = FdSchema.of(tuple(attributes) + ("id",), [(["id"], list(attributes))])
 
     total = 0
     expanded: list[tuple] = []
@@ -234,16 +211,15 @@ def codd_extremal_instance(
     x: TestPoint,
     p: int,
     features: Sequence[str],
-    id_attr: str = "id",
 ) -> tuple[KeyedDataset, tuple]:
     """Build the two-completions-per-row instance keyed on a fresh id.
 
     Returns the keyed dataset and, per tuple, (row, kind) with kind one of
     "only", "min", "max". Rows whose extremes coincide emit a single tuple.
     """
-    if id_attr in attributes:
-        raise InputError(f"attribute {id_attr!r} already present")
-    schema = FdSchema.of(tuple(attributes) + (id_attr,), [([id_attr], list(attributes))])
+    if "id" in attributes:
+        raise InputError("attribute 'id' already present")
+    schema = FdSchema.of(tuple(attributes) + ("id",), [(["id"], list(attributes))])
     out_rows: list[tuple] = []
     roles: list[tuple] = []
     for row_index, row in enumerate(rows):

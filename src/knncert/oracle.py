@@ -24,7 +24,11 @@ DEFAULT_CAP = 20
 
 
 def _cap() -> int:
-    return int(os.environ.get("KNNCERT_ORACLE_CAP", DEFAULT_CAP))
+    raw = os.environ.get("KNNCERT_ORACLE_CAP", str(DEFAULT_CAP))
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputError(f"KNNCERT_ORACLE_CAP must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)

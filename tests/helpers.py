@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import knncert as kc
 from knncert import hardgen, oracle
+from knncert.decompose import Sweep, build_tree
 
 ATTR_POOL = ("A", "B", "C", "D", "E", "F")
 
@@ -126,6 +127,17 @@ def random_keyed_instance(rng, n_max=12, max_labels=3, extra_attr=False):
         rows.append((values, rng.choice(alphabet)))
     ds = kc.make_dataset(schema, rows, features=("K", "V"), labels=alphabet)
     return ds, _random_ordering(rng, ds)
+
+
+def root_table(ds, ids, ops, tau, ordering):
+    """The root table of a sweep over the repairs of ``ids`` once the tau
+    nearest tuples are admitted; ``ops`` is ``certify_dp._row_ops`` or
+    ``counting._cell_ops``. Non-chain schemas raise from ``build_tree``."""
+    tree = build_tree(ds.tuples, sorted(ids), list(ds.schema.fds), ds.schema)
+    sweep = Sweep(tree, ds.size, ops)
+    for tid in ordering.ranked[:tau]:
+        sweep.admit(tid)
+    return sweep.root
 
 
 def brute_max_diff(ds, ordering, label, ref_label, tau, k, weighted=False):

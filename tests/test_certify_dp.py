@@ -5,9 +5,15 @@ import pytest
 
 import knncert as kc
 from knncert import NotChainError, certify_dp, oracle
-from knncert.certify_dp import _convolve, max_label_diff
+from knncert.certify_dp import _convolve, _row_ops
 
 import helpers
+
+
+def max_label_diff(ds, ids, label, ref_label, tau, k, ordering):
+    """The certification DP's root row: best (label minus ref_label)
+    difference per prefix size over the repairs of ``ids`` at ``tau``."""
+    return helpers.root_table(ds, ids, _row_ops(ds, label, ref_label, k, False), tau, ordering)
 
 
 class TestMaxLabelDiff:
@@ -17,19 +23,19 @@ class TestMaxLabelDiff:
         ordering = kc.order_by_distance(ds, kc.TestPoint((0,)), 1)
         table = max_label_diff(ds, ds.ids(), "1", "0", tau=2, k=3, ordering=ordering)
         # The only repair is the whole set; two tuples sit inside tau=2.
-        assert table.entries == (None, None, 0, None)
+        assert table == [None, None, 0, None]
 
     def test_example_label2_tau2(self, example1):
         ds, _, ordering = example1
         table = max_label_diff(ds, ds.ids(), "2", "0", tau=2, k=3, ordering=ordering)
-        assert table.entries[2] == 0
-        assert table.entries[1] == 1
+        assert table[2] == 0
+        assert table[1] == 1
 
     def test_example_label2_best_over_tau_is_negative(self, example1):
         ds, _, ordering = example1
         best = None
         for tau in range(1, ds.size + 1):
-            entry = max_label_diff(ds, ds.ids(), "2", "0", tau, 3, ordering).entries[3]
+            entry = max_label_diff(ds, ds.ids(), "2", "0", tau, 3, ordering)[3]
             if entry is not None and (best is None or entry > best):
                 best = entry
         assert best == -1
@@ -45,7 +51,7 @@ class TestMaxLabelDiff:
             tau = rng.randint(1, ds.size)
             got = max_label_diff(ds, ds.ids(), ell, ell1, tau, k, ordering)
             want = helpers.brute_max_diff(ds, ordering, ell, ell1, tau, k)
-            assert list(got.entries) == want
+            assert got == want
 
     def test_block_tables_combine_to_the_whole(self):
         # Key blocks never conflict with each other, so the whole table is
@@ -66,7 +72,7 @@ class TestMaxLabelDiff:
                 max_label_diff(ds, ids, ell, ell1, tau, k, ordering) for ids in blocks.values()
             ]
             whole = max_label_diff(ds, ds.ids(), ell, ell1, tau, k, ordering)
-            assert tuple(convolve_all(p.entries for p in parts)) == whole.entries
+            assert convolve_all(parts) == whole
 
     def test_rejects_non_chain(self):
         schema = kc.FdSchema.of(("A", "B", "C"), [(["A"], ["C"]), (["B"], ["C"])])
@@ -235,6 +241,15 @@ class TestCertify:
 
     def test_weighted_traceback_attains_every_finite_entry(self):
         self.check_sweep_and_traceback(random.Random(59), weighted=True)
+
+    def test_witness_failing_reverification_raises(self, figure3, monkeypatch):
+        # The greedy repair predicts the incumbent, so it can never be a witness.
+        ds, ordering = figure3
+        monkeypatch.setattr(
+            certify_dp, "_challenge", lambda ds, ordering, *rest: kc.greedy_repair(ds, ordering)
+        )
+        with pytest.raises(AssertionError, match="still predicts '1'"):
+            certify_dp.certify(ds, ordering, 3)
 
     def test_rejects_non_chain(self):
         schema = kc.FdSchema.of(("A", "B", "C"), [(["A"], ["C"]), (["B"], ["C"])])

@@ -225,6 +225,37 @@ def test_malformed_input_exits_two_with_json_error(tmp_path, capsys, command, ca
     assert captured.err == ""
 
 
+HARD_TARGET = {
+    "attributes": ["A", "B"],
+    "fds": [{"lhs": ["A"], "rhs": ["B"]}, {"lhs": ["B"], "rhs": ["A"]}],
+}
+GEN_HARD = ["gen-hard", "--formula", "{dir}/phi.cnf3r", "--schema", "{dir}/target.json"]
+# Output paths inside a directory that does not exist: (argv, the path the
+# error must name).
+UNWRITABLE = {
+    "gen-formula": (["gen-formula", "--vars", "3", "--out", "{dir}/no/f.cnf"], "{dir}/no/f.cnf"),
+    "gen-hard-out": (
+        GEN_HARD + ["--out", "{dir}/no/d.csv", "--point-out", "{dir}/p.json"], "{dir}/no/d.csv"
+    ),
+    "gen-hard-point-out": (
+        GEN_HARD + ["--out", "{dir}/d.csv", "--point-out", "{dir}/no/p.json"], "{dir}/no/p.json"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", UNWRITABLE)
+def test_unwritable_output_exits_two_with_json_error(tmp_path, capsys, case):
+    (tmp_path / "phi.cnf3r").write_text("1 2 0\n1 2 0\n-1 -2 0\n")
+    (tmp_path / "target.json").write_text(json.dumps(HARD_TARGET))
+    argv, path = UNWRITABLE[case]
+    code = cli.main([a.format(dir=tmp_path) for a in argv])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    error = json.loads(captured.out)["error"]
+    assert error.startswith(f"cannot write {path.format(dir=tmp_path)}: ")
+    assert captured.err == ""
+
+
 def pk_csv(rng, blocks, planted):
     """A keyed table in three-place decimals: ``planted`` label-0 singleton
     blocks next to the origin, then two-tuple blocks with random labels."""
@@ -424,17 +455,7 @@ class TestGenHard:
         formula = tmp_path / "phi.cnf3r"
         formula.write_text("1 2 0\n1 2 0\n-1 -2 0\n")
         schema = tmp_path / "target.json"
-        schema.write_text(
-            json.dumps(
-                {
-                    "attributes": ["A", "B"],
-                    "fds": [
-                        {"lhs": ["A"], "rhs": ["B"]},
-                        {"lhs": ["B"], "rhs": ["A"]},
-                    ],
-                }
-            )
-        )
+        schema.write_text(json.dumps(HARD_TARGET))
         out = tmp_path / "hard.csv"
         point_out = tmp_path / "point.json"
         code, payload = run(
@@ -467,6 +488,15 @@ class TestGenHard:
 
 
 class TestOracleCommands:
+    def test_malformed_cap_variable_exits_two(self, example_files, capsys, monkeypatch):
+        monkeypatch.setenv("KNNCERT_ORACLE_CAP", "abc")
+        schema, data = example_files
+        code, payload = run(
+            capsys, ["oracle", "certify", "--schema", schema, "--data", data] + CERT_ARGS
+        )
+        assert code == cli.EXIT_INPUT
+        assert payload == {"error": "KNNCERT_ORACLE_CAP must be an integer, got 'abc'"}
+
     def test_cap_exceeded_exit_four(self, example_files, capsys):
         schema, data = example_files
         code, payload = run(

@@ -95,6 +95,23 @@ class TestCertify1nn:
         res = minrepair.certify_1nn_via_forbidden(ds, kc.Ordering((0,)))
         assert res.robust and res.certain_label == "4"
 
+    def test_witness_failing_reverification_raises(self, example1, monkeypatch):
+        # The greedy repair predicts the incumbent, so it can never be a witness.
+        ds, _, ordering = example1
+        monkeypatch.setattr(
+            minrepair, "_nearest_first", lambda ds, ordering, ell2: kc.greedy_repair(ds, ordering)
+        )
+        with pytest.raises(AssertionError, match="still predicts '0'"):
+            minrepair.certify_1nn_via_forbidden(ds, ordering)
+
+    def test_witness_keeping_a_closer_tuple_raises(self, example1, monkeypatch):
+        # The nearest tuple carries the incumbent label, so it is closer than
+        # every challenger's tuple and no 1-NN witness may keep it.
+        ds, _, ordering = example1
+        monkeypatch.setattr(minrepair, "forbidden_repair", lambda *a, **kw: ordering.ranked[:1])
+        with pytest.raises(AssertionError, match="closer tuple"):
+            minrepair.certify_1nn_via_forbidden(ds, ordering)
+
     def test_matches_dp_and_oracle(self):
         rng = random.Random(107)
         for _ in range(80):

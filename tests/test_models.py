@@ -86,6 +86,16 @@ class TestQsetCertify:
             if models.qset_certify(q_hi, ordering, k).robust:
                 assert models.qset_certify(q_lo, ordering, k).robust
 
+    def test_witness_failing_reverification_raises(self, monkeypatch):
+        # Deleting nothing leaves the whole dataset, whose vote is the incumbent.
+        schema = kc.FdSchema.of(("A",), [])
+        ds = kc.make_dataset(schema, [((1,), "0"), ((2,), "0"), ((3,), "1")], features=("A",))
+        ordering = kc.order_by_distance(ds, kc.TestPoint((0,)), 1)
+        q = models.QSetInstance(ds, frozenset(ds.ids()), 1)
+        monkeypatch.setattr(models, "_qset_scan", lambda *args: [])
+        with pytest.raises(AssertionError, match="still predicts '0'"):
+            models.qset_certify(q, ordering, 2)
+
     def test_k_must_leave_full_neighborhoods(self):
         rng = random.Random(6)
         ds, ordering = plain_dataset(rng, 4)
