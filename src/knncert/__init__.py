@@ -22,8 +22,10 @@ from .fdschema import (
     ChainDecision,
     Fd,
     FdSchema,
+    KeyDecision,
     closure,
     decide_lhs_chain,
+    decide_primary_key,
     find_incomparable_pair,
     minimize,
     subtract_attribute,
@@ -37,6 +39,7 @@ __all__ = [
     "Fd",
     "FdSchema",
     "InputError",
+    "KeyDecision",
     "LabeledDataset",
     "NotChainError",
     "NotPrimaryKeyError",
@@ -47,6 +50,7 @@ __all__ = [
     "closure",
     "conflicts",
     "decide_lhs_chain",
+    "decide_primary_key",
     "find_incomparable_pair",
     "greedy_repair",
     "knn_predict",

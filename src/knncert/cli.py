@@ -4,10 +4,17 @@ Exit codes: 0 robust (or plain success), 1 not robust, 2 input error,
 3 schema outside the tractable class, 4 enumeration cap exceeded, 141 the
 reader of stdout closed it early (as a process killed by SIGPIPE). Results
 are JSON on stdout with sorted keys, so identical inputs produce identical
-bytes. ``certify`` dispatches by schema shape: a primary-key equivalent
-goes to the linear scan, any other lhs-chain equivalent to the DP, and
-anything else is refused with a pointer at the ``oracle`` subcommands,
-whose exponential enumeration is opt-in and capped.
+bytes. ``certify`` dispatches by schema shape, decided from the FDs
+alone: a primary-key equivalent (``fdschema.decide_primary_key``) goes to
+the linear scan, unless a block holds identical rows, and that or any
+other lhs-chain equivalent goes to the DP; anything else is refused with a
+pointer at the ``oracle`` subcommands, whose exponential enumeration is
+opt-in and capped.
+
+A call loads only the code its subcommand runs: ``models``, ``hardgen``
+and ``oracle`` are imported inside their handlers, and ``fastscan`` loads
+numpy only when the scan runs, so the chain subcommands and
+``check-schema`` start without numpy.
 """
 
 from __future__ import annotations
@@ -15,15 +22,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from typing import Optional
 
-from . import certify_dp, counting, fastscan, hardgen, ingest, minrepair, models, oracle
+from . import certify_dp, counting, fastscan, ingest, minrepair
 from .certresult import CertResult
 from .dataset import LabeledDataset, Ordering, order_by_distance, predict
 from .errors import CapExceededError, InputError, NotChainError, NotPrimaryKeyError
-from .fdschema import decide_lhs_chain
+from .fdschema import decide_lhs_chain, decide_primary_key
 
 EXIT_OK = 0
 EXIT_NOT_ROBUST = 1
@@ -84,7 +90,7 @@ def _cmd_certify(args) -> int:
     dataset, ordering, _ = _load_instance(args)
     method: Optional[str] = None
     result: Optional[CertResult] = None
-    if not args.weighted and not args.force_dp:
+    if not (args.weighted or args.force_dp) and decide_primary_key(dataset.schema).key is not None:
         try:
             result = fastscan.certify_pk(dataset, ordering, args.k)
             method = "fastscan"
@@ -108,8 +114,9 @@ def _cmd_count(args) -> int:
     dataset, ordering, _ = _load_instance(args)
     if not decide_lhs_chain(dataset.schema).is_chain_equivalent:
         raise NotChainError("counting requires an lhs-chain-equivalent schema")
-    count = counting.count_label(dataset, ordering, args.k, args.label)
-    total = counting.count_repairs(dataset)
+    tree = counting.repair_tree(dataset)
+    count = counting.count_label(dataset, ordering, args.k, args.label, tree=tree)
+    total = counting.count_repairs(dataset, tree=tree)
     _emit({"label": args.label, "count": str(count), "total_repairs": str(total)})
     return EXIT_OK
 
@@ -144,6 +151,8 @@ def _cmd_forbidden(args) -> int:
 
 
 def _cmd_poison(args) -> int:
+    from . import models
+
     dataset, ordering, uncertain = _load_instance(args, need_schema=False)
     if uncertain is None:
         uncertain = frozenset(dataset.ids())
@@ -157,6 +166,8 @@ def _cmd_poison(args) -> int:
 
 
 def _cmd_codd(args) -> int:
+    from . import models
+
     attrs, rows = ingest.load_uncertain_table(args.data)
     features = [f for f in (args.features or "").split(",") if f]
     point = ingest.parse_point(args.point or "", len(features))
@@ -176,6 +187,8 @@ def _cmd_codd(args) -> int:
 
 
 def _cmd_orset(args) -> int:
+    from . import models
+
     attrs, rows = ingest.load_uncertain_table(args.data)
     features = [f for f in (args.features or "").split(",") if f]
     point = ingest.parse_point(args.point or "", len(features))
@@ -192,19 +205,21 @@ def _cmd_orset(args) -> int:
 
 
 def _cmd_gen_hard(args) -> int:
+    from . import hardgen
+
     phi = ingest.load_formula(args.formula)
     target = ingest.load_schema(args.schema)
     inst = hardgen.generate(phi, target, k=args.k, p=args.p)
-    ingest.write_dataset_csv(args.out, inst.dataset)
     point_doc = {
         "point": [ingest.format_value(c) for c in inst.test_point.coords],
         "features": list(inst.dataset.features),
         "k": args.k,
         "p": args.p,
     }
-    with ingest.open_for_writing(args.point_out) as fh:
-        json.dump(point_doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    ingest.write_all({
+        args.out: ingest.dataset_csv(inst.dataset),
+        args.point_out: json.dumps(point_doc, sort_keys=True, indent=2) + "\n",
+    })
     _emit(
         {
             "tuples": inst.dataset.size,
@@ -220,6 +235,10 @@ def _cmd_gen_hard(args) -> int:
 
 
 def _cmd_gen_formula(args) -> int:
+    import random
+
+    from . import hardgen
+
     rng = random.Random(args.seed)
     phi = hardgen.random_formula(rng, args.vars)
     ingest.write_formula(args.out, phi)
@@ -228,6 +247,8 @@ def _cmd_gen_formula(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle
+
     dataset, ordering, _ = _load_instance(args)
     if args.oracle_cmd == "certify":
         result = oracle.brute_certify(dataset, ordering, args.k, cap=args.cap)

@@ -84,14 +84,24 @@ def _predicting(entries: dict, sizes) -> int:
     return total
 
 
-def count_label(dataset: LabeledDataset, ordering: Ordering, k: int, label: str) -> int:
-    """Number of repairs whose prediction is exactly ``label``."""
+def repair_tree(dataset: LabeledDataset, ids: Optional[Sequence[int]] = None) -> Node:
+    """The decomposition tree of ``dataset``, or of the tuples ``ids``."""
+    ids = list(dataset.ids()) if ids is None else sorted(ids)
+    return build_tree(dataset.tuples, ids, list(dataset.schema.fds), dataset.schema)
+
+
+def count_label(dataset: LabeledDataset, ordering: Ordering, k: int, label: str,
+                tree: Optional[Node] = None) -> int:
+    """Number of repairs whose prediction is exactly ``label``.
+
+    ``tree`` is the dataset's ``repair_tree`` when the caller has built it.
+    """
     if label not in dataset.labels:
         raise InputError(f"unknown label {label!r}")
     if k < 1:
         raise InputError("k must be >= 1")
-    schema = dataset.schema
-    tree = build_tree(dataset.tuples, list(dataset.ids()), list(schema.fds), schema)
+    if tree is None:
+        tree = repair_tree(dataset)
     n = dataset.size
     if n == 0:
         return 0
@@ -110,11 +120,14 @@ def count_label(dataset: LabeledDataset, ordering: Ordering, k: int, label: str)
     return total
 
 
-def count_repairs(dataset: LabeledDataset, ids: Optional[Sequence[int]] = None) -> int:
-    """Total number of repairs (lhs-chain schemas only)."""
-    ids = list(dataset.ids()) if ids is None else sorted(ids)
-    tree = build_tree(dataset.tuples, ids, list(dataset.schema.fds), dataset.schema)
-    return _count(tree)
+def count_repairs(dataset: LabeledDataset, ids: Optional[Sequence[int]] = None,
+                  tree: Optional[Node] = None) -> int:
+    """Total number of repairs (lhs-chain schemas only).
+
+    ``tree`` is the ``repair_tree`` of the same tuples when the caller has
+    built it.
+    """
+    return _count(repair_tree(dataset, ids) if tree is None else tree)
 
 
 def _count(node: Node) -> int:

@@ -13,16 +13,21 @@ ties or beats the incumbent, and the witness is materialized per block.
 
 Everything runs on integer code arrays in rank order: a block code per
 tuple, numbered by first appearance, and a label code that indexes the
-sorted label alphabet. ``as_keyed`` reads the block codes and the
-identical-row check off the dataset's columns (fixed-point ints for
-numeric cells) and the label codes come from its row labels, so no
-per-row record is built. ``certify_pk`` puts both in rank order once per
+sorted label alphabet. The key comes from the FDs alone
+(``fdschema.decide_primary_key``, which the CLI asks before it sends a
+call here); ``as_keyed`` only reads the block codes and the identical-row
+check off the dataset's columns (fixed-point ints for numeric cells), and
+the label codes come from its row labels, so no per-row record is built. ``certify_pk`` puts both in rank order once per
 call and hands them to ``certify_pk_arrays``, the core that bulk workloads call directly:
 the greedy repair is the first tuple of each block, its vote names the
 incumbent, and one prune and scan per challenger, in alphabetical order,
 looks for a repair that ties or beats it. Ids become Python objects only
 for the witness, which ``certresult.refuted`` re-verifies as on every
 other path.
+
+numpy is imported inside the functions that run array code, not at the
+top: the CLI imports this module on every call, and a call that never
+reaches the scan should not pay for numpy.
 """
 
 from __future__ import annotations
@@ -31,12 +36,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from .certresult import CertResult, refuted
 from .dataset import LabeledDataset, Ordering, PredictOutcome
 from .errors import InputError, NotPrimaryKeyError
-from .fdschema import closure, minimize
+from .fdschema import decide_primary_key
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,26 +68,20 @@ class ScanTrigger:
 
 
 def as_keyed(dataset: LabeledDataset) -> KeyedDataset:
-    """Check the key criterion and group tuples into blocks.
+    """Group tuples into blocks, after checking that they can be blocks.
 
-    The schema qualifies when its canonical cover has a single shared lhs
-    whose closure spans every attribute. Blocks must be conflict cliques:
-    same-key tuples with identical values would coexist in repairs, which
-    the block model cannot express, so such datasets are refused (the DP
-    path handles them).
+    The schema must be a primary key (``fdschema.decide_primary_key``), and
+    blocks must be conflict cliques: same-key tuples with identical values
+    would coexist in repairs, which the block model cannot express, so such
+    datasets are refused (the DP path handles them).
     """
+    import numpy as np
+
     schema = dataset.schema
-    mini = minimize(schema)
-    if mini.fds:
-        lhss = {fd.lhs for fd in mini.fds}
-        if len(lhss) != 1:
-            raise NotPrimaryKeyError("FDs do not share a single lhs")
-        key = next(iter(lhss))
-        if closure(key, mini) != frozenset(schema.attributes):
-            raise NotPrimaryKeyError("shared lhs is not a key of the relation")
-    else:
-        key = frozenset(schema.attributes)
-    key_attrs = tuple(schema.sort_attrs(key))
+    decision = decide_primary_key(schema)
+    if decision.key is None:
+        raise NotPrimaryKeyError(decision.reason)
+    key_attrs = decision.key
     key_idx = tuple(schema.index(a) for a in key_attrs)
 
     # Dict factorization, not np.unique: key cells may mix str, int and
@@ -105,6 +102,8 @@ def as_keyed(dataset: LabeledDataset) -> KeyedDataset:
 
 def _codes(keyed: KeyedDataset, ordering: Ordering):
     """Key and label codes at rank positions, plus the ranked id array."""
+    import numpy as np
+
     ds = keyed.dataset
     if len(ordering.ranked) != ds.size:
         raise InputError("ordering must rank every tuple of the dataset")
@@ -115,6 +114,8 @@ def _codes(keyed: KeyedDataset, ordering: Ordering):
 
 
 def _block_stats(keys: np.ndarray):
+    import numpy as np
+
     # Positions are scanned in order, so duplicate-index assignment keeps the
     # last write: forward gives last occurrences, reversed gives first ones.
     n = keys.shape[0]
@@ -132,6 +133,8 @@ def _prune_mask(keys: np.ndarray, labels: np.ndarray, last: np.ndarray, ell2: in
                 ell1: int) -> np.ndarray:
     """Survivors of the (ell2, ell1) pruning; ``last`` is the last position
     of each block, from ``_block_stats(keys)``."""
+    import numpy as np
+
     n = keys.shape[0]
     pos = np.arange(n, dtype=np.int64)
     nkeys = last.shape[0]
@@ -144,6 +147,8 @@ def _prune_mask(keys: np.ndarray, labels: np.ndarray, last: np.ndarray, ell2: in
 
 
 def _scan_arrays(keys: np.ndarray, labels: np.ndarray, ell2: int, ell1: int, k: int) -> Optional[ScanTrigger]:
+    import numpy as np
+
     n = keys.shape[0]
     if n == 0:
         return None
@@ -192,6 +197,8 @@ def fastscan(
     ``kept`` is the prune() output; by default the instance is assumed
     already pruned and scanned whole.
     """
+    import numpy as np
+
     ds = keyed.dataset
     keys, labels, ranked = _codes(keyed, ordering)
     if kept is not None:
@@ -214,6 +221,8 @@ def _build_witness(
     enough straddling blocks, nearest first, contribute their first tuple to
     reach exactly k, the rest and the untouched blocks their last one.
     """
+    import numpy as np
+
     kept, trigger, num_blocks = verdict.kept, verdict.trigger, verdict.greedy.shape[0]
     first, last, count = _block_stats(keys[kept])
     # Pruning never erases a block, so every block has a pick.
@@ -289,6 +298,8 @@ def certify_pk_arrays(keys: np.ndarray, labels: np.ndarray, k: int) -> ArrayVerd
     prune and scan per challenger code, in ascending order and including
     codes that label no tuple, stops at the first that fires.
     """
+    import numpy as np
+
     keys = np.ascontiguousarray(keys, dtype=np.int64)
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     n = keys.shape[0]

@@ -1,14 +1,16 @@
 """Functional-dependency schemas.
 
-Attribute closures, canonical covers, and the simplification recursion that
-decides whether an FD set is equivalent to one whose left-hand sides form a
-chain under inclusion. That chain test is the dispatch point for every
-polynomial algorithm in this package: the recursion removes trivial FDs,
-then repeatedly eliminates either a consensus attribute (an FD with empty
-lhs) or an attribute common to every lhs, and succeeds iff the FD set
-empties. The steps depend on the FDs only and come from ``_chain_steps``:
-``decide_lhs_chain`` formats them as its trace, and ``decompose.build_tree``
-splits level d of its tree on the d-th consensus or common-lhs attribute.
+Attribute closures, canonical covers, the primary-key test that sends
+certification to the linear scan (``decide_primary_key``), and the
+simplification recursion that decides whether an FD set is equivalent to
+one whose left-hand sides form a chain under inclusion. That chain test is
+the dispatch point for every other polynomial algorithm in this package:
+the recursion removes trivial FDs, then repeatedly eliminates either a
+consensus attribute (an FD with empty lhs) or an attribute common to every
+lhs, and succeeds iff the FD set empties. The steps depend on the FDs
+only and come from ``_chain_steps``: ``decide_lhs_chain`` formats them as
+its trace, and ``decompose.build_tree`` splits level d of its tree on the
+d-th consensus or common-lhs attribute.
 """
 
 from __future__ import annotations
@@ -160,6 +162,35 @@ def decide_lhs_chain(schema: FdSchema) -> ChainDecision:
     steps = _chain_steps(schema.fds, schema)
     trace = tuple(kind if attr is None else f"{kind}({attr})" for kind, attr in steps)
     return ChainDecision(not steps or steps[-1][0] != "stuck", trace)
+
+
+@dataclass(frozen=True)
+class KeyDecision:
+    """Outcome of the primary-key test: the key attributes in schema order,
+    or None and the reason the FDs are not a single key."""
+
+    key: Optional[tuple[str, ...]]
+    reason: Optional[str] = None
+
+
+def decide_primary_key(schema: FdSchema) -> KeyDecision:
+    """Whether the FDs amount to a single primary key, from the FDs alone.
+
+    They do when the canonical cover has one shared lhs whose closure spans
+    every attribute; with no nontrivial FD the key is every attribute. This
+    is the dispatch point of the linear-time scan, which still has to check
+    the data: a block holding identical rows is not a conflict clique.
+    """
+    mini = minimize(schema)
+    lhss = {fd.lhs for fd in mini.fds}
+    if not lhss:
+        return KeyDecision(schema.attributes)
+    if len(lhss) != 1:
+        return KeyDecision(None, "FDs do not share a single lhs")
+    key = next(iter(lhss))
+    if closure(key, mini) != frozenset(schema.attributes):
+        return KeyDecision(None, "shared lhs is not a key of the relation")
+    return KeyDecision(tuple(schema.sort_attrs(key)))
 
 
 def _fd_key(schema: FdSchema, fd: Fd) -> tuple:

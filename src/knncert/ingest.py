@@ -17,16 +17,19 @@ per-row record is built (see ``dataset.Column``).
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 import re
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .dataset import Column, LabeledDataset, Ordering, TestPoint
 from .errors import InputError
 from .fdschema import FdSchema
-from .hardgen import Sat3R
-from .models import CoddCell, OrSetCell
+
+if TYPE_CHECKING:  # imported where used, so a dataset load never loads them
+    from .hardgen import Sat3R
 
 RESERVED = ("label", "weight", "rank", "uncertain")
 UNIT_WEIGHT = Fraction(1)  # shared by every row without a weight cell
@@ -282,6 +285,8 @@ def ordering_from_ranks(rank_order: Optional[tuple[int, ...]]) -> Ordering:
 
 def parse_cell(text: str):
     """Scalar, or-set ``<a|b|c>``, or interval ``[lo,hi]``."""
+    from .models import CoddCell, OrSetCell
+
     text = text.strip()
     if text.startswith("<") and text.endswith(">"):
         parts = text[1:-1].split("|")
@@ -312,25 +317,57 @@ def load_uncertain_table(path: str) -> tuple[tuple[str, ...], list[tuple]]:
     return attrs, rows
 
 
-def open_for_writing(path: str, **kwargs):
-    """``open(path, "w")``, failing with an InputError instead of OSError."""
+def open_for_writing(path: str, mode: str = "w", **kwargs):
+    """``open(path, mode)``, failing with an InputError instead of OSError."""
     try:
-        return open(path, "w", **kwargs)
+        return open(path, mode, **kwargs)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
+def write_all(texts: dict[str, str]) -> None:
+    """Write each text to its path as is, all or nothing.
+
+    Every path is first opened for appending, which creates it but keeps
+    its contents. When one cannot be opened, the files this call created
+    are removed again and the InputError propagates, so no target is
+    written; otherwise each is rewritten with its text.
+    """
+    created: list[str] = []
+    try:
+        for path in texts:
+            fresh = not os.path.lexists(path)
+            open_for_writing(path, "a").close()
+            if fresh:
+                created.append(path)
+    except InputError:
+        for path in created:
+            os.remove(path)
+        raise
+    for path, text in texts.items():
+        with open_for_writing(path, newline="") as fh:
+            fh.write(text)
+
+
+def dataset_csv(dataset: LabeledDataset) -> str:
+    """The dataset as CSV text: attribute columns, then ``label``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(list(dataset.schema.attributes) + ["label"])
+    for t in dataset.tuples:
+        writer.writerow([format_value(v) for v in t.values] + [t.label])
+    return buf.getvalue()
+
+
 def write_dataset_csv(path: str, dataset: LabeledDataset) -> None:
-    with open_for_writing(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(dataset.schema.attributes) + ["label"])
-        for t in dataset.tuples:
-            writer.writerow([format_value(v) for v in t.values] + [t.label])
+    write_all({path: dataset_csv(dataset)})
 
 
 def load_formula(path: str) -> Sat3R:
     """One clause per line of signed integers; ``c``/``p`` lines are skipped,
     a trailing 0 per line is ignored; variable count is the largest index."""
+    from .hardgen import Sat3R
+
     clauses = []
     try:
         with open(path) as fh:

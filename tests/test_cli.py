@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import knncert
-from knncert import cli
+from knncert import cli, counting
 
 import helpers
 
@@ -256,6 +256,27 @@ def test_unwritable_output_exits_two_with_json_error(tmp_path, capsys, case):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("case", ["gen-hard-out", "gen-hard-point-out"])
+def test_gen_hard_writes_nothing_when_one_output_fails(tmp_path, capsys, case):
+    (tmp_path / "phi.cnf3r").write_text("1 2 0\n1 2 0\n-1 -2 0\n")
+    (tmp_path / "target.json").write_text(json.dumps(HARD_TARGET))
+    argv, path = UNWRITABLE[case]
+    code = cli.main([a.format(dir=tmp_path) for a in argv])
+    assert code == cli.EXIT_INPUT
+    assert path.format(dir=tmp_path) in json.loads(capsys.readouterr().out)["error"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["phi.cnf3r", "target.json"]
+
+
+def test_gen_hard_keeps_an_existing_out_when_point_out_fails(tmp_path, capsys):
+    (tmp_path / "phi.cnf3r").write_text("1 2 0\n1 2 0\n-1 -2 0\n")
+    (tmp_path / "target.json").write_text(json.dumps(HARD_TARGET))
+    (tmp_path / "d.csv").write_text("kept\n")
+    argv, _ = UNWRITABLE["gen-hard-point-out"]
+    assert cli.main([a.format(dir=tmp_path) for a in argv]) == cli.EXIT_INPUT
+    capsys.readouterr()
+    assert (tmp_path / "d.csv").read_text() == "kept\n"
+
+
 def pk_csv(rng, blocks, planted):
     """A keyed table in three-place decimals: ``planted`` label-0 singleton
     blocks next to the origin, then two-tuple blocks with random labels."""
@@ -341,6 +362,22 @@ class TestCount:
             assert code == 0
             assert payload == {"label": label, "count": want, "total_repairs": "4"}
 
+    def test_builds_the_tree_once(self, example_files, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build_tree(*args)
+
+        build_tree = counting.build_tree
+        monkeypatch.setattr(counting, "build_tree", counted)
+        schema, data = example_files
+        code, payload = run(
+            capsys, ["count", "--schema", schema, "--data", data, "--label", "0"] + CERT_ARGS
+        )
+        assert (code, payload["count"], payload["total_repairs"]) == (0, "4", "4")
+        assert len(calls) == 1
+
 
 class TestMinRepairAndForbidden:
     def test_min_repair(self, example_files, capsys):
@@ -424,6 +461,17 @@ class TestCoddAndOrset:
              "--p", "1", "--k", "2"],
         )
         assert code == 0 and payload["robust"] is True
+
+    def test_interval_cell_must_be_csv_quoted(self, tmp_path, capsys):
+        # An interval holds a comma: unquoted, it splits into two cells.
+        argv = ["codd-certify", "--features", "A", "--point", "0", "--p", "1", "--k", "1"]
+        data = tmp_path / "d.csv"
+        data.write_text("A,label\n[1,4],0\n")
+        code, payload = run(capsys, argv + ["--data", str(data)])
+        assert (code, payload) == (2, {"error": "row 0: expected 2 cells, got 3"})
+        data.write_text('A,label\n"[1,4]",0\n')
+        code, payload = run(capsys, argv + ["--data", str(data)])
+        assert code == 0 and payload["certain_label"] == "0"
 
     def test_codd_witness_reports_completions(self, tmp_path, capsys):
         # Completing the interval near 0 makes label 0 the nearest neighbor,

@@ -1,10 +1,13 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import knncert as kc
-from knncert import InputError
-from knncert.fdschema import Fd
+from knncert import InputError, NotPrimaryKeyError, fastscan
+from knncert.fdschema import Fd, decide_primary_key
 
 import helpers
 
@@ -93,6 +96,47 @@ class TestDecideLhsChain:
                 kc.decide_lhs_chain(s).is_chain_equivalent
                 == kc.decide_lhs_chain(kc.minimize(s)).is_chain_equivalent
             )
+
+
+@st.composite
+def fd_schemas(draw):
+    """Any FD set over up to four attributes, trivial FDs included."""
+    attrs = helpers.ATTR_POOL[:draw(st.integers(1, 4))]
+    lhs = st.sets(st.sampled_from(attrs), max_size=len(attrs))
+    rhs = st.sets(st.sampled_from(attrs), min_size=1, max_size=len(attrs))
+    fds = draw(st.lists(st.tuples(lhs, rhs), max_size=4))
+    return kc.FdSchema.of(attrs, fds)
+
+
+def single_key(s):
+    """The K with FDs equivalent to K -> every attribute, by brute force
+    over closures (K is every attribute when no FD is nontrivial), or None."""
+    every = frozenset(s.attributes)
+    subsets = [frozenset(c) for r in range(s.arity + 1) for c in itertools.combinations(s.attributes, r)]
+    for key in subsets:
+        if all(kc.closure(x, s) == (every if key <= x else x) for x in subsets):
+            return tuple(s.sort_attrs(key))
+    return None
+
+
+class TestDecidePrimaryKey:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(fd_schemas())
+    @example(schema("ABC", [("A", "B"), ("AB", "C")]))  # key implied through minimization
+    @example(schema("AB", [("AB", "A")]))  # trivial FDs only: every attribute is the key
+    @example(schema("AB", [("A", "B"), ("B", "A")]))  # two candidate keys
+    @example(schema("ABC", [("A", "B")]))  # the lhs is not a key
+    @example(schema("AB", [("", "AB")]))  # the empty key: one block
+    def test_accepts_exactly_what_as_keyed_accepts(self, s):
+        # Distinct rows, so as_keyed's data-level check never refuses.
+        rows = [((i,) * s.arity, "0") for i in range(3)]
+        ds = kc.make_dataset(s, rows, features=s.attributes[:1])
+        decision = decide_primary_key(s)
+        try:
+            assert fastscan.as_keyed(ds).key == decision.key
+        except NotPrimaryKeyError as exc:
+            assert decision.key is None and str(exc) == decision.reason
+        assert decision.key == single_key(s)
 
 
 def _closure_function_equal(a, b):

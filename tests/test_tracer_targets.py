@@ -4,11 +4,18 @@
 with ``getattr`` and ``perfbench/run.py`` measures the tree that
 ``build_tree`` returns for a loaded table, so a refactor that renames one of
 those functions or changes ``build_tree``'s record-based signature breaks
-``perfbench/run.py --trace 1``. The tracer's file is read, not imported.
+``perfbench/run.py --trace 1``. The tracer also reads every traced module
+from ``sys.modules`` right after ``import knncert.cli``, so the CLI must
+still import each of them at the top. The tracer's file is read, not
+imported.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import knncert as kc
@@ -33,6 +40,18 @@ def test_every_traced_name_is_a_function():
     for name in names:
         module, function = name.split(".")
         assert callable(getattr(importlib.import_module(f"knncert.{module}"), function)), name
+
+
+def test_importing_the_cli_loads_every_traced_module():
+    modules = sorted({f"knncert.{name.split('.')[0]}" for name in traced_names()})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kc.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = "import json, sys, knncert.cli; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert [m for m in modules if m not in loaded] == []
 
 
 def test_build_tree_takes_records_and_returns_nodes_with_children():
