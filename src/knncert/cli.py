@@ -174,7 +174,7 @@ def _cmd_codd(args) -> int:
     for cells, _ in rows:
         if any(isinstance(c, models.OrSetCell) for c in cells):
             raise InputError("or-set cells are not allowed in codd-certify input")
-    keyed, roles = models.codd_extremal_instance(attrs, rows, point, args.p, features)
+    keyed, roles = models.codd_extremal_instance(attrs, rows, point, features)
     ordering = order_by_distance(keyed.dataset, point, args.p)
     result = fastscan.certify_pk(keyed, ordering, args.k)
     payload = _result_json(result, keyed.dataset, ordering, args.k)
@@ -266,17 +266,16 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _add_instance_flags(sub, point: bool = True) -> None:
+def _add_instance_flags(sub) -> None:
     sub.add_argument("--schema", default=None, help="schema JSON file")
     sub.add_argument("--data", required=True, help="dataset CSV file")
-    if point:
-        sub.add_argument("--features", default="", help="comma-separated feature attributes")
-        sub.add_argument("--point", default=None, help="comma-separated test point coordinates")
-        group = sub.add_mutually_exclusive_group()
-        group.add_argument("--p", type=int, default=2, help="p-norm exponent (default 2)")
-        group.add_argument(
-            "--use-rank", action="store_true", help="take the ordering from the 'rank' column"
-        )
+    sub.add_argument("--features", default="", help="comma-separated feature attributes")
+    sub.add_argument("--point", default=None, help="comma-separated test point coordinates")
+    group = sub.add_mutually_exclusive_group()
+    group.add_argument("--p", type=int, default=2, help="p-norm exponent (default 2)")
+    group.add_argument(
+        "--use-rank", action="store_true", help="take the ordering from the 'rank' column"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,7 +4,8 @@ A ``LabeledDataset`` keeps one ``Column`` per attribute plus each row's
 label and weight. A numeric column holds ints over one scale for the whole
 column, so equal values hold equal ints: keys, FD lookups and the
 identical-row check compare those ints directly, and ranking reads them
-without building a ``Fraction`` per cell. ``tuples`` rebuilds one
+without building a ``Fraction`` per cell. ``make_dataset`` and
+``ingest.load_dataset`` build the columns; ``tuples`` rebuilds one
 ``TupleRec`` per row on first use, for the paths that walk rows.
 
 Everything distance-related uses the exact surrogate sum(|dx|^p): it is
@@ -104,16 +105,15 @@ class Column:
         return [_rational(v, scale) for v in self.data]
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class LabeledDataset:
     """Labeled tuples, one column per attribute, plus the feature
     attributes used for distance. Tuple ids are dense row indices 0..n-1;
     ``row_labels`` and ``weights`` hold each row's label and weight, and
     ``labels`` is the label alphabet in sorted order, so a label's index
-    is its code.
-
-    ``LabeledDataset(schema, tuples, labels, features)`` builds the columns
-    from ``TupleRec``s; ``from_columns`` takes them ready-made.
+    is its code. The constructor checks the columns' shape, the alphabet
+    and the features; ``make_dataset`` and ``ingest`` check the weights.
+    Datasets compare and hash by identity.
     """
 
     schema: FdSchema
@@ -123,56 +123,18 @@ class LabeledDataset:
     labels: tuple[str, ...]
     features: tuple[str, ...]
 
-    def __init__(
-        self,
-        schema: FdSchema,
-        tuples: Sequence[TupleRec],
-        labels: Sequence[str],
-        features: Sequence[str],
-    ) -> None:
-        for i, t in enumerate(tuples):
-            if t.id != i:
-                raise InputError("tuple ids must be dense row indices 0..n-1")
-            if len(t.values) != schema.arity:
-                raise InputError(f"tuple {i}: arity mismatch")
-        columns = tuple(Column.of([t.values[j] for t in tuples]) for j in range(schema.arity))
-        row_labels = tuple(t.label for t in tuples)
-        weights = tuple(t.weight for t in tuples)
-        self._fill(schema, columns, row_labels, weights, tuple(labels), tuple(features))
-
-    @classmethod
-    def from_columns(
-        cls,
-        schema: FdSchema,
-        columns: tuple[Column, ...],
-        row_labels: tuple[str, ...],
-        weights: tuple[Fraction, ...],
-        labels: tuple[str, ...],
-        features: tuple[str, ...],
-    ) -> "LabeledDataset":
-        """A dataset over ready-made columns; weights must be positive."""
-        dataset = cls.__new__(cls)
-        dataset._fill(schema, columns, row_labels, weights, labels, features)
-        return dataset
-
-    def _fill(self, schema, columns, row_labels, weights, labels, features) -> None:
-        for name, value in zip(
-            ("schema", "columns", "row_labels", "weights", "labels", "features"),
-            (schema, columns, row_labels, weights, labels, features),
-        ):
-            object.__setattr__(self, name, value)
-        n = len(row_labels)
-        if len(columns) != schema.arity:
+    def __post_init__(self) -> None:
+        n = len(self.row_labels)
+        if len(self.columns) != self.schema.arity:
             raise InputError("one column per schema attribute is required")
-        if len(weights) != n or any(len(c) != n for c in columns):
+        if len(self.weights) != n or any(len(c) != n for c in self.columns):
             raise InputError("columns, labels and weights must have one entry per row")
-        if list(labels) != sorted(set(labels)):
+        if list(self.labels) != sorted(set(self.labels)):
             raise InputError("label alphabet must be sorted and distinct")
-        observed = set(row_labels)
-        if not observed <= set(labels):
-            raise InputError(f"labels outside alphabet: {sorted(observed - set(labels))}")
-        for f in features:
-            schema.index(f)
+        if outside := set(self.row_labels) - set(self.labels):
+            raise InputError(f"labels outside alphabet: {sorted(outside)}")
+        for f in self.features:
+            self.schema.index(f)
 
     @property
     def size(self) -> int:
@@ -208,14 +170,22 @@ def make_dataset(
     features: Iterable[str],
     labels: Optional[Iterable[str]] = None,
 ) -> LabeledDataset:
-    """Build a dataset from (values, label) or (values, label, weight) rows."""
-    tuples = []
+    """Build a dataset from (values, label) or (values, label, weight) rows,
+    checking every row's weight before any row's arity."""
+    values, row_labels, weights = [], [], []
     for i, row in enumerate(rows):
-        values, label = row[0], str(row[1])
-        weight = Fraction(row[2]) if len(row) > 2 else Fraction(1)
-        tuples.append(TupleRec(i, tuple(values), label, weight))
-    alphabet = tuple(sorted(set(labels) if labels is not None else {t.label for t in tuples}))
-    return LabeledDataset(schema, tuple(tuples), alphabet, tuple(features))
+        row_labels.append(str(row[1]))
+        weights.append(Fraction(row[2]) if len(row) > 2 else Fraction(1))
+        values.append(tuple(row[0]))
+        if weights[-1] <= 0:
+            raise InputError(f"tuple {i}: weight must be positive")
+    alphabet = tuple(sorted(set(labels) if labels is not None else set(row_labels)))
+    for i, v in enumerate(values):
+        if len(v) != schema.arity:
+            raise InputError(f"tuple {i}: arity mismatch")
+    columns = tuple(Column.of([v[j] for v in values]) for j in range(schema.arity))
+    return LabeledDataset(schema, columns, tuple(row_labels), tuple(weights), alphabet,
+                          tuple(features))
 
 
 @dataclass(frozen=True)
@@ -223,7 +193,6 @@ class Ordering:
     """A strict order of all tuple ids, nearest first."""
 
     ranked: tuple[int, ...]
-    source: str = "explicit"
 
     def __post_init__(self) -> None:
         if sorted(self.ranked) != list(range(len(self.ranked))):
@@ -317,7 +286,7 @@ def order_by_distance(dataset: LabeledDataset, x: TestPoint, p: int) -> Ordering
             dist = [d + abs(v - at) ** p for d, v in zip(dist, col.data)]
         else:
             dist = [d + abs(v * factor - at) ** p for d, v in zip(dist, col.data)]
-    return Ordering(tuple(sorted(range(n), key=dist.__getitem__)), source=f"p-norm({p})")
+    return Ordering(tuple(sorted(range(n), key=dist.__getitem__)))
 
 
 @lru_cache(maxsize=None)

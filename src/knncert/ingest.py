@@ -260,7 +260,7 @@ def load_dataset(
     if batch:
         _feed(builders, batch)
 
-    dataset = LabeledDataset.from_columns(
+    dataset = LabeledDataset(
         schema,
         tuple(b.column() for b, _ in builders),
         tuple(row_labels),
@@ -280,7 +280,7 @@ def load_dataset(
 def ordering_from_ranks(rank_order: Optional[tuple[int, ...]]) -> Ordering:
     if rank_order is None:
         raise InputError("explicit-order mode needs a 'rank' column")
-    return Ordering(rank_order, source="explicit")
+    return Ordering(rank_order)
 
 
 def parse_cell(text: str):

@@ -183,8 +183,9 @@ class CoddCell:
             raise InputError("interval low must not exceed high")
 
 
-def _completion_pair(cells, x: TestPoint, p: int, attributes, features):
-    """Nearest and farthest completions of one row, per coordinate."""
+def _completion_pair(cells, x: TestPoint, attributes, features):
+    """Nearest and farthest completions of one row, per coordinate: the
+    same for every p."""
     feature_pos = {a: i for i, a in enumerate(features)}
     nearest = []
     farthest = []
@@ -209,7 +210,6 @@ def codd_extremal_instance(
     attributes: Sequence[str],
     rows: Sequence[tuple],
     x: TestPoint,
-    p: int,
     features: Sequence[str],
 ) -> tuple[KeyedDataset, tuple]:
     """Build the two-completions-per-row instance keyed on a fresh id.
@@ -226,7 +226,7 @@ def codd_extremal_instance(
         cells, label = row[0], row[1]
         if len(cells) != len(attributes):
             raise InputError(f"row {row_index}: arity mismatch")
-        nearest, farthest = _completion_pair(cells, x, p, attributes, features)
+        nearest, farthest = _completion_pair(cells, x, attributes, features)
         if nearest == farthest:
             out_rows.append((nearest + (row_index,), label))
             roles.append((row_index, "only"))
@@ -253,6 +253,6 @@ def codd_certify(
     extremal instance is certified with the primary-key scan and the verdict
     transfers to the original infinite world set.
     """
-    keyed, _ = codd_extremal_instance(attributes, rows, x, p, features)
+    keyed, _ = codd_extremal_instance(attributes, rows, x, features)
     ordering = order_by_distance(keyed.dataset, x, p)
     return certify_pk(keyed, ordering, k)

@@ -11,7 +11,7 @@ against these results; caps are hard errors, never silent truncation.
 from __future__ import annotations
 
 import itertools
-import os
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -21,14 +21,6 @@ from .dataset import LabeledDataset, Ordering, PredictOutcome, conflicts, predic
 from .errors import CapExceededError, InputError
 
 DEFAULT_CAP = 20
-
-
-def _cap() -> int:
-    raw = os.environ.get("KNNCERT_ORACLE_CAP", str(DEFAULT_CAP))
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"KNNCERT_ORACLE_CAP must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -54,7 +46,7 @@ def enumerate_repairs(
 ) -> RepairSet:
     """Every maximal consistent subset of ``ids`` (default: the whole instance)."""
     ids = list(dataset.ids()) if ids is None else sorted(ids)
-    cap = _cap() if cap is None else cap
+    cap = DEFAULT_CAP if cap is None else cap
     if len(ids) > cap:
         raise CapExceededError(f"enumeration over {len(ids)} tuples exceeds cap {cap}")
     if not ids:
@@ -75,7 +67,7 @@ def enumerate_repairs(
             found.append(r)
             return
         pivot_pool = p | x
-        pivot = max(_bits(pivot_pool), key=lambda v: _popcount(compat[v] & p))
+        pivot = max(_bits(pivot_pool), key=lambda v: (compat[v] & p).bit_count())
         for v in _bits(p & ~compat[pivot]):
             bron_kerbosch(r | (1 << v), p & compat[v], x & compat[v])
             p &= ~(1 << v)
@@ -91,10 +83,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
 
 
 def brute_certify(
@@ -161,7 +149,7 @@ def enumerate_qset_worlds(
     uncertain = sorted(set(uncertain))
     if budget < 0 or budget > len(uncertain):
         raise InputError("budget must lie in 0..|uncertain|")
-    total = sum(_choose(len(uncertain), j) for j in range(budget + 1))
+    total = sum(math.comb(len(uncertain), j) for j in range(budget + 1))
     if total > cap:
         raise CapExceededError(f"{total} worlds exceed cap {cap}")
     all_ids = set(dataset.ids())
@@ -170,10 +158,3 @@ def enumerate_qset_worlds(
         for removed in itertools.combinations(uncertain, j):
             worlds.append(tuple(sorted(all_ids - set(removed))))
     return worlds
-
-
-def _choose(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out

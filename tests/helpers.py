@@ -46,7 +46,7 @@ def keyed_sixteen():
     schema = kc.FdSchema.of(("K", "V"), [(["K"], ["V"])])
     rows = [((FIG3_BLOCKS[i], i + 1), FIG3_LABELS[i]) for i in range(16)]
     ds = kc.make_dataset(schema, rows, features=())
-    return ds, kc.Ordering(tuple(range(16)), source="explicit")
+    return ds, kc.Ordering(tuple(range(16)))
 
 
 def random_chain_schema(rng, d, allow_consensus=True):
@@ -84,7 +84,7 @@ def _random_ordering(rng, ds):
     if rng.random() < 0.5:
         ranked = list(ds.ids())
         rng.shuffle(ranked)
-        return kc.Ordering(tuple(ranked), source="explicit")
+        return kc.Ordering(tuple(ranked))
     p = rng.choice((1, 2))
     x = kc.TestPoint(tuple(rng.randint(0, 3) for _ in ds.features))
     return kc.order_by_distance(ds, x, p)

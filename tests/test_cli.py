@@ -497,6 +497,32 @@ class TestCoddAndOrset:
         assert code == 0
         assert payload["expanded_tuples"] == 4
 
+    def test_orset_expansion_over_cap_exits_four(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("A,label\n<1|7>,0\n2,0\n9,1\n")
+        code, payload = run(
+            capsys,
+            ["orset-certify", "--data", str(data), "--features", "A", "--point", "0",
+             "--k", "1", "--cap", "3"],
+        )
+        assert (code, payload) == (cli.EXIT_CAP, {"error": "or-set expansion exceeds cap 3"})
+
+    @pytest.mark.parametrize(
+        "command, cell, error",
+        [
+            ("codd-certify", "<1|7>", "or-set cells are not allowed in codd-certify input"),
+            ("orset-certify", '"[1,7]"', "interval cells are not allowed in orset-certify input"),
+        ],
+    )
+    def test_cells_of_the_other_model_exit_two(self, tmp_path, capsys, command, cell, error):
+        data = tmp_path / "d.csv"
+        data.write_text(f"A,label\n{cell},0\n2,1\n")
+        code, payload = run(
+            capsys,
+            [command, "--data", str(data), "--features", "A", "--point", "0", "--k", "1"],
+        )
+        assert (code, payload) == (cli.EXIT_INPUT, {"error": error})
+
 
 class TestGenHard:
     def test_generate_then_certify_roundtrip(self, tmp_path, capsys):
@@ -536,14 +562,21 @@ class TestGenHard:
 
 
 class TestOracleCommands:
-    def test_malformed_cap_variable_exits_two(self, example_files, capsys, monkeypatch):
+    def test_default_cap_is_twenty_whatever_the_environment(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # The cap comes from --cap or the default, never from the environment.
         monkeypatch.setenv("KNNCERT_ORACLE_CAP", "abc")
-        schema, data = example_files
-        code, payload = run(
-            capsys, ["oracle", "certify", "--schema", schema, "--data", data] + CERT_ARGS
-        )
-        assert code == cli.EXIT_INPUT
-        assert payload == {"error": "KNNCERT_ORACLE_CAP must be an integer, got 'abc'"}
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"attributes": ["A"], "fds": []}))
+        data = tmp_path / "data.csv"
+        data.write_text("A,label\n" + "".join(f"{i},0\n" for i in range(21)))
+        argv = ["oracle", "certify", "--schema", str(schema), "--data", str(data),
+                "--features", "A", "--point", "0", "--k", "1"]
+        code, payload = run(capsys, argv)
+        assert code == cli.EXIT_CAP
+        assert payload == {"error": "enumeration over 21 tuples exceeds cap 20"}
+        code, payload = run(capsys, argv + ["--cap", "21"])
+        assert code == cli.EXIT_OK and payload["repairs"] == 1
 
     def test_cap_exceeded_exit_four(self, example_files, capsys):
         schema, data = example_files

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import knncert as kc
 from knncert import InputError, oracle
+from knncert.dataset import Column
 
 import helpers
 
@@ -33,11 +34,76 @@ class TestColumns:
 
     def test_constructor_rebuilds_the_same_columns(self, example1):
         ds, _, _ = example1
-        again = kc.LabeledDataset(ds.schema, ds.tuples, ds.labels, ds.features)
+        rows = [(t.values, t.label, t.weight) for t in ds.tuples]
+        again = kc.make_dataset(ds.schema, rows, ds.features, ds.labels)
         assert [(list(c.data), c.scale) for c in again.columns] == [
             (list(c.data), c.scale) for c in ds.columns
         ]
         assert again.tuples == ds.tuples
+
+
+class TestMakeDatasetRefusals:
+    SCHEMA = kc.FdSchema.of(("A", "B"), [])
+
+    @pytest.mark.parametrize("weight", [0, -1, Fraction(-1, 2)])
+    def test_weight_must_be_positive(self, weight):
+        rows = [((1, 2), "0"), ((3, 4), "1", weight)]
+        with pytest.raises(InputError, match="^tuple 1: weight must be positive$"):
+            kc.make_dataset(self.SCHEMA, rows, ("A",))
+
+    @pytest.mark.parametrize("values", [(1,), (1, 2, 3), ()])
+    def test_arity_mismatch(self, values):
+        rows = [((1, 2), "0"), (values, "1")]
+        with pytest.raises(InputError, match="^tuple 1: arity mismatch$"):
+            kc.make_dataset(self.SCHEMA, rows, ("A",))
+
+    def test_every_weight_is_checked_before_any_arity(self):
+        rows = [((1,), "0"), ((3, 4), "1", 0)]
+        with pytest.raises(InputError, match="^tuple 1: weight must be positive$"):
+            kc.make_dataset(self.SCHEMA, rows, ("A",))
+
+
+class TestConstructor:
+    SCHEMA = kc.FdSchema.of(("A", "B"), [])
+
+    def build(self, **change):
+        fields = dict(
+            schema=self.SCHEMA,
+            columns=(Column.of([1, 2]), Column.of(["x", "y"])),
+            row_labels=("0", "1"),
+            weights=(Fraction(1), Fraction(2)),
+            labels=("0", "1"),
+            features=("A",),
+        )
+        fields.update(change)
+        return kc.LabeledDataset(**fields)
+
+    def test_well_formed(self):
+        ds = self.build()
+        assert ds.size == 2 and ds.tuples[1].values == (2, "y")
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"columns": (Column.of([1, 2]),)}, "one column per schema attribute is required"),
+            ({"columns": (Column.of([1, 2]), Column.of(["x"]))},
+             "columns, labels and weights must have one entry per row"),
+            ({"weights": (Fraction(1),)},
+             "columns, labels and weights must have one entry per row"),
+            ({"labels": ("1", "0")}, "label alphabet must be sorted and distinct"),
+            ({"labels": ("0", "0", "1")}, "label alphabet must be sorted and distinct"),
+            ({"labels": ("0",)}, "labels outside alphabet: ['1']"),
+            ({"features": ("C",)}, "unknown attribute: 'C'"),
+        ],
+    )
+    def test_refusal(self, change, message):
+        with pytest.raises(InputError) as info:
+            self.build(**change)
+        assert str(info.value) == message
+
+    def test_compares_by_identity(self):
+        a, b = self.build(), self.build()
+        assert a != b and a == a and len({a, b}) == 2
 
 
 class TestDistance:
@@ -243,7 +309,7 @@ class TestGreedyRepair:
 
     def test_empty(self):
         schema = kc.FdSchema.of(("A",), [])
-        ds = kc.LabeledDataset(schema, (), (), ("A",))
+        ds = kc.make_dataset(schema, [], ("A",))
         assert kc.greedy_repair(ds, kc.Ordering(())) == ()
 
     def test_output_is_maximal_consistent(self):

@@ -195,7 +195,6 @@ class TestCoddCells:
         near, far = models._completion_pair(
             (models.CoddCell(Fraction(2), Fraction(5)),),
             kc.TestPoint((0,)),
-            1,
             ("A",),
             ("A",),
         )
@@ -205,7 +204,6 @@ class TestCoddCells:
         near, far = models._completion_pair(
             (models.CoddCell(Fraction(-3), Fraction(2)),),
             kc.TestPoint((0,)),
-            1,
             ("A",),
             ("A",),
         )
@@ -216,7 +214,6 @@ class TestCoddCells:
         near, far = models._completion_pair(
             (models.CoddCell(Fraction(-2), Fraction(2)),),
             kc.TestPoint((0,)),
-            2,
             ("A",),
             ("A",),
         )
@@ -235,7 +232,7 @@ class TestCoddCells:
             xi = Fraction(rng.randint(-4, 4))
             p = rng.choice((1, 2))
             near, far = models._completion_pair(
-                (cell,), kc.TestPoint((xi,)), p, ("A",), ("A",)
+                (cell,), kc.TestPoint((xi,)), ("A",), ("A",)
             )
             lo_d = abs(xi - near[0]) ** p
             hi_d = abs(xi - far[0]) ** p
@@ -289,3 +286,29 @@ class TestCoddCertify:
                 outcomes.add(kc.predict(world, world.ids(), w_ord, k))
             want = len(outcomes) == 1 and next(iter(outcomes)).kind == "label"
             assert got.robust == want
+
+
+EXPANDERS = {
+    "orset": lambda attrs, rows: models.orset_expand(attrs, rows, ("A",)),
+    "codd": lambda attrs, rows: models.codd_extremal_instance(
+        attrs, rows, kc.TestPoint((0,)), ("A",)
+    ),
+}
+
+
+class TestExpansionRefusals:
+    @pytest.mark.parametrize("model", sorted(EXPANDERS))
+    def test_id_attribute_already_present(self, model):
+        with pytest.raises(InputError, match="^attribute 'id' already present$"):
+            EXPANDERS[model](("A", "id"), [((1, 2), "0")])
+
+    @pytest.mark.parametrize("model", sorted(EXPANDERS))
+    def test_row_arity_mismatch(self, model):
+        with pytest.raises(InputError, match="^row 0: arity mismatch$"):
+            EXPANDERS[model](("A", "B"), [((1,), "0"), ((1, 2), "0")])
+
+    def test_orset_expansion_over_cap(self):
+        rows = [((models.OrSetCell((1, 2)),), "0"), ((models.OrSetCell((3, 4)),), "1")]
+        assert models.orset_expand(("A",), rows, ("A",), cap=4).dataset.size == 4
+        with pytest.raises(kc.CapExceededError, match="^or-set expansion exceeds cap 3$"):
+            models.orset_expand(("A",), rows, ("A",), cap=3)

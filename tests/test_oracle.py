@@ -146,7 +146,7 @@ class TestBruteCount:
         schema = kc.FdSchema.of(("A", "B"), [(["A"], ["B"])])
         rows = [((1, 1), "0"), ((1, 2), "1"), ((2, 1), "1"), ((2, 2), "0")]
         ds = kc.make_dataset(schema, rows, features=("B",))
-        ordering = kc.Ordering((0, 1, 2, 3), source="explicit")
+        ordering = kc.Ordering((0, 1, 2, 3))
         total = len(oracle.enumerate_repairs(ds).repairs)
         counted = sum(oracle.brute_count(ds, ordering, 2, lab) for lab in ds.labels)
         assert total == 4 and counted < total

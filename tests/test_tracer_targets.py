@@ -61,3 +61,12 @@ def test_build_tree_takes_records_and_returns_nodes_with_children():
     tree = decompose.build_tree(ds.tuples, list(ds.ids()), list(schema.fds), schema)
     assert len(tree.children) == 2
     assert all(hasattr(child, "children") for child in tree.children)
+
+
+def test_build_tree_callers_bind_it_by_name():
+    # The tracer wraps build_tree only where another module binds it, so a
+    # caller that reached it through ``decompose`` would go untraced.
+    from knncert import certify_dp, counting, minrepair
+
+    for module in (certify_dp, counting, minrepair):
+        assert vars(module)["build_tree"] is decompose.build_tree, module.__name__
