@@ -8,7 +8,6 @@ from .dataset import (
     Ordering,
     PredictOutcome,
     TestPoint,
-    TupleRec,
     conflicts,
     greedy_repair,
     knn_predict,
@@ -46,7 +45,6 @@ __all__ = [
     "Ordering",
     "PredictOutcome",
     "TestPoint",
-    "TupleRec",
     "closure",
     "conflicts",
     "decide_lhs_chain",

@@ -253,12 +253,12 @@ def _cmd_oracle(args) -> int:
     if args.oracle_cmd == "certify":
         result = oracle.brute_certify(dataset, ordering, args.k, cap=args.cap)
         payload = _result_json(result, dataset, ordering, args.k)
-        payload["repairs"] = len(oracle.enumerate_repairs(dataset, cap=args.cap).repairs)
+        payload["repairs"] = len(oracle.enumerate_repairs(dataset, cap=args.cap))
         _emit(payload)
         return EXIT_OK if result.robust else EXIT_NOT_ROBUST
     if args.oracle_cmd == "count":
         count = oracle.brute_count(dataset, ordering, args.k, args.label, cap=args.cap)
-        total = len(oracle.enumerate_repairs(dataset, cap=args.cap).repairs)
+        total = len(oracle.enumerate_repairs(dataset, cap=args.cap))
         _emit({"label": args.label, "count": str(count), "total_repairs": str(total)})
         return EXIT_OK
     repair, weight = oracle.brute_min_repair(dataset, cap=args.cap)

@@ -5,13 +5,14 @@ label and weight. A numeric column holds ints over one scale for the whole
 column, so equal values hold equal ints: keys, FD lookups and the
 identical-row check compare those ints directly, and ranking reads them
 without building a ``Fraction`` per cell. ``make_dataset`` and
-``ingest.load_dataset`` build the columns; ``tuples`` rebuilds one
-``TupleRec`` per row on first use, for the paths that walk rows.
+``ingest.load_dataset`` build the columns; ``tuples`` rebuilds each row as
+a plain tuple of its values on first use, for the paths that walk rows.
+Row i's label and weight are ``row_labels[i]`` and ``weights[i]``.
 
 Everything distance-related uses the exact surrogate sum(|dx|^p): it is
 order-equivalent to the p-norm (the 1/p root is never taken), so orderings
 and tie-breaks are reproducible bit for bit. ``surrogate_distance`` states
-it in rational arithmetic for one tuple. ``order_by_distance`` ranks a whole
+it in rational arithmetic for one row. ``order_by_distance`` ranks a whole
 dataset in exact Python integers instead: it scales every coordinate by the
 common denominator of all of them, which multiplies each distance by the
 same positive constant and so leaves the order unchanged.
@@ -33,20 +34,6 @@ from .fdschema import FdSchema
 # Domain values: exact numbers for feature attributes, anything hashable
 # (symbols, composite pairs) elsewhere.
 Value = object
-
-
-@dataclass(frozen=True)
-class TupleRec:
-    """One training point: values, a label, and a positive weight."""
-
-    id: int
-    values: tuple
-    label: str
-    weight: Fraction = Fraction(1)
-
-    def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise InputError(f"tuple {self.id}: weight must be positive")
 
 
 @dataclass(frozen=True)
@@ -145,13 +132,10 @@ class LabeledDataset:
         return tuple(self.schema.index(f) for f in self.features)
 
     @cached_property
-    def tuples(self) -> tuple[TupleRec, ...]:
-        """One ``TupleRec`` per row, built from the columns on first use."""
-        rows = zip(*[c.values() for c in self.columns]) if self.columns else itertools.repeat(())
-        return tuple(
-            TupleRec(i, values, label, weight)
-            for i, (values, label, weight) in enumerate(zip(rows, self.row_labels, self.weights))
-        )
+    def tuples(self) -> tuple[tuple, ...]:
+        """Each row's values as a plain tuple, built from the columns on
+        first use."""
+        return tuple(zip(*[c.values() for c in self.columns]))
 
     def row_cells(self, indices: Sequence[int]) -> Iterator[tuple]:
         """Per row, the ``data`` entries of the columns at ``indices``: two
@@ -179,7 +163,7 @@ def make_dataset(
         values.append(tuple(row[0]))
         if weights[-1] <= 0:
             raise InputError(f"tuple {i}: weight must be positive")
-    alphabet = tuple(sorted(set(labels) if labels is not None else set(row_labels)))
+    alphabet = tuple(sorted(set(row_labels) if labels is None else {str(lab) for lab in labels}))
     for i, v in enumerate(values):
         if len(v) != schema.arity:
             raise InputError(f"tuple {i}: arity mismatch")
@@ -235,15 +219,16 @@ def _non_numeric(v) -> bool:
     return not isinstance(v, (int, Fraction))
 
 
-def surrogate_distance(x: TestPoint, t: TupleRec, p: int, feature_indices: Sequence[int]):
-    """Exact monotone surrogate of the p-norm distance: sum(|dx|^p)."""
+def surrogate_distance(x: TestPoint, dataset: LabeledDataset, tid: int, p: int):
+    """Exact monotone surrogate of the p-norm distance from ``x`` to row
+    ``tid``: sum(|dx|^p)."""
     if not isinstance(p, int) or p < 1:
         raise InputError("p must be an integer >= 1")
     total = Fraction(0)
-    for coord, idx in zip(x.coords, feature_indices):
-        v = t.values[idx]
+    for coord, idx in zip(x.coords, dataset.feature_indices):
+        v = dataset.columns[idx].value(tid)
         if _non_numeric(v) or _non_numeric(coord):
-            raise InputError(f"non-numeric feature value in tuple {t.id}")
+            raise InputError(f"non-numeric feature value in tuple {tid}")
         total += abs(coord - v) ** p
     return total
 
@@ -300,11 +285,10 @@ def _fd_index_pairs(schema: FdSchema) -> tuple[tuple[tuple[int, ...], tuple[int,
     )
 
 
-def conflicts(t: TupleRec, u: TupleRec, schema: FdSchema) -> bool:
-    """True iff some FD has t, u agreeing on its lhs but not on its rhs."""
-    tv, uv = t.values, u.values
+def conflicts(t: tuple, u: tuple, schema: FdSchema) -> bool:
+    """True iff some FD has rows t, u agreeing on its lhs but not on its rhs."""
     for lhs_idx, rhs_idx in _fd_index_pairs(schema):
-        if all(tv[i] == uv[i] for i in lhs_idx) and any(tv[i] != uv[i] for i in rhs_idx):
+        if all(t[i] == u[i] for i in lhs_idx) and any(t[i] != u[i] for i in rhs_idx):
             return True
     return False
 

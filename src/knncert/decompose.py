@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence, Union
 
-from .dataset import TupleRec
 from .errors import NotChainError
 from .fdschema import Fd, FdSchema, _chain_steps
 
@@ -50,12 +49,13 @@ Node = Union[Leaf, ConsensusNode, CommonNode]
 
 
 def build_tree(
-    tuples: Sequence[TupleRec],
+    tuples: Sequence[tuple],
     ids: Sequence[int],
     fds: Sequence[Fd],
     schema: FdSchema,
 ) -> Node:
-    """Build the partition tree for ``ids`` under ``fds``.
+    """Build the partition tree for ``ids`` under ``fds``; ``tuples[tid]``
+    is row tid's values, as in ``LabeledDataset.tuples``.
 
     The simplification steps of ``fdschema.decide_lhs_chain`` run once:
     depth d splits on the d-th consensus or common-lhs step's attribute,
@@ -79,7 +79,7 @@ def _grow(tuples, ids, splits, depth) -> Node:
     node, attr, idx = splits[depth]
     parts: dict[object, list[int]] = {}
     for tid in ids:
-        parts.setdefault(tuples[tid].values[idx], []).append(tid)
+        parts.setdefault(tuples[tid][idx], []).append(tid)
     return node(attr, tuple(_grow(tuples, part, splits, depth + 1) for part in parts.values()))
 
 

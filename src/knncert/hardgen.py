@@ -236,10 +236,7 @@ def lift_to_k(inst: HardInstance, k: int) -> HardInstance:
         raise InputError("lift expects binary labels 0/1")
     d = ds.schema.arity
     p = inst.p
-    idx = ds.feature_indices
-    nearest = min(
-        surrogate_distance(inst.test_point, t, p, idx) for t in ds.tuples
-    )
+    nearest = min(surrogate_distance(inst.test_point, ds, tid, p) for tid in ds.ids())
     if nearest <= 0:
         raise InputError("test point must not coincide with a tuple")
 
@@ -247,7 +244,7 @@ def lift_to_k(inst: HardInstance, k: int) -> HardInstance:
     while lam**p * nearest < d * k**p:
         lam += 1
 
-    rows = [(tuple(v * lam for v in t.values), t.label) for t in ds.tuples]
+    rows = [(tuple(v * lam for v in t), label) for t, label in zip(ds.tuples, ds.row_labels)]
     for j in range(1, k):
         rows.append(((j,) * d, "0" if j % 2 == 1 else "1"))
     lifted = make_dataset(ds.schema, rows, features=ds.schema.attributes, labels=("0", "1"))

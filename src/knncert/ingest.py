@@ -354,8 +354,8 @@ def dataset_csv(dataset: LabeledDataset) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(list(dataset.schema.attributes) + ["label"])
-    for t in dataset.tuples:
-        writer.writerow([format_value(v) for v in t.values] + [t.label])
+    for t, label in zip(dataset.tuples, dataset.row_labels):
+        writer.writerow([format_value(v) for v in t] + [label])
     return buf.getvalue()
 
 

@@ -1,6 +1,6 @@
 """Minimum-weight repairs for lhs-chain schemas, and their two applications:
 forbidden-set repair queries via a 0/1 weighting, and 1-NN certification
-reduced to a sequence of forbidden-set queries.
+reduced to a sequence of forbidden-set queries on one decomposition tree.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .certresult import CertResult, challenge
-from .dataset import LabeledDataset, Ordering, conflicts, greedy_repair
+from .dataset import LabeledDataset, Ordering, greedy_repair
 from .decompose import ConsensusNode, Leaf, Node, build_tree
 from .errors import InputError
 
@@ -24,9 +24,9 @@ def min_rep(
     Follows the decomposition tree: leaves keep everything, a common lhs
     attribute unions per-value minima, a consensus attribute takes the
     cheapest value. Ties break toward the lexicographically smallest id
-    set. Weights may be zero (the forbidden-repair reduction relies on it);
-    they default to the tuples' own weights. Raises NotChainError when the
-    schema has no lhs-chain equivalent.
+    set. Weights may be zero or negative (the forbidden-repair and 1-NN
+    reductions rely on it); they default to the tuples' own weights. Raises
+    NotChainError when the schema has no lhs-chain equivalent.
     """
     ids = list(dataset.ids()) if ids is None else sorted(ids)
     if weights is None:
@@ -71,34 +71,31 @@ def forbidden_repair(
 
 
 def certify_1nn_via_forbidden(dataset: LabeledDataset, ordering: Ordering) -> CertResult:
-    """Certify 1-NN robustness through forbidden-set queries.
+    """Certify 1-NN robustness through forbidden-set queries on one tree.
 
     The nearest tuple's label is always possible. Any other label ell2 is
     possible iff some ell2-labeled tuple t admits a repair that contains t
-    but avoids everything closer: drop t and its conflict partners, then
-    ask for a repair avoiding the remaining closer tuples.
+    but avoids everything closer: weight 1 on every closer tuple, -1 on t
+    and 0 elsewhere, such a repair exists iff the minimum weight is
+    negative, and that minimum-weight repair is the witness.
     """
+    tree = build_tree(dataset.tuples, list(dataset.ids()), list(dataset.schema.fds), dataset.schema)
     return challenge(
         dataset, ordering, 1, greedy_repair(dataset, ordering),
-        lambda ell2, ell1: _nearest_first(dataset, ordering, ell2),
+        lambda ell2, ell1: _nearest_first(dataset, ordering, tree, ell2),
     )
 
 
-def _nearest_first(dataset: LabeledDataset, ordering: Ordering, ell2: str):
+def _nearest_first(dataset: LabeledDataset, ordering: Ordering, tree: Node, ell2: str):
     """A repair whose nearest tuple is labeled ``ell2``, or None."""
-    schema = dataset.schema
+    weights = [0] * dataset.size
     for position, tid in enumerate(ordering.ranked):
-        t = dataset.tuples[tid]
-        if t.label != ell2:
-            continue
-        pool = [
-            u
-            for u in dataset.ids()
-            if u != tid and not conflicts(dataset.tuples[u], t, schema)
-        ]
-        closer = set(ordering.ranked[:position])
-        avoiding = forbidden_repair(dataset, closer & set(pool), ids=pool)
-        if avoiding is not None:
-            assert closer.isdisjoint(avoiding), "1-NN witness keeps a closer tuple"
-            return tuple(sorted(avoiding + (tid,)))
+        if dataset.row_labels[tid] == ell2:
+            weights[tid] = -1
+            repair, weight = _min_rep(tree, weights)
+            if weight < 0:
+                closer = ordering.ranked[:position]
+                assert set(closer).isdisjoint(repair), "1-NN witness keeps a closer tuple"
+                return repair
+        weights[tid] = 1
     return None

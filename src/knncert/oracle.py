@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -21,13 +20,6 @@ from .dataset import LabeledDataset, Ordering, PredictOutcome, conflicts, predic
 from .errors import CapExceededError, InputError
 
 DEFAULT_CAP = 20
-
-
-@dataclass(frozen=True)
-class RepairSet:
-    """All repairs of an instance, canonically ordered."""
-
-    repairs: tuple[tuple[int, ...], ...]
 
 
 def _conflict_masks(dataset: LabeledDataset, ids: Sequence[int]) -> dict[int, int]:
@@ -43,14 +35,15 @@ def enumerate_repairs(
     dataset: LabeledDataset,
     ids: Optional[Sequence[int]] = None,
     cap: Optional[int] = None,
-) -> RepairSet:
-    """Every maximal consistent subset of ``ids`` (default: the whole instance)."""
+) -> tuple[tuple[int, ...], ...]:
+    """Every maximal consistent subset of ``ids`` (default: the whole
+    instance), in sorted order."""
     ids = list(dataset.ids()) if ids is None else sorted(ids)
     cap = DEFAULT_CAP if cap is None else cap
     if len(ids) > cap:
         raise CapExceededError(f"enumeration over {len(ids)} tuples exceeds cap {cap}")
     if not ids:
-        return RepairSet(((),))
+        return ((),)
 
     conflict = _conflict_masks(dataset, ids)
     # Maximal cliques of the compatibility graph = maximal independent sets
@@ -74,8 +67,7 @@ def enumerate_repairs(
             x |= 1 << v
 
     bron_kerbosch(0, universe, 0)
-    repairs = sorted(tuple(_bits(mask)) for mask in found)
-    return RepairSet(tuple(repairs))
+    return tuple(sorted(tuple(_bits(mask)) for mask in found))
 
 
 def _bits(mask: int):
@@ -93,7 +85,7 @@ def brute_certify(
     cap: Optional[int] = None,
 ) -> CertResult:
     """Evaluate the classifier on every repair and compare outcomes."""
-    repairs = enumerate_repairs(dataset, cap=cap).repairs
+    repairs = enumerate_repairs(dataset, cap=cap)
     outcomes = [predict(dataset, r, ordering, k, weighted=weighted) for r in repairs]
     possible = tuple(sorted({o.label for o in outcomes if o.kind == "label"}))
     first = outcomes[0]
@@ -117,7 +109,7 @@ def brute_count(
     """Number of repairs whose prediction is exactly ``label``."""
     if label not in dataset.labels:
         raise InputError(f"unknown label {label!r}")
-    repairs = enumerate_repairs(dataset, cap=cap).repairs
+    repairs = enumerate_repairs(dataset, cap=cap)
     want = PredictOutcome.of_label(label)
     return sum(1 for r in repairs if predict(dataset, r, ordering, k) == want)
 
@@ -131,7 +123,7 @@ def brute_min_repair(
     if weights is None:
         weights = dataset.weights
     best = None
-    for r in enumerate_repairs(dataset, cap=cap).repairs:
+    for r in enumerate_repairs(dataset, cap=cap):
         total = sum((weights[t] for t in r), Fraction(0))
         key = (total, r)
         if best is None or key < best:

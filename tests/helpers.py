@@ -144,14 +144,14 @@ def brute_max_diff(ds, ordering, label, ref_label, tau, k, weighted=False):
     """Independent oracle for the certification table: classify every repair
     by its prefix size and take per-size maxima of the label difference
     (of label weights when ``weighted``)."""
-    weight = [t.weight if weighted else 1 for t in ds.tuples]
+    weight = ds.weights if weighted else [1] * ds.size
     rows = [None] * (k + 1)
-    for repair in oracle.enumerate_repairs(ds).repairs:
+    for repair in oracle.enumerate_repairs(ds):
         prefix = [t for t in repair if ordering.rank_of[t] <= tau]
         if len(prefix) > k:
             continue
-        diff = sum(weight[t] for t in prefix if ds.tuples[t].label == label) - sum(
-            weight[t] for t in prefix if ds.tuples[t].label == ref_label
+        diff = sum(weight[t] for t in prefix if ds.row_labels[t] == label) - sum(
+            weight[t] for t in prefix if ds.row_labels[t] == ref_label
         )
         i = len(prefix)
         if rows[i] is None or diff > rows[i]:
@@ -169,7 +169,7 @@ def repair_problems(ds, repair, ids=None):
     kept = set(repair)
     if len(kept) != len(repair) or not kept <= set(ids):
         return ["repair repeats ids or holds ids outside the instance"]
-    values = [t.values for t in ds.tuples]
+    values = ds.tuples
     slots = [
         ([ds.schema.index(a) for a in fd.lhs], [ds.schema.index(a) for a in fd.rhs])
         for fd in ds.schema.fds

@@ -25,7 +25,7 @@ def test_criterion_1_example_reproduction():
     t0 = time.perf_counter()
     ds, _, ordering = helpers.example_inconsistent()
     res = certify_dp.certify(ds, ordering, 3)
-    repairs = oracle.enumerate_repairs(ds).repairs
+    repairs = oracle.enumerate_repairs(ds)
     counts = {lab: counting.count_label(ds, ordering, 3, lab) for lab in ("0", "1", "2")}
     elapsed = time.perf_counter() - t0
     ok = (
@@ -110,12 +110,12 @@ def test_criterion_4_min_repair():
         got_repair, got_weight = minrepair.min_rep(ds)
         _, want_weight = oracle.brute_min_repair(ds)
         assert got_weight == want_weight
-        assert got_repair in oracle.enumerate_repairs(ds).repairs
+        assert got_repair in oracle.enumerate_repairs(ds)
         if ds.size:
             forbidden = frozenset(rng.sample(list(ds.ids()), rng.randint(0, ds.size)))
             got = minrepair.forbidden_repair(ds, forbidden)
             avoiding = [
-                r for r in oracle.enumerate_repairs(ds).repairs if not forbidden & set(r)
+                r for r in oracle.enumerate_repairs(ds) if not forbidden & set(r)
             ]
             assert (got is not None) == bool(avoiding)
         checked += 1

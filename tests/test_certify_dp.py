@@ -66,8 +66,8 @@ class TestMaxLabelDiff:
             k = rng.choice((1, 2, 3))
             tau = rng.randint(1, ds.size)
             blocks: dict = {}
-            for t in ds.tuples:
-                blocks.setdefault(t.values[0], []).append(t.id)
+            for tid, t in enumerate(ds.tuples):
+                blocks.setdefault(t[0], []).append(tid)
             parts = [
                 max_label_diff(ds, ids, ell, ell1, tau, k, ordering) for ids in blocks.values()
             ]
@@ -201,7 +201,7 @@ class TestCertify:
                 assert kc.predict(ds, ids, ordering, k) == outcome
             if not res.robust and len(res.witnesses) == 2:
                 repair = res.witnesses[1][0]
-                assert repair in oracle.enumerate_repairs(ds).repairs
+                assert repair in oracle.enumerate_repairs(ds)
 
     def check_sweep_and_traceback(self, rng, weighted):
         # At every tau the sweep's root row must equal the brute-force table,
@@ -218,8 +218,8 @@ class TestCertify:
             k = rng.choice((2, 3))
             tree = build_tree(ds.tuples, list(ds.ids()), list(ds.schema.fds), ds.schema)
             sweep = Sweep(tree, ds.size, _row_ops(ds, ell, ell1, k, weighted))
-            repairs = set(oracle.enumerate_repairs(ds).repairs)
-            weight = [t.weight if weighted else 1 for t in ds.tuples]
+            repairs = set(oracle.enumerate_repairs(ds))
+            weight = ds.weights if weighted else [1] * ds.size
             for tau, tid in enumerate(ordering.ranked, start=1):
                 sweep.admit(tid)
                 row = sweep.root
@@ -232,8 +232,8 @@ class TestCertify:
                     prefix = [t for t in repair if ordering.rank_of[t] <= tau]
                     assert len(prefix) == i
                     diff = sum(
-                        weight[t] for t in prefix if ds.tuples[t].label == ell
-                    ) - sum(weight[t] for t in prefix if ds.tuples[t].label == ell1)
+                        weight[t] for t in prefix if ds.row_labels[t] == ell
+                    ) - sum(weight[t] for t in prefix if ds.row_labels[t] == ell1)
                     assert diff == value
 
     def test_traceback_attains_every_finite_entry(self):

@@ -18,13 +18,13 @@ def count_table(ds, ids, label, tau, k, ordering):
 def classify_repairs(ds, ordering, label, tau, k):
     """The cells the count table should hold, by classifying every repair."""
     want: dict = {}
-    for repair in oracle.enumerate_repairs(ds).repairs:
+    for repair in oracle.enumerate_repairs(ds):
         prefix = [t for t in repair if ordering.rank_of[t] <= tau]
         if len(prefix) > k:
             continue
-        mine = sum(1 for t in prefix if ds.tuples[t].label == label)
+        mine = sum(1 for t in prefix if ds.row_labels[t] == label)
         vec = tuple(
-            sum(1 for t in prefix if ds.tuples[t].label == other) - mine
+            sum(1 for t in prefix if ds.row_labels[t] == other) - mine
             for other in counting._others(ds, label)
         )
         cell = (len(prefix), vec)
@@ -73,12 +73,12 @@ class TestCountTable:
             ds, ordering = helpers.random_keyed_instance(rng, n_max=12)
             label = rng.choice(ds.labels)
             tau = rng.randint(1, ds.size)
-            block = [t.id for t in ds.tuples if t.values[0] == ds.tuples[0].values[0]]
+            block = [tid for tid, t in enumerate(ds.tuples) if t[0] == ds.tuples[0][0]]
             table = count_table(ds, block, label, tau, 2, ordering)
             want: dict = {}
             for t in block:
                 inside = int(ordering.rank_of[t] <= tau)
-                lab = ds.tuples[t].label
+                lab = ds.row_labels[t]
                 vec = tuple(
                     inside * ((lab == other) - (lab == label))
                     for other in counting._others(ds, label)
@@ -116,7 +116,7 @@ class TestCountLabel:
         for _ in range(40):
             ds, ordering = helpers.random_chain_instance(rng, n_max=9)
             k = rng.choice((1, 2, 3))
-            repairs = oracle.enumerate_repairs(ds).repairs
+            repairs = oracle.enumerate_repairs(ds)
             ties = sum(
                 1
                 for r in repairs

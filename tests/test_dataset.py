@@ -28,18 +28,24 @@ class TestColumns:
             ([4, 3], 4), ([1, 4], 2), (["x", 5], None)
         ]
         assert ds.row_labels == ("0", "1") and ds.weights == (2, 1)
-        values = [t.values for t in ds.tuples]
+        values = list(ds.tuples)
         assert values == [(1, Fraction(1, 2), "x"), (Fraction(3, 4), 2, 5)]
         assert [type(v) for v in values[0]] == [int, Fraction, str]
 
     def test_constructor_rebuilds_the_same_columns(self, example1):
         ds, _, _ = example1
-        rows = [(t.values, t.label, t.weight) for t in ds.tuples]
+        rows = list(zip(ds.tuples, ds.row_labels, ds.weights))
         again = kc.make_dataset(ds.schema, rows, ds.features, ds.labels)
         assert [(list(c.data), c.scale) for c in again.columns] == [
             (list(c.data), c.scale) for c in ds.columns
         ]
         assert again.tuples == ds.tuples
+        assert again.row_labels == ds.row_labels and again.weights == ds.weights
+
+    def test_given_alphabet_is_read_as_strings(self):
+        schema = kc.FdSchema.of(("A",), [])
+        ds = kc.make_dataset(schema, [((1,), 0), ((2,), 1)], ("A",), labels=[0, 1])
+        assert ds.labels == ("0", "1") and ds.row_labels == ("0", "1")
 
 
 class TestMakeDatasetRefusals:
@@ -80,7 +86,7 @@ class TestConstructor:
 
     def test_well_formed(self):
         ds = self.build()
-        assert ds.size == 2 and ds.tuples[1].values == (2, "y")
+        assert ds.size == 2 and ds.tuples[1] == (2, "y")
 
     @pytest.mark.parametrize(
         "change, message",
@@ -110,27 +116,27 @@ class TestDistance:
     def test_l1_unit(self):
         ds = simple_dataset([(1, 0)], ["0"], features=("A", "B"))
         x = kc.TestPoint((0, 0))
-        assert kc.surrogate_distance(x, ds.tuples[0], 1, ds.feature_indices) == 1
+        assert kc.surrogate_distance(x, ds, 0, 1) == 1
 
     def test_l2_three_four_five(self):
         ds = simple_dataset([(3, 4)], ["0"], features=("A", "B"))
         x = kc.TestPoint((0, 0))
-        assert kc.surrogate_distance(x, ds.tuples[0], 2, ds.feature_indices) == 25
+        assert kc.surrogate_distance(x, ds, 0, 2) == 25
 
     def test_example_distances(self, example1):
         ds, x, _ = example1
-        got = [kc.surrogate_distance(x, t, 1, ds.feature_indices) for t in ds.tuples]
+        got = [kc.surrogate_distance(x, ds, t, 1) for t in ds.ids()]
         assert got == [1, 3, 2, 7, 4, 6]
 
     def test_rejects_symbolic_feature(self):
         ds = simple_dataset([("a",)], ["0"])
         with pytest.raises(InputError):
-            kc.surrogate_distance(kc.TestPoint((0,)), ds.tuples[0], 1, ds.feature_indices)
+            kc.surrogate_distance(kc.TestPoint((0,)), ds, 0, 1)
 
     def test_rejects_bad_p(self):
         ds = simple_dataset([(1,)], ["0"])
         with pytest.raises(InputError):
-            kc.surrogate_distance(kc.TestPoint((0,)), ds.tuples[0], 0, ds.feature_indices)
+            kc.surrogate_distance(kc.TestPoint((0,)), ds, 0, 0)
 
 
 class TestOrdering:
@@ -206,7 +212,7 @@ def rational_order(ds, x, p):
     """The reference ranking: exact Fraction distances, ties by id."""
 
     def key(i):
-        return kc.surrogate_distance(x, ds.tuples[i], p, ds.feature_indices), i
+        return kc.surrogate_distance(x, ds, i, p), i
 
     return tuple(sorted(ds.ids(), key=key))
 
@@ -331,4 +337,4 @@ class TestGreedyRepair:
         for _ in range(30):
             ds, ordering = helpers.random_chain_instance(rng, n_max=9)
             repair = kc.greedy_repair(ds, ordering)
-            assert repair in oracle.enumerate_repairs(ds).repairs
+            assert repair in oracle.enumerate_repairs(ds)

@@ -71,7 +71,7 @@ class TestTreeFollowsTheChainSteps:
             tree = build_tree(ds.tuples, ids, fds, schema)
 
             def value(tid, attr):
-                return ds.tuples[tid].values[schema.index(attr)]
+                return ds.tuples[tid][schema.index(attr)]
 
             # Every root-to-leaf path splits on the steps' attributes, in
             # order and with the steps' node kinds; its leaf's ids agree on

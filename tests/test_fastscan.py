@@ -86,7 +86,7 @@ class TestPrune:
             assert set(blocks) == set(range(keyed.num_blocks))
             for positions in blocks.values():
                 special = [
-                    p for p in positions if ds.tuples[kept[p]].label in (ell1, ell2)
+                    p for p in positions if ds.row_labels[kept[p]] in (ell1, ell2)
                 ]
                 assert len(special) <= 1
                 if special:
@@ -106,10 +106,10 @@ class TestPrune:
             kept = fastscan.prune(keyed, ell2, ell1, ordering)
 
             def catches(ids_pool):
-                for repair in oracle.enumerate_repairs(ds, ids=ids_pool).repairs:
+                for repair in oracle.enumerate_repairs(ds, ids=ids_pool):
                     nbhd = [t for t in ordering.ranked if t in set(repair)][: min(k, len(repair))]
-                    c2 = sum(1 for t in nbhd if ds.tuples[t].label == ell2)
-                    c1 = sum(1 for t in nbhd if ds.tuples[t].label == ell1)
+                    c2 = sum(1 for t in nbhd if ds.row_labels[t] == ell2)
+                    c1 = sum(1 for t in nbhd if ds.row_labels[t] == ell1)
                     if c2 >= c1:
                         return True
                 return False
@@ -205,7 +205,7 @@ class TestArrayPath:
             )
             lab_code = {lab: i for i, lab in enumerate(ds.labels)}
             labels = np.fromiter(
-                (lab_code[ds.tuples[t].label] for t in ordering.ranked), np.int64, ds.size
+                (lab_code[ds.row_labels[t]] for t in ordering.ranked), np.int64, ds.size
             )
             verdict = fastscan.certify_pk_arrays(keys, labels, k)
             want = fastscan.certify_pk(ds, ordering, k)

@@ -174,7 +174,7 @@ class TestNumericEmbed:
         assert "shared" in reduced.slots
         inst = hardgen.numeric_embed(reduced, p=2)
         col = reduced.slots.index("shared")
-        assert all(t.values[col] == 0 for t in inst.dataset.tuples)
+        assert all(t[col] == 0 for t in inst.dataset.tuples)
         assert inst.embedding[hardgen.SHARED] == 0
 
     def test_separation_invariant(self):
@@ -186,11 +186,11 @@ class TestNumericEmbed:
                 p=2,
             )
             m, n = len(phi.clauses), phi.num_vars
-            for t in inst.dataset.tuples:
-                if t.label == "0":
-                    assert max(t.values) <= 2 * m + 8 * n
+            for t, label in zip(inst.dataset.tuples, inst.dataset.row_labels):
+                if label == "0":
+                    assert max(t) <= 2 * m + 8 * n
                 else:
-                    assert max(t.values) > inst.alpha
+                    assert max(t) > inst.alpha
 
     def test_numeric_instance_keeps_the_conflict_graph(self):
         # Stage three must not create or destroy conflicts either.
@@ -213,7 +213,7 @@ class TestNumericEmbed:
             hardgen.factwise_reduce(hardgen.gadget_graph(PHI), hardgen.default_target()), p=2
         )
         ordering = kc.order_by_distance(inst.dataset, inst.test_point, 2)
-        labels = [inst.dataset.tuples[t].label for t in ordering.ranked]
+        labels = [inst.dataset.row_labels[t] for t in ordering.ranked]
         boundary = labels.index("1")
         assert all(lab == "0" for lab in labels[:boundary])
         assert all(lab == "1" for lab in labels[boundary:])
@@ -238,12 +238,9 @@ class TestEndToEnd:
             inst = hardgen.generate(phi, hardgen.default_target(), k=k, p=2)
             ds = inst.dataset
             pad = list(range(ds.size - (k - 1), ds.size))
-            idx = ds.feature_indices
-            pad_far = max(
-                kc.surrogate_distance(inst.test_point, ds.tuples[t], 2, idx) for t in pad
-            )
+            pad_far = max(kc.surrogate_distance(inst.test_point, ds, t, 2) for t in pad)
             rest_near = min(
-                kc.surrogate_distance(inst.test_point, ds.tuples[t], 2, idx)
+                kc.surrogate_distance(inst.test_point, ds, t, 2)
                 for t in range(ds.size - (k - 1))
             )
             assert pad_far < rest_near

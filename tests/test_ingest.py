@@ -96,10 +96,10 @@ class TestDatasetCsv:
     def test_fractional_values_and_weights(self, tmp_path):
         path = self.write(tmp_path, "A,label,weight\n1/2,0,2\n3.5,1,1/4\n")
         ds, ranks, uncertain = ingest.load_dataset(path, None, ["A"])
-        assert ds.tuples[0].values == (Fraction(1, 2),)
-        assert ds.tuples[1].values == (Fraction(7, 2),)
-        assert ds.tuples[0].weight == 2
-        assert ds.tuples[1].weight == Fraction(1, 4)
+        assert ds.tuples[0] == (Fraction(1, 2),)
+        assert ds.tuples[1] == (Fraction(7, 2),)
+        assert ds.weights[0] == 2
+        assert ds.weights[1] == Fraction(1, 4)
         assert ranks is None and uncertain is None
 
     def test_rank_column(self, tmp_path):
@@ -136,8 +136,8 @@ class TestDatasetCsv:
         path = tmp_path / "out.csv"
         ingest.write_dataset_csv(str(path), ds)
         loaded, _, _ = ingest.load_dataset(str(path), schema, ["A"])
-        assert [t.values for t in loaded.tuples] == [t.values for t in ds.tuples]
-        assert [t.label for t in loaded.tuples] == ["0", "1"]
+        assert list(loaded.tuples) == list(ds.tuples)
+        assert list(loaded.row_labels) == ["0", "1"]
 
 
 def write_columns(path, columns, header=None):
@@ -197,7 +197,7 @@ class TestColumnarIngest:
         ds, _, _ = ingest.load_dataset(path, None, [])
         for j, column in enumerate(columns):
             for i, text in enumerate(column):
-                got, want = ds.tuples[i].values[j], ingest.parse_scalar(text)
+                got, want = ds.tuples[i][j], ingest.parse_scalar(text)
                 assert type(got) is type(want) and got == want, (i, j, text)
 
     @pytest.mark.parametrize(
@@ -213,7 +213,7 @@ class TestColumnarIngest:
         assert type(got) is type(want) and got == want
         path = write_columns(tmp_path / "d.csv", [["1.5", text]])
         ds, _, _ = ingest.load_dataset(path, None, [])
-        assert ds.tuples[1].values == (want,) and type(ds.tuples[1].values[0]) is type(want)
+        assert ds.tuples[1] == (want,) and type(ds.tuples[1][0]) is type(want)
 
     def test_columns_span_batches(self, tmp_path):
         rows = 2 * ingest._BATCH_ROWS + 5
@@ -225,7 +225,7 @@ class TestColumnarIngest:
         ds, _, _ = ingest.load_dataset(path, None, [])
         assert ds.size == rows and ds.columns[0].scale == 10**5
         for j, column in enumerate([plain, mixed]):
-            got = [t.values[j] for t in ds.tuples]
+            got = [t[j] for t in ds.tuples]
             want = [ingest.parse_scalar(text) for text in column]
             assert got == want and [type(v) for v in got] == [type(v) for v in want]
 
@@ -234,13 +234,13 @@ class TestColumnarIngest:
         ds, _, _ = ingest.load_dataset(path, None, [])
         (column,) = ds.columns
         assert column.scale == 1000 and list(column.data) == [1500, -2000, 125, 3100]
-        assert ds.tuples[3].values == (Fraction(31, 10),)
+        assert ds.tuples[3] == (Fraction(31, 10),)
 
     def test_symbol_after_decimals_keeps_values(self, tmp_path):
         path = write_columns(tmp_path / "d.csv", [["1.50", "2", "abc", "1/4"]])
         ds, _, _ = ingest.load_dataset(path, None, [])
         assert ds.columns[0].scale is None
-        assert [t.values[0] for t in ds.tuples] == [Fraction(3, 2), 2, "abc", Fraction(1, 4)]
+        assert [t[0] for t in ds.tuples] == [Fraction(3, 2), 2, "abc", Fraction(1, 4)]
 
     def test_equal_values_in_any_form_share_a_block(self, tmp_path):
         schema = kc.FdSchema.of(("K", "V"), [(["K"], ["V"])])

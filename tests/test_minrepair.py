@@ -29,7 +29,7 @@ class TestMinRep:
             got_repair, got_weight = minrepair.min_rep(ds)
             want_repair, want_weight = oracle.brute_min_repair(ds)
             assert got_weight == want_weight
-            assert got_repair in oracle.enumerate_repairs(ds).repairs
+            assert got_repair in oracle.enumerate_repairs(ds)
 
     def test_zero_weights_allowed(self):
         schema = kc.FdSchema.of(("A", "B"), [(["A"], ["B"])])
@@ -48,7 +48,7 @@ class TestForbiddenRepair:
     def test_empty_forbidden_always_exists(self, example1):
         ds, _, _ = example1
         repair = minrepair.forbidden_repair(ds, ())
-        assert repair in oracle.enumerate_repairs(ds).repairs
+        assert repair in oracle.enumerate_repairs(ds)
 
     def test_whole_consistent_instance_impossible(self):
         schema = kc.FdSchema.of(("A",), [])
@@ -70,14 +70,14 @@ class TestForbiddenRepair:
             got = minrepair.forbidden_repair(ds, forbidden)
             avoiding = [
                 r
-                for r in oracle.enumerate_repairs(ds).repairs
+                for r in oracle.enumerate_repairs(ds)
                 if not forbidden & set(r)
             ]
             if got is None:
                 assert not avoiding
             else:
                 assert not forbidden & set(got)
-                assert got in oracle.enumerate_repairs(ds).repairs
+                assert got in oracle.enumerate_repairs(ds)
 
 
 class TestCertify1nn:
@@ -99,7 +99,8 @@ class TestCertify1nn:
         # The greedy repair predicts the incumbent, so it can never be a witness.
         ds, _, ordering = example1
         monkeypatch.setattr(
-            minrepair, "_nearest_first", lambda ds, ordering, ell2: kc.greedy_repair(ds, ordering)
+            minrepair, "_nearest_first",
+            lambda ds, ordering, tree, ell2: kc.greedy_repair(ds, ordering),
         )
         with pytest.raises(AssertionError, match="still predicts '0'"):
             minrepair.certify_1nn_via_forbidden(ds, ordering)
@@ -108,7 +109,9 @@ class TestCertify1nn:
         # The nearest tuple carries the incumbent label, so it is closer than
         # every challenger's tuple and no 1-NN witness may keep it.
         ds, _, ordering = example1
-        monkeypatch.setattr(minrepair, "forbidden_repair", lambda *a, **kw: ordering.ranked[:1])
+        monkeypatch.setattr(
+            minrepair, "_min_rep", lambda tree, weights: (ordering.ranked[:1], Fraction(-1))
+        )
         with pytest.raises(AssertionError, match="closer tuple"):
             minrepair.certify_1nn_via_forbidden(ds, ordering)
 

@@ -112,7 +112,7 @@ class TestOrsetExpand:
             features=("A", "B"),
         )
         assert keyed.dataset.size == 2
-        values = {t.values for t in keyed.dataset.tuples}
+        values = set(keyed.dataset.tuples)
         assert values == {(2, 7, 0), (5, 7, 0)}
 
     def test_plain_rows_stay_single(self):

@@ -2,8 +2,9 @@
 
 ``perfbench/tracing.py`` looks up every ``SPANNED`` and ``COUNTED`` name
 with ``getattr`` and ``perfbench/run.py`` measures the tree that
-``build_tree`` returns for a loaded table, so a refactor that renames one of
-those functions or changes ``build_tree``'s record-based signature breaks
+``build_tree(ds.tuples, ids, fds, schema)`` returns for a table loaded with
+``ingest.load_dataset``, so a refactor that renames one of those functions,
+changes that signature or drops the ``tuples`` view breaks
 ``perfbench/run.py --trace 1``. The tracer also reads every traced module
 from ``sys.modules`` right after ``import knncert.cli``, so the CLI must
 still import each of them at the top. The tracer's file is read, not
@@ -19,7 +20,7 @@ import sys
 from pathlib import Path
 
 import knncert as kc
-from knncert import decompose
+from knncert import decompose, ingest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -54,13 +55,27 @@ def test_importing_the_cli_loads_every_traced_module():
     assert [m for m in modules if m not in loaded] == []
 
 
-def test_build_tree_takes_records_and_returns_nodes_with_children():
-    schema = kc.FdSchema.of(("A", "B", "C"), [(["A"], ["B"]), (["A", "B"], ["C"])])
-    rows = [((1, 1, 1), "0"), ((1, 2, 1), "1"), ((2, 1, 1), "0")]
-    ds = kc.make_dataset(schema, rows, features=("A",))
+def test_build_tree_takes_the_tuples_view_and_returns_nodes_with_children(tmp_path):
+    schema_path, csv_path = tmp_path / "schema.json", tmp_path / "d.csv"
+    schema_path.write_text(json.dumps({
+        "attributes": ["A", "B", "C", "D"],
+        "fds": [{"lhs": ["A"], "rhs": ["B"]}, {"lhs": ["A", "B"], "rhs": ["C"]}],
+    }))
+    csv_path.write_text("A,B,C,D,label\n1,1,1.5,x,0\n1,2,2,y,1\n2,1,1,x,0\n")
+    schema = ingest.load_schema(str(schema_path))
+    ds, _, _ = ingest.load_dataset(str(csv_path), schema, ["A"])
+    assert all(ds.tuples[i] == tuple(c.value(i) for c in ds.columns) for i in ds.ids())
     tree = decompose.build_tree(ds.tuples, list(ds.ids()), list(schema.fds), schema)
+
+    def walk(node):
+        yield node
+        for child in getattr(node, "children", ()):
+            yield from walk(child)
+
     assert len(tree.children) == 2
     assert all(hasattr(child, "children") for child in tree.children)
+    leaves = [node for node in walk(tree) if not getattr(node, "children", ())]
+    assert sorted(t for leaf in leaves for t in leaf.ids) == [0, 1, 2]
 
 
 def test_build_tree_callers_bind_it_by_name():
