@@ -179,7 +179,7 @@ class Ordering:
     ranked: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if sorted(self.ranked) != list(range(len(self.ranked))):
+        if set(self.ranked) != set(range(len(self.ranked))):
             raise InputError("ordering must be a permutation of 0..n-1")
 
     @cached_property

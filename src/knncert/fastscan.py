@@ -15,13 +15,15 @@ Everything runs on integer code arrays in rank order: a block code per
 tuple, numbered by first appearance, and a label code that indexes the
 sorted label alphabet. The key comes from the FDs alone
 (``fdschema.decide_primary_key``, which the CLI asks before it sends a
-call here); ``as_keyed`` only reads the block codes and the identical-row
-check off the dataset's columns (fixed-point ints for numeric cells), and
-the label codes come from its row labels, so no per-row record is built. ``certify_pk`` puts both in rank order once per
-call and hands them to ``certify_pk_arrays``, the core that bulk workloads call directly:
-the greedy repair is the first tuple of each block, its vote names the
-incumbent, and one prune and scan per challenger, in alphabetical order,
-looks for a repair that ties or beats it. Ids become Python objects only
+call here). ``as_keyed`` factorises the key cells into block codes and
+finds identical rows with one ``np.lexsort`` over the block codes and the
+other columns' int64 codes (the fixed-point ints themselves for numeric
+columns), and the label codes come from the row labels, so no per-row
+record is built. ``certify_pk`` puts both in rank order once per call and
+hands them to ``certify_pk_arrays``, the core that bulk workloads call
+directly: the greedy repair is the first tuple of each block, its vote
+names the incumbent, and one prune and scan per challenger, in alphabetical
+order, looks for a repair that ties or beats it. Ids become Python objects only
 for the witness, which ``certresult.refuted`` re-verifies as on every
 other path.
 
@@ -32,7 +34,7 @@ reaches the scan should not pay for numpy.
 
 from __future__ import annotations
 
-from collections import Counter
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -73,7 +75,9 @@ def as_keyed(dataset: LabeledDataset) -> KeyedDataset:
     The schema must be a primary key (``fdschema.decide_primary_key``), and
     blocks must be conflict cliques: same-key tuples with identical values
     would coexist in repairs, which the block model cannot express, so such
-    datasets are refused (the DP path handles them).
+    datasets are refused (the DP path handles them), naming the first such
+    block. A numeric column packed in ``array('q')`` is compared through
+    ``np.frombuffer``, any other through dict codes.
     """
     import numpy as np
 
@@ -84,20 +88,32 @@ def as_keyed(dataset: LabeledDataset) -> KeyedDataset:
     key_attrs = decision.key
     key_idx = tuple(schema.index(a) for a in key_attrs)
 
-    # Dict factorization, not np.unique: key cells may mix str, int and
-    # Fraction, which have no common order.
-    code_of: dict = {}
-    codes = [code_of.setdefault(cells, len(code_of)) for cells in dataset.row_cells(key_idx)]
-    # Identical rows share their key, so any repeated row sits in one block.
-    every = range(schema.arity)
-    if len(set(dataset.row_cells(every))) != dataset.size:
-        multiplicity = Counter(dataset.row_cells(every))
-        first = min(c for c, cells in zip(codes, dataset.row_cells(every)) if multiplicity[cells] > 1)
-        tid = codes.index(first)
-        key = tuple(dataset.columns[i].value(tid) for i in key_idx)
-        raise NotPrimaryKeyError(f"block {key!r} holds identical rows")
-    block_of = np.fromiter(codes, np.int64, len(codes))
-    return KeyedDataset(dataset, key_attrs, block_of, len(code_of))
+    key_cells = (dataset.columns[key_idx[0]].data if len(key_idx) == 1
+                 else list(dataset.row_cells(key_idx)))
+    block_of, num_blocks = _factorise(key_cells)
+    # Identical rows share their key, so there are none unless some block
+    # holds two rows or more; sorted by all codes, they are neighbours.
+    if num_blocks < dataset.size:
+        codes = np.stack([block_of] + [
+            np.frombuffer(c.data, np.int64) if isinstance(c.data, array) else _factorise(c.data)[0]
+            for i, c in enumerate(dataset.columns) if i not in key_idx
+        ])
+        ranked = codes[:, np.lexsort(codes)]
+        same = (ranked[:, 1:] == ranked[:, :-1]).all(axis=0)
+        if same.any():  # name the lowest such block code, at its first row
+            tid = int(np.argmax(block_of == ranked[0, 1:][same].min()))
+            key = tuple(dataset.columns[i].value(tid) for i in key_idx)
+            raise NotPrimaryKeyError(f"block {key!r} holds identical rows")
+    return KeyedDataset(dataset, key_attrs, block_of, num_blocks)
+
+
+def _factorise(cells: Sequence):
+    """Int64 codes of ``cells`` by first appearance, and their number; by a
+    dict, as np.unique cannot order a mix of str, int and Fraction."""
+    import numpy as np
+
+    code_of = {cell: code for code, cell in enumerate(dict.fromkeys(cells))}
+    return np.fromiter(map(code_of.__getitem__, cells), np.int64, len(cells)), len(code_of)
 
 
 def _codes(keyed: KeyedDataset, ordering: Ordering):

@@ -7,11 +7,13 @@ Scalar cells are integers, fractions like ``1/2`` or decimals (parsed
 exactly), anything else is a symbol. Uncertain tables additionally allow
 or-set cells ``<a|b|c>`` and interval cells ``[lo,hi]``.
 
-``load_dataset`` streams rows, checks each in order, and hands the
-attribute cells to one builder per column, a batch of rows at a time:
-plain decimals become fixed-point ints over the column's largest number
-of places, so a column of them never builds a ``Fraction``, and no
-per-row record is built (see ``dataset.Column``).
+``load_dataset`` reads rows in batches and works a column at a time: the
+row checks run over each batch's columns and name the first failing row,
+and one builder per attribute takes the cells, turning plain decimals into
+fixed-point ints over the column's largest number of places (one regex and
+``map(int, ...)`` per batch), so no ``Fraction`` and no per-row record is
+built (see ``dataset.Column``). It stays pure Python: the chain
+subcommands, which never load numpy, share it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import os
 import re
 from fractions import Fraction
+from itertools import chain, islice, takewhile
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .dataset import Column, LabeledDataset, Ordering, TestPoint
@@ -110,9 +113,11 @@ def parse_point(text: str, expected: int) -> TestPoint:
     return TestPoint(tuple(parse_number(p) for p in parts))
 
 
-def _read_rows(path: str) -> Iterator[list[str]]:
-    """Yield the stripped header, then each non-blank row, checked to be as
-    wide as the header. Rows stream, so raw cells never pile up in memory."""
+def _read_batches(path: str) -> Iterator[list]:
+    """Yield the stripped header, then the non-blank rows, each as wide as
+    the header, in lists of up to ``_BATCH_ROWS``. A ragged row or a read
+    error ends its batch early and is raised on the next read, so the
+    caller checks the rows before it first."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -123,11 +128,25 @@ def _read_rows(path: str) -> Iterator[list[str]]:
             if "label" not in header:
                 raise InputError(f"{path}: missing required column 'label'")
             yield header
-            for i, row in enumerate(filter(None, reader)):
-                if len(row) != len(header):
-                    raise InputError(f"row {i}: expected {len(header)} cells, got {len(row)}")
-                yield row
-    except (OSError, csv.Error) as exc:
+            rows, start, failure = filter(None, reader), 0, None
+            while failure is None:
+                batch: list = []
+                try:
+                    batch.extend(islice(rows, _BATCH_ROWS))  # keeps the rows read before a failure
+                except (OSError, csv.Error, UnicodeDecodeError) as exc:
+                    failure = exc
+                if not set(map(len, batch)) <= {len(header)}:
+                    i = next(i for i, row in enumerate(batch) if len(row) != len(header))
+                    failure = InputError(
+                        f"row {start + i}: expected {len(header)} cells, got {len(batch[i])}")
+                    del batch[i:]
+                if batch:
+                    yield batch
+                if len(batch) < _BATCH_ROWS and failure is None:
+                    return
+                start += len(batch)
+            raise failure
+    except (OSError, csv.Error, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
@@ -145,14 +164,15 @@ def _attributes(header: Sequence[str], schema: Optional[FdSchema]) -> tuple[str,
 
 
 class _ColumnBuilder:
-    """One attribute's cells as the rows stream in.
+    """One attribute's cells as the batches stream in.
 
     A plain ASCII decimal ``[+-]d+[.d+]``, padding allowed, is kept as its
-    digit integer, rescaled to the largest number of places seen so far
-    (a cell with more places rescales the ints already kept), so the
-    column ends numeric over 10**places. The first cell of any other form
-    switches the column to ``parse_scalar`` values, and ``Column.of`` makes
-    them numeric over the lcm of their denominators when all are numbers.
+    digit integer over the largest number of places seen so far, so the
+    column ends numeric over 10**places; a batch of unpadded ones with one
+    number of places is read whole (``_plain_run``), any other cell by
+    cell. The first cell of any other form switches the column to
+    ``parse_scalar`` values, skipped for a batch of unpadded symbols, and
+    ``Column.of`` makes them numeric when all are numbers.
     """
 
     __slots__ = ("nums", "places", "values")
@@ -165,26 +185,23 @@ class _ColumnBuilder:
     def extend(self, texts: Sequence[str]) -> None:
         """Take the column's next cells."""
         if self.values is None:
-            nums, top = self.nums, self.places
-            for i, text in enumerate(texts):
-                plain = _plain_decimal(text)
-                if plain is None:
-                    self.nums = []
-                    self.values = Column(nums, 10**top).values()
-                    texts = texts[i:]
-                    break
-                num, places = plain
-                if places > top:
-                    shift = 10 ** (places - top)
-                    nums = [v * shift for v in nums]
-                    top = places
-                elif places < top:
-                    num *= 10 ** (top - places)
-                nums.append(num)
-            else:
-                self.nums, self.places = nums, top
+            run = _plain_run(texts)
+            if run is None:  # cell by cell, up to _plain_decimal's first None
+                plain = list(takewhile(bool, map(_plain_decimal, texts)))
+                top = max([places for _, places in plain], default=0)
+                run = [num * 10 ** (top - places) for num, places in plain], top
+            nums, places = run
+            top = max(places, self.places)
+            if top > self.places:
+                self.nums = [v * 10 ** (top - self.places) for v in self.nums]
+            self.nums += nums if places == top else [v * 10 ** (top - places) for v in nums]
+            self.places = top
+            if len(nums) == len(texts):
                 return
-        self.values.extend(map(parse_scalar, texts))
+            self.values, self.nums = Column(self.nums, 10**top).values(), []
+            texts = texts[len(nums):]
+        symbols = _SYMBOL_RUN.fullmatch("\n".join(texts))
+        self.values.extend(texts if symbols else map(parse_scalar, texts))
 
     def column(self) -> Column:
         if self.values is None:
@@ -192,16 +209,28 @@ class _ColumnBuilder:
         return Column.of(self.values)
 
 
-_BATCH_ROWS = 1024  # rows whose attribute cells go to the builders together
+# Cells joined by line breaks that parse_scalar keeps as they are: unpadded,
+# first character no sign, dot or digit (\s, \d: str.isspace, isdecimal).
+_SYMBOL_RUN = re.compile(r"[^\s\d+\-.](?:.*\S)?(?:\n[^\s\d+\-.](?:.*\S)?)*")
 
 
-def _feed(builders: Sequence[tuple[_ColumnBuilder, int]], rows: list) -> None:
-    """Hand the attribute cells of ``rows`` to the builders column by column,
-    then empty ``rows``."""
-    cells = list(zip(*rows))
-    for builder, j in builders:
-        builder.extend(cells[j])
-    rows.clear()
+def _plain_run(texts: Sequence[str]) -> Optional[tuple[list[int], int]]:
+    """``(digit ints, places)`` when every cell is an unpadded plain ASCII
+    decimal with as many places as the first, each int as ``_plain_decimal``
+    reads it; None otherwise."""
+    places = len(texts[0].partition(".")[2])
+    cell = r"[+-]?[0-9]+" + (rf"\.[0-9]{{{places}}}" if places else "")
+    joined = "\n".join(texts)
+    digits = joined.replace(".", "").split("\n")
+    if len(digits) != len(texts) or not re.fullmatch(rf"{cell}(?:\n{cell})*", joined):
+        return None  # another form, or a cell holding a line break
+    try:
+        return list(map(int, digits)), places
+    except ValueError:  # a digit run longer than int() converts
+        return None
+
+
+_BATCH_ROWS = 1024  # rows read and checked together, column by column
 
 
 def load_dataset(
@@ -214,11 +243,11 @@ def load_dataset(
     ``ranks`` and ``uncertain`` are None when the respective column is
     absent; an all-zero uncertain column is an explicit empty marking, which
     is not the same thing. With ``schema`` None the attributes are taken
-    from the header and the FD set is empty. Rows are checked in order, so
-    an error names the first offending row.
+    from the header and the FD set is empty. Each batch is checked column
+    by column, and an error names the first offending row of the file.
     """
-    raw_rows = _read_rows(path)
-    header = next(raw_rows)
+    batches = _read_batches(path)
+    header = next(batches)
     attrs = _attributes(header, schema)
     schema = schema or FdSchema.of(attrs, [])
     column = {name: j for j, name in enumerate(header)}
@@ -232,33 +261,38 @@ def load_dataset(
     row_labels: list[str] = []
     weights: list[Fraction] = []
     ranks: list[int] = []
-    uncertain = set()
-    batch: list[list[str]] = []
-    for i, row in enumerate(raw_rows):
-        label = row[label_col].strip()
-        if label == "":
-            raise InputError(f"row {i}: empty label")
-        row_labels.append(alphabet.setdefault(label, label))
-        weight = UNIT_WEIGHT
-        if weight_col is not None and row[weight_col].strip() != "":
-            weight = weight_of.get(row[weight_col])
-            if weight is None:
-                weight = weight_of[row[weight_col]] = parse_number(row[weight_col])
-                if weight <= 0:
-                    raise InputError(f"row {i}: weight must be positive")
-        weights.append(weight)
+    uncertain: list[int] = []
+    for batch in batches:
+        start = len(row_labels)
+        cells = list(zip(*batch))
+        faults = []  # (row in batch, check order, message) of each failing check
+        labels = list(map(str.strip, cells[label_col]))
+        if "" in labels:
+            faults.append((labels.index(""), 0, f"row {start + labels.index('')}: empty label"))
+        texts = cells[weight_col] if weight_col is not None else ("",) * len(batch)
+        for text in set(texts).difference(weight_of):
+            try:
+                weight = weight_of[text] = parse_number(text) if text.strip() else UNIT_WEIGHT
+            except InputError as exc:
+                faults.append((texts.index(text), 1, str(exc)))
+                continue
+            if weight <= 0:
+                i = texts.index(text)
+                faults.append((i, 1, f"row {start + i}: weight must be positive"))
         if rank_col is not None:
             try:
-                ranks.append(int(row[rank_col]))
-            except ValueError:
-                raise InputError(f"row {i}: rank must be an integer") from None
-        if uncertain_col is not None and row[uncertain_col].strip() in ("1", "true", "yes"):
-            uncertain.add(i)
-        batch.append(row)
-        if len(batch) == _BATCH_ROWS:
-            _feed(builders, batch)
-    if batch:
-        _feed(builders, batch)
+                ranks.extend(map(int, cells[rank_col]))  # keeps the ranks before a failure
+            except ValueError:  # at the row after the last rank kept
+                faults.append((len(ranks) - start, 2, f"row {len(ranks)}: rank must be an integer"))
+        if faults:
+            raise InputError(min(faults)[2])
+        weights.extend(map(weight_of.__getitem__, texts))
+        row_labels.extend(map(alphabet.setdefault, labels, labels))
+        if uncertain_col is not None:
+            uncertain += [start + i for i, text in enumerate(cells[uncertain_col])
+                          if text.strip() in ("1", "true", "yes")]
+        for builder, j in builders:
+            builder.extend(cells[j])
 
     dataset = LabeledDataset(
         schema,
@@ -301,14 +335,14 @@ def parse_cell(text: str):
 
 def load_uncertain_table(path: str) -> tuple[tuple[str, ...], list[tuple]]:
     """Load rows whose cells may be or-sets or intervals: (attributes, rows)."""
-    raw_rows = _read_rows(path)
-    header = next(raw_rows)
+    batches = _read_batches(path)
+    header = next(batches)
     attrs = tuple(h for h in header if h not in RESERVED)
     column = {name: j for j, name in enumerate(header)}
     attr_cols = [column[a] for a in attrs]
     label_col = column["label"]
     rows = []
-    for i, row in enumerate(raw_rows):
+    for i, row in enumerate(chain.from_iterable(batches)):
         cells = tuple(parse_cell(row[j]) for j in attr_cols)
         label = row[label_col].strip()
         if label == "":

@@ -181,6 +181,19 @@ class TestOrdering:
         assert ordering.rank_of[0] == 1
         assert ordering.rank_of[3] == 6
 
+    @pytest.mark.parametrize(
+        "ranked",
+        [(0, 1, 1), (0, 1, 3), (-1, 0, 1), (0, 0.5, 1), ("a", 0)],
+        ids=["duplicate", "gap", "minus-one", "half", "unorderable"],
+    )
+    def test_non_permutation_rejected(self, ranked):
+        with pytest.raises(InputError, match=r"^ordering must be a permutation of 0\.\.n-1$"):
+            kc.Ordering(ranked)
+
+    def test_permutation_accepted(self):
+        assert kc.Ordering((2, 0, 1)).rank_of == (2, 3, 1)
+        assert kc.Ordering(()).ranked == ()
+
 
 # Cells for the ordering property: small ints tie often, huge ints pass
 # 2^63, and fractions with large coprime denominators make the lcm large.

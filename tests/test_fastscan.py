@@ -1,8 +1,12 @@
 import random
 import time
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import knncert as kc
 from knncert import NotPrimaryKeyError, certify_dp, fastscan, oracle
@@ -46,6 +50,95 @@ class TestAsKeyed:
         ds = kc.make_dataset(schema, [((1,), "0"), ((2,), "1")], features=("A",))
         keyed = fastscan.as_keyed(ds)
         assert keyed.num_blocks == 2
+
+    # Each kind of value column: ints past 2^63 (kept in a list), fractions
+    # (ints over a scale) and symbols. The block of rows 1 and 3 holds two
+    # identical rows; the block of rows 0 and 2 holds two different ones.
+    @pytest.mark.parametrize(
+        "values",
+        [[2**64, 2**70, 2**70 + 1, 2**70], [Fraction(1, 3), Fraction(1, 2), 2, Fraction(1, 2)],
+         ["x", "y", "z", "y"]],
+        ids=["past-int64", "fraction", "symbol"],
+    )
+    def test_identical_rows_refused_on_every_column_kind(self, values):
+        schema = kc.FdSchema.of(("K", "V"), [(["K"], ["V"])])
+        rows = [((key, v), str(i % 2)) for i, (key, v) in enumerate(zip("abab", values))]
+        ds = kc.make_dataset(schema, rows, features=())
+        with pytest.raises(NotPrimaryKeyError, match=r"^block \('b',\) holds identical rows$"):
+            fastscan.as_keyed(ds)
+        rows[3] = ((rows[3][0][0], values[0]), "1")
+        keyed = fastscan.as_keyed(kc.make_dataset(schema, rows, features=()))
+        assert (keyed.block_of.tolist(), keyed.num_blocks) == ([0, 1, 0, 1], 2)
+
+    def test_two_attribute_key(self):
+        schema = kc.FdSchema.of(("A", "B", "V"), [(["A", "B"], ["V"])])
+        cells = [(1, "p", 5), (1, "q", 5), (2, "p", 5), (1, "q", 6), (2, "p", 5)]
+        ds = kc.make_dataset(schema, [(c, "0") for c in cells], features=())
+        with pytest.raises(NotPrimaryKeyError, match=r"^block \(2, 'p'\) holds identical rows$"):
+            fastscan.as_keyed(ds)
+        ds = kc.make_dataset(schema, [(c, "0") for c in cells[:4]], features=())
+        keyed = fastscan.as_keyed(ds)
+        assert keyed.key == ("A", "B")
+        assert (keyed.block_of.tolist(), keyed.num_blocks) == ([0, 1, 2, 1], 3)
+
+    def test_without_fds_every_attribute_is_the_key(self):
+        schema = kc.FdSchema.of(("A", "B"), [])
+        cells = [(1, "x"), (2, "x"), (1, "y"), (2, "x")]
+        ds = kc.make_dataset(schema, [(c, "0") for c in cells], features=())
+        with pytest.raises(NotPrimaryKeyError, match=r"^block \(2, 'x'\) holds identical rows$"):
+            fastscan.as_keyed(ds)
+        keyed = fastscan.as_keyed(kc.make_dataset(schema, [(c, "0") for c in cells[:3]], ()))
+        assert keyed.key == ("A", "B")
+        assert (keyed.block_of.tolist(), keyed.num_blocks) == ([0, 1, 2], 3)
+
+
+# Per column one domain, so columns come out of every kind: packed ints,
+# ints past 2^63 in a list, ints over a scale, and values.
+DOMAINS = [
+    [0, 1, -2], [2**64, -(2**70), 3], [Fraction(1, 2), Fraction(-1, 3), 1],
+    ["a", "b", "c"], ["a", 1, Fraction(1, 2), 2**64],
+]
+
+
+@st.composite
+def key_datasets(draw):
+    width = draw(st.integers(1, 3))
+    attrs = ("A", "B", "C")[:width]
+    key = draw(st.lists(st.sampled_from(attrs), unique=True, max_size=width))
+    rest = [a for a in attrs if a not in key]
+    domains = [draw(st.sampled_from(DOMAINS)) for _ in attrs]
+    rows = draw(st.lists(st.tuples(*[st.sampled_from(d) for d in domains]), max_size=25))
+    schema = kc.FdSchema.of(attrs, [(key, rest)] if rest else [])
+    return kc.make_dataset(schema, [(row, "0") for row in rows], features=())
+
+
+def reference_keyed(dataset, key):
+    """Block codes by first appearance over row tuples, and the block the
+    identical-row refusal names (None when every row is distinct)."""
+    rows = dataset.tuples
+    key_idx = [dataset.schema.index(a) for a in key]
+    code_of: dict = {}
+    blocks = [code_of.setdefault(tuple(row[i] for i in key_idx), len(code_of)) for row in rows]
+    count = Counter(rows)
+    named = min((b for b, row in zip(blocks, rows) if count[row] > 1), default=None)
+    return blocks, len(code_of), named
+
+
+class TestAsKeyedMatchesRowTuples:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(key_datasets())
+    def test_blocks_and_refusals(self, ds):
+        key = kc.decide_primary_key(ds.schema).key
+        blocks, num_blocks, named = reference_keyed(ds, key)
+        if named is None:
+            keyed = fastscan.as_keyed(ds)
+            assert (keyed.block_of.tolist(), keyed.num_blocks) == (blocks, num_blocks)
+            return
+        first = ds.tuples[blocks.index(named)]
+        cells = tuple(first[ds.schema.index(a)] for a in key)
+        with pytest.raises(NotPrimaryKeyError) as err:
+            fastscan.as_keyed(ds)
+        assert str(err.value) == f"block {cells!r} holds identical rows"
 
 
 class TestPrune:

@@ -1,4 +1,5 @@
 import csv
+import locale
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,14 @@ class TestDatasetCsv:
         with pytest.raises(InputError):
             ingest.load_dataset(path, None, ["A"])
 
+    @pytest.mark.skipif(locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
+                        reason="the CSV is read in the locale's encoding")
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"A,label\n1,0\n\xe9,0\n")
+        with pytest.raises(InputError, match=r"^cannot read .*d\.csv: 'utf-8' codec can't decode"):
+            ingest.load_dataset(str(path), None, ["A"])
+
     def test_write_then_load(self, tmp_path):
         schema = kc.FdSchema.of(("A", "B"), [(["A"], ["B"])])
         ds = kc.make_dataset(
@@ -182,6 +191,11 @@ def cell_columns(draw):
     return [draw(st.lists(CELL, min_size=rows, max_size=rows)) for _ in range(width)]
 
 
+def filler_cells(form, rows):
+    """``rows`` cells of one form: decimals with two places, or symbols."""
+    return [f"{i}.{i % 100:02d}" if form == "decimals" else f"k{i}" for i in range(rows)]
+
+
 @pytest.fixture(scope="module")
 def cells_path(tmp_path_factory):
     return tmp_path_factory.mktemp("cells") / "d.csv"
@@ -199,6 +213,29 @@ class TestColumnarIngest:
             for i, text in enumerate(column):
                 got, want = ds.tuples[i][j], ingest.parse_scalar(text)
                 assert type(got) is type(want) and got == want, (i, j, text)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["decimals", "symbols"]),
+        st.integers(ingest._BATCH_ROWS - 6, ingest._BATCH_ROWS + 2),
+        st.lists(CELL, min_size=1, max_size=12),
+    )
+    def test_values_match_parse_scalar_across_batches(self, cells_path, filler, offset, cells):
+        # A filler run of one form, then the drawn cells, all in one column
+        # and each alone in a column of its own. They sit at the end of the
+        # first batch or in the second, where the column is already numeric
+        # or already holds values.
+        fill = filler_cells(filler, offset)
+        columns = [fill + cells] + [fill + [cell] + fill[:len(cells) - 1] for cell in cells]
+        path = write_columns(cells_path, columns)
+        ds, _, _ = ingest.load_dataset(path, None, [])
+        for j, column in enumerate(columns):
+            for i, text in enumerate(column):
+                got, want = ds.tuples[i][j], ingest.parse_scalar(text)
+                assert type(got) is type(want) and got == want, (i, j, text)
+            plain = [ingest._plain_decimal(text) for text in column]
+            if None not in plain:
+                assert ds.columns[j].scale == 10 ** max(places for _, places in plain)
 
     @pytest.mark.parametrize(
         "text",
@@ -260,6 +297,78 @@ class TestColumnarIngest:
         ds, _, _ = ingest.load_dataset(path, schema, [])
         with pytest.raises(NotPrimaryKeyError, match=r"^block \('c',\) holds identical rows$"):
             fastscan.as_keyed(ds)
+
+
+# One fault per kind, as the cells of one row of "A,label,weight,rank", with
+# the message that names it when it is the first faulty row.
+FAULTS = {
+    "ragged": ("1,0,1", "row {row}: expected 4 cells, got 3"),
+    "label": ("1, ,1,{row}", "row {row}: empty label"),
+    "weight": ("1,0,-2,{row}", "row {row}: weight must be positive"),
+    "weight-text": ("1,0,w,{row}", "expected a number, got 'w'"),
+    "rank": ("1,0,1,r", "row {row}: rank must be an integer"),
+}
+
+
+def faulty_csv(path, rows, faults):
+    """``rows`` good rows, with the row at each index of ``faults`` replaced
+    by that kind of fault."""
+    lines = ["A,label,weight,rank"]
+    for i in range(rows):
+        cells = FAULTS[faults[i]][0] if i in faults else "1,0,1,{row}"
+        lines.append(cells.format(row=i))
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+class TestErrorPrecedence:
+    """The first faulty row of the file is the one reported, whatever its
+    fault and wherever the batches that read the file end."""
+
+    @pytest.mark.parametrize("first", list(FAULTS))
+    @pytest.mark.parametrize("later", list(FAULTS))
+    def test_within_one_batch(self, tmp_path, first, later):
+        path = faulty_csv(tmp_path / "d.csv", 10, {3: first, 5: later})
+        with pytest.raises(InputError) as err:
+            ingest.load_dataset(path, None, ["A"])
+        assert str(err.value) == FAULTS[first][1].format(row=3)
+
+    @pytest.mark.parametrize("first", list(FAULTS))
+    @pytest.mark.parametrize("later", list(FAULTS))
+    def test_across_the_batch_boundary(self, tmp_path, first, later):
+        last = ingest._BATCH_ROWS - 1
+        path = faulty_csv(tmp_path / "d.csv", last + 10, {last: first, last + 1: later})
+        with pytest.raises(InputError) as err:
+            ingest.load_dataset(path, None, ["A"])
+        assert str(err.value) == FAULTS[first][1].format(row=last)
+
+    def test_faults_in_one_row_go_label_weight_rank(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("A,label,weight,rank\n1,0,1,0\n1,,0,x\n")
+        with pytest.raises(InputError, match=r"^row 1: empty label$"):
+            ingest.load_dataset(str(path), None, ["A"])
+        path.write_text("A,label,weight,rank\n1,0,1,0\n1,0,0,x\n")
+        with pytest.raises(InputError, match=r"^row 1: weight must be positive$"):
+            ingest.load_dataset(str(path), None, ["A"])
+
+    @pytest.mark.parametrize("at", [5, 900, ingest._BATCH_ROWS, 2500])
+    @pytest.mark.parametrize("row_1, message", [
+        ("2,", "row 1: empty label"),
+        ("2", "row 1: expected 2 cells, got 1"),
+        ("2,0", None),
+    ], ids=["empty-label", "ragged", "no-fault"])
+    def test_row_fault_before_an_unreadable_row(self, tmp_path, at, row_1, message):
+        # A cell past csv's field size limit makes the reader itself fail at
+        # row ``at``; a fault in row 1 is still the one reported.
+        lines = ["A,label"] + [f"{i},0" for i in range(3000)]
+        lines[2] = row_1
+        lines[at + 1] = "x" * 200_000 + ",0"
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError) as err:
+            ingest.load_dataset(str(path), None, ["A"])
+        limit = f"cannot read {path}: field larger than field limit ({csv.field_size_limit()})"
+        assert str(err.value) == (message or limit)
 
 
 class TestFormulaFiles:

@@ -89,3 +89,26 @@ def test_identical_rows_in_a_block_fall_back_to_the_dp(tmp_path, capsys):
     code = cli.main(["certify", *files, "--features", "X", "--point", "0", "--k", "1"])
     out = json.loads(capsys.readouterr().out)
     assert (code, out["method"], out["robust"]) == (0, "dp", True)
+
+
+LOAD_RUNNER = """
+import sys
+from knncert import ingest
+dataset, _, _ = ingest.load_dataset(sys.argv[2], ingest.load_schema(sys.argv[1]), ["X"])
+print(dataset.size, "numpy" in sys.modules)
+"""
+
+
+def test_loading_a_key_schema_csv_never_imports_numpy(tmp_path):
+    # Ingest is shared with the chain subcommands, so its batch parsing
+    # stays pure Python even on a primary-key table of several batches.
+    rows = "".join(f"k{i // 2},{i}.{i % 10},{i % 3}\n" for i in range(3000))
+    files = write(tmp_path, "key", KEY_SCHEMA, "K,X,label\n" + rows)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(knncert.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOAD_RUNNER, files[1], files[3]],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["3000", "False"]
