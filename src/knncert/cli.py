@@ -122,8 +122,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_min_repair(args) -> int:
-    schema = ingest.load_schema(args.schema)
-    dataset, _, _ = ingest.load_dataset(args.data, schema, [])
+    dataset, _, _ = ingest.load_dataset(args.data, ingest.load_schema(args.schema), [])
     if not decide_lhs_chain(dataset.schema).is_chain_equivalent:
         raise NotChainError("min-repair requires an lhs-chain-equivalent schema")
     repair, weight = minrepair.min_rep(dataset)
@@ -132,8 +131,7 @@ def _cmd_min_repair(args) -> int:
 
 
 def _cmd_forbidden(args) -> int:
-    schema = ingest.load_schema(args.schema)
-    dataset, _, _ = ingest.load_dataset(args.data, schema, [])
+    dataset, _, _ = ingest.load_dataset(args.data, ingest.load_schema(args.schema), [])
     if not decide_lhs_chain(dataset.schema).is_chain_equivalent:
         raise NotChainError("forbidden-repair requires an lhs-chain-equivalent schema")
     try:
@@ -165,15 +163,17 @@ def _cmd_poison(args) -> int:
     return EXIT_OK if result.robust else EXIT_NOT_ROBUST
 
 
+def _load_table(args):
+    """The uncertain table, the features and the point of a table command."""
+    attrs, rows = ingest.load_uncertain_table(args.data)
+    features = [f for f in (args.features or "").split(",") if f]
+    return attrs, rows, features, ingest.parse_point(args.point or "", len(features))
+
+
 def _cmd_codd(args) -> int:
     from . import models
 
-    attrs, rows = ingest.load_uncertain_table(args.data)
-    features = [f for f in (args.features or "").split(",") if f]
-    point = ingest.parse_point(args.point or "", len(features))
-    for cells, _ in rows:
-        if any(isinstance(c, models.OrSetCell) for c in cells):
-            raise InputError("or-set cells are not allowed in codd-certify input")
+    attrs, rows, features, point = _load_table(args)
     keyed, roles = models.codd_extremal_instance(attrs, rows, point, features)
     ordering = order_by_distance(keyed.dataset, point, args.p)
     result = fastscan.certify_pk(keyed, ordering, args.k)
@@ -189,12 +189,7 @@ def _cmd_codd(args) -> int:
 def _cmd_orset(args) -> int:
     from . import models
 
-    attrs, rows = ingest.load_uncertain_table(args.data)
-    features = [f for f in (args.features or "").split(",") if f]
-    point = ingest.parse_point(args.point or "", len(features))
-    for cells, _ in rows:
-        if any(isinstance(c, models.CoddCell) for c in cells):
-            raise InputError("interval cells are not allowed in orset-certify input")
+    attrs, rows, features, point = _load_table(args)
     keyed = models.orset_expand(attrs, rows, features, cap=args.cap)
     ordering = order_by_distance(keyed.dataset, point, args.p)
     result = fastscan.certify_pk(keyed, ordering, args.k)
@@ -278,6 +273,14 @@ def _add_instance_flags(sub) -> None:
     )
 
 
+def _add_table_flags(sub) -> None:
+    sub.add_argument("--data", required=True)
+    sub.add_argument("--features", default="")
+    sub.add_argument("--point", default=None)
+    sub.add_argument("--p", type=int, default=2)
+    sub.add_argument("--k", type=int, required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="knncert")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -317,19 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_poison)
 
     sub = commands.add_parser("codd-certify", help="certify a table with interval cells")
-    sub.add_argument("--data", required=True)
-    sub.add_argument("--features", default="")
-    sub.add_argument("--point", default=None)
-    sub.add_argument("--p", type=int, default=2)
-    sub.add_argument("--k", type=int, required=True)
+    _add_table_flags(sub)
     sub.set_defaults(handler=_cmd_codd)
 
     sub = commands.add_parser("orset-certify", help="certify a table with or-set cells")
-    sub.add_argument("--data", required=True)
-    sub.add_argument("--features", default="")
-    sub.add_argument("--point", default=None)
-    sub.add_argument("--p", type=int, default=2)
-    sub.add_argument("--k", type=int, required=True)
+    _add_table_flags(sub)
     sub.add_argument("--cap", type=int, default=100_000, help="expansion size cap")
     sub.set_defaults(handler=_cmd_orset)
 
@@ -376,21 +371,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     return code
 
 
+# The exit code of each refusal a handler raises, matched in this order.
+_EXIT_CODES = {InputError: EXIT_INPUT, NotChainError: EXIT_NOT_CHAIN,
+               NotPrimaryKeyError: EXIT_INPUT, CapExceededError: EXIT_CAP}
+
+
 def _run(args) -> int:
     try:
         return args.handler(args)
-    except InputError as exc:
+    except tuple(_EXIT_CODES) as exc:
         _emit({"error": str(exc)})
-        return EXIT_INPUT
-    except NotChainError as exc:
-        _emit({"error": str(exc)})
-        return EXIT_NOT_CHAIN
-    except NotPrimaryKeyError as exc:
-        _emit({"error": str(exc)})
-        return EXIT_INPUT
-    except CapExceededError as exc:
-        _emit({"error": str(exc)})
-        return EXIT_CAP
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

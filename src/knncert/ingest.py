@@ -273,12 +273,12 @@ def load_dataset(
         for text in set(texts).difference(weight_of):
             try:
                 weight = weight_of[text] = parse_number(text) if text.strip() else UNIT_WEIGHT
+                fault = None if weight > 0 else "weight must be positive"
             except InputError as exc:
-                faults.append((texts.index(text), 1, str(exc)))
-                continue
-            if weight <= 0:
+                fault = str(exc)
+            if fault:
                 i = texts.index(text)
-                faults.append((i, 1, f"row {start + i}: weight must be positive"))
+                faults.append((i, 1, f"row {start + i}: {fault}"))
         if rank_col is not None:
             try:
                 ranks.extend(map(int, cells[rank_col]))  # keeps the ranks before a failure
@@ -305,7 +305,9 @@ def load_dataset(
     rank_order: Optional[tuple[int, ...]] = None
     if rank_col is not None:
         if len(set(ranks)) != len(ranks):
-            raise InputError("rank column must hold distinct integers")
+            first: dict[int, int] = {}
+            row = next(i for i, r in enumerate(ranks) if first.setdefault(r, i) != i)
+            raise InputError(f"row {row}: rank column must hold distinct integers")
         rank_order = tuple(tid for _, tid in sorted(zip(ranks, range(len(ranks)))))
     marked = frozenset(uncertain) if uncertain_col is not None else None
     return dataset, rank_order, marked
@@ -391,10 +393,6 @@ def dataset_csv(dataset: LabeledDataset) -> str:
     for t, label in zip(dataset.tuples, dataset.row_labels):
         writer.writerow([format_value(v) for v in t] + [label])
     return buf.getvalue()
-
-
-def write_dataset_csv(path: str, dataset: LabeledDataset) -> None:
-    write_all({path: dataset_csv(dataset)})
 
 
 def load_formula(path: str) -> Sat3R:

@@ -2,25 +2,28 @@
 
 ?-sets: up to a budget of marked tuples may be deleted; a sliding scan over
 the distance order maintains the most promising k-neighborhood reachable
-within the budget. Or-sets: each cell offers finitely many values and one
-is realized per world; expanding realizations under a fresh key attribute
-turns worlds into block repairs. Codd tables: missing values range over
-rational intervals; per row only the nearest and farthest completions
-matter, so a two-tuple block per row reduces the infinite world set to the
-primary-key scan.
+within the budget. Or-sets and Codd tables both become a primary-key
+instance through one expansion, ``_keyed_blocks``: each row becomes a block
+of alternative tuples under a fresh key ``id``, so a world is a block repair
+and the primary-key scan certifies it. For an or-set row the block holds
+every realization of its cells; for a row of a Codd table, whose missing
+values range over rational intervals, only the nearest and farthest
+completions matter, so the block holds those two.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from .certresult import CertResult, challenge
-from .dataset import LabeledDataset, Ordering, TestPoint, make_dataset, order_by_distance
+from .dataset import LabeledDataset, Ordering, TestPoint, make_dataset
 from .errors import CapExceededError, InputError
-from .fastscan import KeyedDataset, as_keyed, certify_pk
+from .fastscan import KeyedDataset, as_keyed
 from .fdschema import FdSchema
 
 
@@ -131,46 +134,6 @@ class OrSetCell:
         return tuple(dict.fromkeys(self.choices))
 
 
-def orset_expand(
-    attributes: Sequence[str],
-    rows: Sequence[tuple],
-    features: Sequence[str],
-    cap: int = 100_000,
-) -> KeyedDataset:
-    """Expand or-set rows into one tuple per realization under a fresh key.
-
-    ``rows`` holds (cells, label) pairs where each cell is a plain value or
-    an OrSetCell. All realizations of a row share its id, so the expanded
-    schema is a primary key on id and worlds become block repairs.
-    """
-    if "id" in attributes:
-        raise InputError("attribute 'id' already present")
-    schema = FdSchema.of(tuple(attributes) + ("id",), [(["id"], list(attributes))])
-
-    total = 0
-    expanded: list[tuple] = []
-    for row_index, row in enumerate(rows):
-        cells, label = row[0], row[1]
-        if len(cells) != len(attributes):
-            raise InputError(f"row {row_index}: arity mismatch")
-        options = [
-            cell.distinct() if isinstance(cell, OrSetCell) else (cell,) for cell in cells
-        ]
-        count = 1
-        for opt in options:
-            count *= len(opt)
-        total += count
-        if total > cap:
-            raise CapExceededError(f"or-set expansion exceeds cap {cap}")
-        stack = [()]
-        for opt in options:
-            stack = [prefix + (v,) for prefix in stack for v in opt]
-        for realization in stack:
-            expanded.append((realization + (row_index,), label))
-    dataset = make_dataset(schema, expanded, features)
-    return as_keyed(dataset)
-
-
 @dataclass(frozen=True)
 class CoddCell:
     """A missing value constrained to a closed rational interval."""
@@ -183,25 +146,73 @@ class CoddCell:
             raise InputError("interval low must not exceed high")
 
 
+_REFUSAL = {OrSetCell: "or-set cells are not allowed in codd-certify input",
+            CoddCell: "interval cells are not allowed in orset-certify input"}
+
+
+def _keyed_blocks(attributes, rows, features, foreign: type, block) -> tuple[KeyedDataset, tuple]:
+    """Key each row's block of alternative tuples on a fresh ``id``.
+
+    ``rows`` holds (cells, label) pairs, and ``block(cells)`` returns the
+    row's (role, values) pairs. A cell of the ``foreign`` model anywhere
+    is refused first, then an ``id`` attribute, then each row's arity in
+    turn. Returns the keyed dataset and, per tuple, its (row, role).
+    """
+    if any(isinstance(cell, foreign) for row in rows for cell in row[0]):
+        raise InputError(_REFUSAL[foreign])
+    if "id" in attributes:
+        raise InputError("attribute 'id' already present")
+    schema = FdSchema.of(tuple(attributes) + ("id",), [(["id"], list(attributes))])
+    tuples, roles = [], []
+    for row_index, row in enumerate(rows):
+        if len(row[0]) != len(attributes):
+            raise InputError(f"row {row_index}: arity mismatch")
+        for role, values in block(row[0]):
+            tuples.append((values + (row_index,), row[1]))
+            roles.append((row_index, role))
+    return as_keyed(make_dataset(schema, tuples, features)), tuple(roles)
+
+
+def orset_expand(
+    attributes: Sequence[str],
+    rows: Sequence[tuple],
+    features: Sequence[str],
+    cap: int = 100_000,
+) -> KeyedDataset:
+    """Expand or-set rows into one tuple per realization under a fresh key.
+
+    ``rows`` holds (cells, label) pairs where each cell is a plain value or
+    an OrSetCell. All realizations of a row share its id, so the expanded
+    schema is a primary key on id and worlds become block repairs.
+    """
+    total = 0
+
+    def realizations(cells: tuple) -> list[tuple]:
+        nonlocal total
+        options = [cell.distinct() if isinstance(cell, OrSetCell) else (cell,) for cell in cells]
+        total += prod(map(len, options))
+        if total > cap:
+            raise CapExceededError(f"or-set expansion exceeds cap {cap}")
+        return list(enumerate(itertools.product(*options)))
+
+    return _keyed_blocks(attributes, rows, features, CoddCell, realizations)[0]
+
+
 def _completion_pair(cells, x: TestPoint, attributes, features):
     """Nearest and farthest completions of one row, per coordinate: the
     same for every p."""
     feature_pos = {a: i for i, a in enumerate(features)}
-    nearest = []
-    farthest = []
+    nearest, farthest = [], []
     for attr, cell in zip(attributes, cells):
         if not isinstance(cell, CoddCell):
-            nearest.append(cell)
-            farthest.append(cell)
-            continue
-        if attr not in feature_pos:
-            nearest.append(cell.low)
-            farthest.append(cell.low)
-            continue
-        xi = x.coords[feature_pos[attr]]
-        clamp = min(max(xi, cell.low), cell.high)
-        far = cell.high if abs(xi - cell.high) >= abs(xi - cell.low) else cell.low
-        nearest.append(clamp)
+            near = far = cell
+        elif attr not in feature_pos:
+            near = far = cell.low
+        else:
+            xi = x.coords[feature_pos[attr]]
+            near = min(max(xi, cell.low), cell.high)
+            far = cell.high if abs(xi - cell.high) >= abs(xi - cell.low) else cell.low
+        nearest.append(near)
         farthest.append(far)
     return tuple(nearest), tuple(farthest)
 
@@ -216,43 +227,11 @@ def codd_extremal_instance(
 
     Returns the keyed dataset and, per tuple, (row, kind) with kind one of
     "only", "min", "max". Rows whose extremes coincide emit a single tuple.
+    Certifying it with the primary-key scan certifies every completion.
     """
-    if "id" in attributes:
-        raise InputError("attribute 'id' already present")
-    schema = FdSchema.of(tuple(attributes) + ("id",), [(["id"], list(attributes))])
-    out_rows: list[tuple] = []
-    roles: list[tuple] = []
-    for row_index, row in enumerate(rows):
-        cells, label = row[0], row[1]
-        if len(cells) != len(attributes):
-            raise InputError(f"row {row_index}: arity mismatch")
-        nearest, farthest = _completion_pair(cells, x, attributes, features)
-        if nearest == farthest:
-            out_rows.append((nearest + (row_index,), label))
-            roles.append((row_index, "only"))
-        else:
-            out_rows.append((nearest + (row_index,), label))
-            roles.append((row_index, "min"))
-            out_rows.append((farthest + (row_index,), label))
-            roles.append((row_index, "max"))
-    dataset = make_dataset(schema, out_rows, features)
-    return as_keyed(dataset), tuple(roles)
 
+    def completions(cells: tuple) -> list[tuple]:
+        near, far = _completion_pair(cells, x, attributes, features)
+        return [("only", near)] if near == far else [("min", near), ("max", far)]
 
-def codd_certify(
-    attributes: Sequence[str],
-    rows: Sequence[tuple],
-    x: TestPoint,
-    k: int,
-    p: int,
-    features: Sequence[str],
-) -> CertResult:
-    """Certify robustness over every completion of a table with intervals.
-
-    Only each row's nearest and farthest completions can matter, so the
-    extremal instance is certified with the primary-key scan and the verdict
-    transfers to the original infinite world set.
-    """
-    keyed, _ = codd_extremal_instance(attributes, rows, x, features)
-    ordering = order_by_distance(keyed.dataset, x, p)
-    return certify_pk(keyed, ordering, k)
+    return _keyed_blocks(attributes, rows, features, OrSetCell, completions)

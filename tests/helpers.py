@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 import knncert as kc
-from knncert import hardgen, oracle
+from knncert import fastscan, hardgen, models, oracle
 from knncert.decompose import Sweep, build_tree
 
 ATTR_POOL = ("A", "B", "C", "D", "E", "F")
@@ -138,6 +138,12 @@ def root_table(ds, ids, ops, tau, ordering):
     for tid in ordering.ranked[:tau]:
         sweep.admit(tid)
     return sweep.root
+
+
+def codd_certify(attributes, rows, x, k, p, features):
+    """Certify a table with interval cells through its extremal instance."""
+    keyed, _ = models.codd_extremal_instance(attributes, rows, x, features)
+    return fastscan.certify_pk(keyed, kc.order_by_distance(keyed.dataset, x, p), k)
 
 
 def brute_max_diff(ds, ordering, label, ref_label, tau, k, weighted=False):

@@ -228,7 +228,7 @@ def test_criterion_6_uncertainty_models():
         x = kc.TestPoint((rng.randint(0, 3), rng.randint(0, 3)))
         p = rng.choice((1, 2))
         k = rng.randint(1, n_rows)
-        got = models.codd_certify(("A", "B"), rows, x, k, p, ("A", "B")).robust
+        got = helpers.codd_certify(("A", "B"), rows, x, k, p, ("A", "B")).robust
         options = []
         for cells, label in rows:
             opts = [

@@ -200,7 +200,8 @@ MALFORMED = {
     "p-zero": (GOOD_KEYED, ["--p", "0"], "p must be an integer >= 1"),
     "k-zero": (GOOD_KEYED, ["--k", "0"], "k must be >= 1"),
     "duplicate-ranks": (
-        "K,X,label,rank\na,1,0,1\nb,2,1,1\n", ["--use-rank"], "rank column must hold distinct integers"
+        "K,X,label,rank\na,1,0,1\nb,2,1,1\n", ["--use-rank"],
+        "row 1: rank column must hold distinct integers",
     ),
     "empty-label-before-ragged": ("K,X,label\na,1,0\nb,2,\nc\n", [], "row 1: empty label"),
     "unknown-label": (GOOD_KEYED, ["--label", "9"], "unknown label '9'"),

@@ -143,7 +143,7 @@ class TestDatasetCsv:
             schema, [((Fraction(1, 2), 3), "0"), ((4, 5), "1")], features=("A",)
         )
         path = tmp_path / "out.csv"
-        ingest.write_dataset_csv(str(path), ds)
+        ingest.write_all({str(path): ingest.dataset_csv(ds)})
         loaded, _, _ = ingest.load_dataset(str(path), schema, ["A"])
         assert list(loaded.tuples) == list(ds.tuples)
         assert list(loaded.row_labels) == ["0", "1"]
@@ -305,7 +305,7 @@ FAULTS = {
     "ragged": ("1,0,1", "row {row}: expected 4 cells, got 3"),
     "label": ("1, ,1,{row}", "row {row}: empty label"),
     "weight": ("1,0,-2,{row}", "row {row}: weight must be positive"),
-    "weight-text": ("1,0,w,{row}", "expected a number, got 'w'"),
+    "weight-text": ("1,0,w,{row}", "row {row}: expected a number, got 'w'"),
     "rank": ("1,0,1,r", "row {row}: rank must be an integer"),
 }
 

@@ -1,9 +1,12 @@
 """A CLI call loads only the code its subcommand runs.
 
 Every chain subcommand, and ``check-schema``, runs in a fresh interpreter
-without importing numpy: only the primary-key scan needs it. The dispatch
-itself is unchanged: a key schema still goes to the scan, and a key schema
-whose block holds identical rows still falls back to the DP.
+without importing numpy: only the primary-key scan needs it. Neither they
+nor the primary-key ``certify`` import ``models``, ``hardgen`` or
+``oracle``, which only the uncertainty-model, generator and oracle
+subcommands run. The dispatch itself is unchanged: a key schema still goes
+to the scan, and a key schema whose block holds identical rows still falls
+back to the DP.
 """
 
 import json
@@ -34,11 +37,11 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-def run_fresh(argvs):
+def run_fresh(argvs, runner=RUNNER):
     src = os.path.dirname(os.path.dirname(os.path.abspath(knncert.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", RUNNER, json.dumps(argvs)],
+        [sys.executable, "-c", runner, json.dumps(argvs)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -68,6 +71,39 @@ def test_chain_subcommands_never_import_numpy(tmp_path):
         assert not numpy_loaded, f"{name} imported numpy"
     for name in ("certify", "certify --force-dp", "certify --weighted"):
         assert results[name][1]["method"] == "dp"
+
+
+# Like RUNNER, but reports which of the modules that only other subcommands
+# run have been imported after each call.
+MODULES_RUNNER = """
+import contextlib, io, json, sys
+from knncert import cli
+OTHERS = ("knncert.models", "knncert.hardgen", "knncert.oracle")
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    loaded = [m for m in OTHERS if m in sys.modules]
+    print(json.dumps([code, json.loads(out.getvalue()), loaded]))
+"""
+
+
+def test_core_subcommands_never_import_models_hardgen_or_oracle(tmp_path):
+    chain = write(tmp_path, "chain", CHAIN_SCHEMA, CHAIN_CSV)
+    key = write(tmp_path, "key", KEY_SCHEMA, "K,X,label\na,1,0\na,2,1\nb,3,0\n")
+    calls = {
+        "check-schema": ["check-schema", chain[0], chain[1]],
+        "certify (chain)": ["certify", *chain, *POINT],
+        "certify (key)": ["certify", *key, "--features", "X", "--point", "0", "--k", "1"],
+        "count": ["count", *chain, *POINT, "--label", "0"],
+        "min-repair": ["min-repair", *chain],
+        "forbidden": ["forbidden", *chain, "--ids", "0"],
+    }
+    results = dict(zip(calls, run_fresh(list(calls.values()), MODULES_RUNNER)))
+    assert results["certify (key)"][1]["method"] == "fastscan"
+    for name, (code, out, loaded) in results.items():
+        assert code in (0, 1) and "error" not in out, (name, out)
+        assert loaded == [], f"{name} imported {loaded}"
 
 
 # The FDs {} -> K, X make the empty set the key: the whole table is one block.

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import helpers
 import knncert as kc
 from knncert import InputError, fastscan, models, oracle
 
@@ -247,7 +248,7 @@ class TestCoddCells:
 class TestCoddCertify:
     def test_no_missing_values_is_plain_knn(self):
         rows = [((1, 1), "0"), ((2, 2), "0"), ((3, 3), "1")]
-        res = models.codd_certify(("A", "B"), rows, kc.TestPoint((0, 0)), 2, 1, ("A", "B"))
+        res = helpers.codd_certify(("A", "B"), rows, kc.TestPoint((0, 0)), 2, 1, ("A", "B"))
         assert res.robust and res.certain_label == "0"
 
     def test_matches_discretized_brute_force(self):
@@ -267,7 +268,7 @@ class TestCoddCertify:
             x = kc.TestPoint((rng.randint(0, 3), rng.randint(0, 3)))
             p = rng.choice((1, 2))
             k = rng.randint(1, n_rows)
-            got = models.codd_certify(("A", "B"), rows, x, k, p, ("A", "B"))
+            got = helpers.codd_certify(("A", "B"), rows, x, k, p, ("A", "B"))
 
             options = []
             for cells, label in rows:
@@ -295,6 +296,13 @@ EXPANDERS = {
     ),
 }
 
+# A cell of the other model, per expander, with the message that refuses it.
+FOREIGN = {
+    "orset": (models.CoddCell(Fraction(1), Fraction(3)),
+              "interval cells are not allowed in orset-certify input"),
+    "codd": (models.OrSetCell((1, 3)), "or-set cells are not allowed in codd-certify input"),
+}
+
 
 class TestExpansionRefusals:
     @pytest.mark.parametrize("model", sorted(EXPANDERS))
@@ -312,3 +320,19 @@ class TestExpansionRefusals:
         assert models.orset_expand(("A",), rows, ("A",), cap=4).dataset.size == 4
         with pytest.raises(kc.CapExceededError, match="^or-set expansion exceeds cap 3$"):
             models.orset_expand(("A",), rows, ("A",), cap=3)
+
+    def test_orset_expand_refuses_an_interval_cell(self):
+        rows = [((1,), "0"), ((models.CoddCell(Fraction(1), Fraction(3)),), "1")]
+        with pytest.raises(InputError, match="^interval cells are not allowed in orset-certify"):
+            models.orset_expand(("A",), rows, ("A",))
+
+    def test_codd_extremal_instance_refuses_an_or_set_cell(self):
+        rows = [((1,), "0"), ((models.OrSetCell((1, 3)),), "1")]
+        with pytest.raises(InputError, match="^or-set cells are not allowed in codd-certify"):
+            models.codd_extremal_instance(("A",), rows, kc.TestPoint((0,)), ("A",))
+
+    @pytest.mark.parametrize("model", sorted(EXPANDERS))
+    def test_other_models_cell_reported_before_id_attribute(self, model):
+        cell, message = FOREIGN[model]
+        with pytest.raises(InputError, match=f"^{message}$"):
+            EXPANDERS[model](("A", "id"), [((1, 2), "0"), ((cell, 2), "1")])
