@@ -10,7 +10,6 @@ from .dataset import (
     TestPoint,
     conflicts,
     greedy_repair,
-    knn_predict,
     make_dataset,
     order_by_distance,
     predict,
@@ -51,7 +50,6 @@ __all__ = [
     "decide_primary_key",
     "find_incomparable_pair",
     "greedy_repair",
-    "knn_predict",
     "make_dataset",
     "minimize",
     "order_by_distance",

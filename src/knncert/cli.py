@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Optional
 
@@ -358,8 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a value that starts with "-" for an option unless it is
+    # one number, so "--point -2,1" is read as "--point=-2,1".
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--point" and re.match(r"-[0-9.]", argv[i]):
+            argv[i - 1:i + 1] = [f"--point={argv[i]}"]
+    args = build_parser().parse_args(argv)
     try:
         code = _run(args)
         sys.stdout.flush()

@@ -26,10 +26,11 @@ sparse tables for n tuples, tree depth and fan-out f.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 from .dataset import LabeledDataset, Ordering
-from .decompose import ConsensusNode, Leaf, Node, Sweep, TableOps, build_tree
+from .decompose import Node, Sweep, TableOps, build_tree, fold
 from .errors import InputError
 
 
@@ -127,15 +128,4 @@ def count_repairs(dataset: LabeledDataset, ids: Optional[Sequence[int]] = None,
     ``tree`` is the ``repair_tree`` of the same tuples when the caller has
     built it.
     """
-    return _count(repair_tree(dataset, ids) if tree is None else tree)
-
-
-def _count(node: Node) -> int:
-    if isinstance(node, Leaf):
-        return 1
-    if isinstance(node, ConsensusNode):
-        return sum(_count(child) for child in node.children)
-    out = 1
-    for child in node.children:
-        out *= _count(child)
-    return out
+    return fold(repair_tree(dataset, ids) if tree is None else tree, lambda ids: 1, sum, math.prod)

@@ -293,30 +293,23 @@ def conflicts(t: tuple, u: tuple, schema: FdSchema) -> bool:
     return False
 
 
-def knn_predict(
-    ids: Iterable[int],
-    ordering: Ordering,
-    labels: Sequence[str],
-    weights: Optional[Sequence[Fraction]],
-    k: int,
-) -> PredictOutcome:
-    """Vote over the min(k, |ids|) nearest members of ``ids``.
-
-    The winner must be strictly heaviest; a shared maximum is a tie. With
-    ``weights`` None every tuple counts 1.
-    """
+def predict(dataset: LabeledDataset, ids: Iterable[int], ordering: Ordering, k: int,
+            weighted: bool = False) -> PredictOutcome:
+    """Vote over the min(k, |ids|) nearest members of ``ids``, each
+    counting its weight when ``weighted``, else 1. The winner must be
+    strictly heaviest; a shared maximum is a tie."""
     if k < 1:
         raise InputError("k must be >= 1")
     idset = set(ids)
     if not idset:
         return PredictOutcome.EMPTY
+    labels, weights = dataset.row_labels, dataset.weights
     take = min(k, len(idset))
     totals: dict[str, Fraction] = {}
     seen = 0
     for tid in ordering.ranked:
         if tid in idset:
-            w = 1 if weights is None else weights[tid]
-            totals[labels[tid]] = totals.get(labels[tid], 0) + w
+            totals[labels[tid]] = totals.get(labels[tid], 0) + (weights[tid] if weighted else 1)
             seen += 1
             if seen == take:
                 break
@@ -325,12 +318,6 @@ def knn_predict(
     if len(winners) > 1:
         return PredictOutcome.TIE
     return PredictOutcome.of_label(winners[0])
-
-
-def predict(dataset: LabeledDataset, ids: Iterable[int], ordering: Ordering, k: int,
-            weighted: bool = False) -> PredictOutcome:
-    weights = dataset.weights if weighted else None
-    return knn_predict(ids, ordering, dataset.row_labels, weights, k)
 
 
 def greedy_repair(dataset: LabeledDataset, ordering: Ordering) -> tuple[int, ...]:

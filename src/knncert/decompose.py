@@ -8,8 +8,9 @@ Which attribute each level of the tree splits on depends on the FDs only:
 ``build_tree`` follows the steps of ``fdschema.decide_lhs_chain``, computed
 once per call, and partitions the tuples by value one level at a time. The
 tree is built once and shared by the certification DP, the counting DP, and
-the minimum-weight repair recursion. ``Sweep`` keeps the table of every
-node while tuples are admitted in rank order, for certification and
+the minimum-weight repair. The repair count and the minimum-weight repair
+are two bottom-up evaluations of a tree by ``fold``. ``Sweep`` keeps every
+node's table while tuples are admitted in rank order, for certification and
 counting alike; ``TableOps`` says how tables are built and merged.
 """
 
@@ -81,6 +82,16 @@ def _grow(tuples, ids, splits, depth) -> Node:
     for tid in ids:
         parts.setdefault(tuples[tid][idx], []).append(tid)
     return node(attr, tuple(_grow(tuples, part, splits, depth + 1) for part in parts.values()))
+
+
+def fold(node: Node, leaf: Callable, choose: Callable, combine: Callable):
+    """Evaluate ``node`` bottom up. A leaf's value is ``leaf(ids)``; a
+    consensus node's is ``choose`` and a common node's ``combine`` of the
+    list of its children's values, so a wide node merges in one call."""
+    if isinstance(node, Leaf):
+        return leaf(node.ids)
+    values = [fold(child, leaf, choose, combine) for child in node.children]
+    return (choose if isinstance(node, ConsensusNode) else combine)(values)
 
 
 class TableOps(NamedTuple):

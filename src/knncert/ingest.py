@@ -345,7 +345,10 @@ def load_uncertain_table(path: str) -> tuple[tuple[str, ...], list[tuple]]:
     label_col = column["label"]
     rows = []
     for i, row in enumerate(chain.from_iterable(batches)):
-        cells = tuple(parse_cell(row[j]) for j in attr_cols)
+        try:
+            cells = tuple(parse_cell(row[j]) for j in attr_cols)
+        except InputError as exc:
+            raise InputError(f"row {i}: {exc}") from None
         label = row[label_col].strip()
         if label == "":
             raise InputError(f"row {i}: empty label")

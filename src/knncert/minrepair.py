@@ -10,7 +10,7 @@ from typing import Iterable, Optional, Sequence
 
 from .certresult import CertResult, challenge
 from .dataset import LabeledDataset, Ordering, greedy_repair
-from .decompose import ConsensusNode, Leaf, Node, build_tree
+from .decompose import Node, build_tree, fold
 from .errors import InputError
 
 
@@ -36,19 +36,19 @@ def min_rep(
     return tuple(repair), weight
 
 
-def _min_rep(node: Node, weights) -> tuple[tuple[int, ...], Fraction]:
-    if isinstance(node, Leaf):
-        total = sum((weights[t] for t in node.ids), Fraction(0))
-        return node.ids, total
-    results = [_min_rep(child, weights) for child in node.children]
-    if isinstance(node, ConsensusNode):
-        return min(results, key=lambda r: (r[1], r[0]))
+def _min_rep(tree: Node, weights) -> tuple[tuple[int, ...], Fraction]:
+    # The fold's values are (weight, ids) pairs, so ``min`` picks the
+    # cheapest repair and breaks ties toward the smallest id set.
+    weight, repair = fold(tree, lambda ids: (sum((weights[t] for t in ids), Fraction(0)), ids),
+                          min, _union)
+    return repair, weight
+
+
+def _union(parts: list) -> tuple[Fraction, tuple[int, ...]]:
     merged: list[int] = []
-    total = Fraction(0)
-    for ids, weight in results:
+    for _, ids in parts:
         merged.extend(ids)
-        total += weight
-    return tuple(sorted(merged)), total
+    return sum((weight for weight, _ in parts), Fraction(0)), tuple(sorted(merged))
 
 
 def forbidden_repair(

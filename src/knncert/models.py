@@ -155,19 +155,23 @@ def _keyed_blocks(attributes, rows, features, foreign: type, block) -> tuple[Key
 
     ``rows`` holds (cells, label) pairs, and ``block(cells)`` returns the
     row's (role, values) pairs. A cell of the ``foreign`` model anywhere
-    is refused first, then an ``id`` attribute, then each row's arity in
-    turn. Returns the keyed dataset and, per tuple, its (row, role).
+    is refused first, then an ``id`` attribute, then each row's arity and
+    its blocks' feature values in turn. Returns the keyed dataset and, per
+    tuple, its (row, role).
     """
     if any(isinstance(cell, foreign) for row in rows for cell in row[0]):
         raise InputError(_REFUSAL[foreign])
     if "id" in attributes:
         raise InputError("attribute 'id' already present")
     schema = FdSchema.of(tuple(attributes) + ("id",), [(["id"], list(attributes))])
+    feature_cols = [j for j, attr in enumerate(attributes) if attr in features]
     tuples, roles = [], []
     for row_index, row in enumerate(rows):
         if len(row[0]) != len(attributes):
             raise InputError(f"row {row_index}: arity mismatch")
         for role, values in block(row[0]):
+            if not all(isinstance(values[j], (int, Fraction)) for j in feature_cols):
+                raise InputError(f"row {row_index}: non-numeric feature value")
             tuples.append((values + (row_index,), row[1]))
             roles.append((row_index, role))
     return as_keyed(make_dataset(schema, tuples, features)), tuple(roles)

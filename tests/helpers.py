@@ -90,12 +90,12 @@ def _random_ordering(rng, ds):
     return kc.order_by_distance(ds, x, p)
 
 
-def random_chain_instance(rng, n_max=12, d_max=4, max_labels=3, weighted=False):
-    """A random chain-schema instance with plenty of conflicts, plus an
-    ordering (explicit or distance-based, mixed)."""
+def random_chain_instance(rng, n_max=12, d_max=4, max_labels=3, weighted=False, n_min=1):
+    """A random chain-schema instance of n_min..n_max tuples with plenty of
+    conflicts, plus an ordering (explicit or distance-based, mixed)."""
     d = rng.randint(1, d_max)
     schema = random_chain_schema(rng, d)
-    n = rng.randint(1, n_max)
+    n = rng.randint(n_min, n_max)
     domain = max(2, n // 2)
     alphabet = [str(i) for i in range(rng.randint(1, max_labels))]
     rows = []

@@ -524,6 +524,77 @@ class TestCoddAndOrset:
         )
         assert (code, payload) == (cli.EXIT_INPUT, {"error": error})
 
+    @pytest.mark.parametrize(
+        "command, cell, error",
+        [
+            ("codd-certify", '"[4,1]"', "row 1: interval low must not exceed high"),
+            ("codd-certify", '"[4,x]"', "row 1: expected a number, got 'x'"),
+            ("codd-certify", "x", "row 1: non-numeric feature value"),
+            ("orset-certify", "<x|1>", "row 1: non-numeric feature value"),
+            ("orset-certify", "x", "row 1: non-numeric feature value"),
+        ],
+    )
+    def test_cell_errors_name_the_table_row(self, tmp_path, capsys, command, cell, error):
+        data = tmp_path / "d.csv"
+        data.write_text(f"A,label\n1,0\n{cell},1\n")
+        code, payload = run(
+            capsys,
+            [command, "--data", str(data), "--features", "A", "--point", "0", "--k", "1"],
+        )
+        assert (code, payload) == (cli.EXIT_INPUT, {"error": error})
+
+
+class TestNegativePoint:
+    """``--point -2,1`` reads like ``--point=-2,1`` in every subcommand."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(
+            {"attributes": ["A", "B"], "fds": [{"lhs": ["A"], "rhs": ["B"]}]}))
+        data = tmp_path / "d.csv"
+        data.write_text("A,B,label\n1,2,0\n1,5,1\n-1,3,1\n-2,1,0\n0,0,1\n")
+        return str(schema), str(data)
+
+    @pytest.mark.parametrize("point", ["-2,1", "-.5,-1", "-2"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "certify --k 1 --schema SCHEMA",
+            "count --k 1 --label 0 --schema SCHEMA",
+            "poison-certify --k 1 --budget 1",
+            "codd-certify --k 1",
+            "orset-certify --k 1",
+            "oracle certify --k 1 --schema SCHEMA",
+        ],
+    )
+    def test_both_spellings_agree(self, files, capsys, command, point):
+        schema, data = files
+        argv = [schema if a == "SCHEMA" else a for a in command.split()]
+        argv += ["--data", data, "--features", "A,B" if "," in point else "A"]
+        outcomes = []
+        for spelling in (["--point", point], [f"--point={point}"]):
+            try:
+                code = cli.main(argv + spelling)
+            except SystemExit as exc:
+                code = exc.code
+            outcomes.append((code, capsys.readouterr().out))
+        assert outcomes[0] == outcomes[1]
+        code, out = outcomes[0]
+        assert code in (0, 1) and "error" not in json.loads(out)
+
+    def test_from_the_command_line(self, files):
+        schema, data = files
+        src = os.path.dirname(os.path.dirname(os.path.abspath(knncert.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "knncert.cli", "certify", "--schema", schema, "--data", data,
+             "--features", "A,B", "--point", "-2,1", "--k", "1"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode in (0, 1) and "error" not in json.loads(proc.stdout)
+
 
 class TestGenHard:
     def test_generate_then_certify_roundtrip(self, tmp_path, capsys):

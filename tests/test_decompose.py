@@ -12,7 +12,7 @@ import pytest
 
 import knncert as kc
 from knncert import NotChainError, counting, minrepair
-from knncert.decompose import CommonNode, ConsensusNode, Leaf, build_tree
+from knncert.decompose import CommonNode, ConsensusNode, Leaf, build_tree, fold
 
 import helpers
 
@@ -106,6 +106,25 @@ class TestTreeFollowsTheChainSteps:
         assert build_tree(ds.tuples, [], list(schema.fds), schema) == Leaf(())
         assert counting.count_repairs(ds, ids=[]) == 1
         assert minrepair.min_rep(ds, ids=[]) == ((), Fraction(0))
+
+
+def shape(node):
+    """The tree as nested (kind, children) pairs over leaf id tuples."""
+    if isinstance(node, Leaf):
+        return node.ids
+    return (type(node), [shape(child) for child in node.children])
+
+
+class TestFold:
+    def test_each_node_gets_all_its_childrens_values_in_order(self):
+        rng = random.Random(73)
+        for _ in range(100):
+            ds, fds, ids = random_case(rng)
+            tree = build_tree(ds.tuples, ids, fds, ds.schema)
+            got = fold(tree, lambda leaf_ids: leaf_ids,
+                       lambda values: (ConsensusNode, values),
+                       lambda values: (CommonNode, values))
+            assert got == shape(tree)
 
 
 class TestNonChainRejected:

@@ -87,6 +87,16 @@ class TestCells:
     def test_plain(self):
         assert ingest.parse_cell(" 3 ") == 3
 
+    @pytest.mark.parametrize("cell, error", [
+        ('"[4,1]"', "interval low must not exceed high"),
+        ('"[4,x]"', "expected a number, got 'x'"),
+    ])
+    def test_table_cell_errors_name_their_row(self, tmp_path, cell, error):
+        path = tmp_path / "d.csv"
+        path.write_text(f"A,label\n1,0\n{cell},1\n")
+        with pytest.raises(InputError, match=f"^row 1: {error}$"):
+            ingest.load_uncertain_table(str(path))
+
 
 class TestDatasetCsv:
     def write(self, tmp_path, text):

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 import knncert as kc
-from knncert import NotChainError, certify_dp, minrepair, oracle
+from knncert import NotChainError, certify_dp, counting, minrepair, oracle
+from knncert.decompose import fold
 
 import helpers
 
@@ -30,6 +31,19 @@ class TestMinRep:
             want_repair, want_weight = oracle.brute_min_repair(ds)
             assert got_weight == want_weight
             assert got_repair in oracle.enumerate_repairs(ds)
+
+    def test_a_lightest_repair_at_scale(self):
+        # No oracle at hundreds of tuples: the result must be a repair, its
+        # weight its tuples' total, and no repair found greedily is lighter.
+        rng = random.Random(113)
+        for _ in range(20):
+            ds, ordering = helpers.random_chain_instance(rng, n_max=300, weighted=True, n_min=100)
+            repair, weight = minrepair.min_rep(ds)
+            assert helpers.repair_problems(ds, repair) == []
+            assert weight == sum(ds.weights[t] for t in repair)
+            for order in (ordering.ranked, sorted(ds.ids(), key=ds.weights.__getitem__)):
+                greedy = kc.greedy_repair(ds, kc.Ordering(tuple(order)))
+                assert weight <= sum(ds.weights[t] for t in greedy)
 
     def test_zero_weights_allowed(self):
         schema = kc.FdSchema.of(("A", "B"), [(["A"], ["B"])])
@@ -124,3 +138,19 @@ class TestCertify1nn:
             want = oracle.brute_certify(ds, ordering, 1)
             assert got.robust == dp.robust == want.robust
             assert got.certain_label == want.certain_label
+
+    def test_matches_dp_at_scale(self):
+        # Trees of hundreds of nodes, refolded once per challenger tuple tried.
+        rng = random.Random(109)
+        sizes = []
+        for _ in range(18):
+            ds, ordering = helpers.random_chain_instance(rng, n_max=300, n_min=100)
+            tree = counting.repair_tree(ds)
+            sizes.append(fold(tree, lambda ids: 1, lambda v: 1 + sum(v), lambda v: 1 + sum(v)))
+            got = minrepair.certify_1nn_via_forbidden(ds, ordering)
+            dp = certify_dp.certify(ds, ordering, 1)
+            assert got.robust == dp.robust
+            assert got.certain_label == dp.certain_label
+            for ids, _ in got.witnesses:
+                assert helpers.repair_problems(ds, ids) == []
+        assert max(sizes) >= 200

@@ -221,7 +221,7 @@ class TestCoddCells:
         assert near == (0,) and far == (2,)
 
     def test_bad_interval_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^interval low must not exceed high$"):
             models.CoddCell(Fraction(3), Fraction(1))
 
     def test_sampled_completions_stay_inside_extremes(self):
@@ -330,6 +330,25 @@ class TestExpansionRefusals:
         rows = [((1,), "0"), ((models.OrSetCell((1, 3)),), "1")]
         with pytest.raises(InputError, match="^or-set cells are not allowed in codd-certify"):
             models.codd_extremal_instance(("A",), rows, kc.TestPoint((0,)), ("A",))
+
+    @pytest.mark.parametrize(
+        "model, bad", [("orset", "x"), ("orset", models.OrSetCell((1, "x"))), ("codd", "x")]
+    )
+    def test_non_numeric_feature_names_the_table_row(self, model, bad):
+        # Only the feature A must be numeric; B holds symbols.
+        rows = [((1, "a"), "0"), ((2, "b"), "0"), ((bad, "c"), "1")]
+        with pytest.raises(InputError, match="^row 2: non-numeric feature value$"):
+            EXPANDERS[model](("A", "B"), rows)
+
+    @pytest.mark.parametrize("model", sorted(EXPANDERS))
+    def test_non_numeric_feature_reported_after_the_refusals(self, model):
+        cell, message = FOREIGN[model]
+        with pytest.raises(InputError, match=f"^{message}$"):
+            EXPANDERS[model](("A",), [(("x",), "0"), ((cell,), "1")])
+        with pytest.raises(InputError, match="^attribute 'id' already present$"):
+            EXPANDERS[model](("A", "id"), [(("x", 1), "0")])
+        with pytest.raises(InputError, match="^row 0: arity mismatch$"):
+            EXPANDERS[model](("A",), [(("x", 1), "0")])
 
     @pytest.mark.parametrize("model", sorted(EXPANDERS))
     def test_other_models_cell_reported_before_id_attribute(self, model):
