@@ -141,7 +141,7 @@ def certify(
     """
     if k < 1:
         raise InputError("k must be >= 1")
-    tree = build_tree(dataset.tuples, list(dataset.ids()), list(dataset.schema.fds), dataset.schema)
+    tree = build_tree(dataset.cells, list(dataset.ids()), list(dataset.schema.fds), dataset.schema)
     return challenge(
         dataset, ordering, k, greedy_repair(dataset, ordering),
         lambda ell, ell1: _challenge(dataset, ordering, tree, ell, ell1, k, weighted),

@@ -88,7 +88,7 @@ def _predicting(entries: dict, sizes) -> int:
 def repair_tree(dataset: LabeledDataset, ids: Optional[Sequence[int]] = None) -> Node:
     """The decomposition tree of ``dataset``, or of the tuples ``ids``."""
     ids = list(dataset.ids()) if ids is None else sorted(ids)
-    return build_tree(dataset.tuples, ids, list(dataset.schema.fds), dataset.schema)
+    return build_tree(dataset.cells, ids, list(dataset.schema.fds), dataset.schema)
 
 
 def count_label(dataset: LabeledDataset, ordering: Ordering, k: int, label: str,

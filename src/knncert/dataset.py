@@ -5,9 +5,10 @@ label and weight. A numeric column holds ints over one scale for the whole
 column, so equal values hold equal ints: keys, FD lookups and the
 identical-row check compare those ints directly, and ranking reads them
 without building a ``Fraction`` per cell. ``make_dataset`` and
-``ingest.load_dataset`` build the columns; ``tuples`` rebuilds each row as
-a plain tuple of its values on first use, for the paths that walk rows.
-Row i's label and weight are ``row_labels[i]`` and ``weights[i]``.
+``ingest.load_dataset`` build the columns. ``cells`` is each row's ``data``
+entries, which the lhs-chain paths group on; ``tuples`` is each row's values,
+built on first use for the oracle, ``hardgen``, ``ingest.dataset_csv`` and
+the benchmark. Row i has label ``row_labels[i]`` and weight ``weights[i]``.
 
 Everything distance-related uses the exact surrogate sum(|dx|^p): it is
 order-equivalent to the p-norm (the 1/p root is never taken), so orderings
@@ -130,6 +131,11 @@ class LabeledDataset:
     @cached_property
     def feature_indices(self) -> tuple[int, ...]:
         return tuple(self.schema.index(f) for f in self.features)
+
+    @cached_property
+    def cells(self) -> tuple[tuple, ...]:
+        """Each row's ``data`` entries: two at an attribute are equal iff their values are."""
+        return tuple(zip(*[c.data for c in self.columns]))
 
     @cached_property
     def tuples(self) -> tuple[tuple, ...]:

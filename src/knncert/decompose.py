@@ -6,7 +6,8 @@ attribute; when some attribute occurs in every lhs, tuples with different
 values of it never conflict, so repairs are unions of per-value repairs.
 Which attribute each level of the tree splits on depends on the FDs only:
 ``build_tree`` follows the steps of ``fdschema.decide_lhs_chain``, computed
-once per call, and partitions the tuples by value one level at a time. The
+once per call, and partitions the rows one level at a time by cells that
+compare like the values they stand for (``LabeledDataset.cells``). The
 tree is built once and shared by the certification DP, the counting DP, and
 the minimum-weight repair. The repair count and the minimum-weight repair
 are two bottom-up evaluations of a tree by ``fold``. ``Sweep`` keeps every
@@ -56,7 +57,8 @@ def build_tree(
     schema: FdSchema,
 ) -> Node:
     """Build the partition tree for ``ids`` under ``fds``; ``tuples[tid]``
-    is row tid's values, as in ``LabeledDataset.tuples``.
+    is row tid's cells, equal at an attribute iff the values are, as in
+    ``LabeledDataset.cells`` or ``LabeledDataset.tuples``.
 
     The simplification steps of ``fdschema.decide_lhs_chain`` run once:
     depth d splits on the d-th consensus or common-lhs step's attribute,

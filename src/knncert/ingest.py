@@ -325,8 +325,10 @@ def parse_cell(text: str):
 
     text = text.strip()
     if text.startswith("<") and text.endswith(">"):
-        parts = text[1:-1].split("|")
-        return OrSetCell(tuple(parse_scalar(p) for p in parts))
+        parts = [parse_scalar(p) for p in text[1:-1].split("|")]
+        if "" in parts:
+            raise InputError(f"or-set cell has an empty alternative: {text!r}")
+        return OrSetCell(tuple(parts))
     if text.startswith("[") and text.endswith("]"):
         parts = text[1:-1].split(",")
         if len(parts) != 2:

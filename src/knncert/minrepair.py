@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .certresult import CertResult, challenge
-from .dataset import LabeledDataset, Ordering, greedy_repair
+from .dataset import Column, LabeledDataset, Ordering, greedy_repair
 from .decompose import Node, build_tree, fold
 from .errors import InputError
 
@@ -24,31 +24,36 @@ def min_rep(
     Follows the decomposition tree: leaves keep everything, a common lhs
     attribute unions per-value minima, a consensus attribute takes the
     cheapest value. Ties break toward the lexicographically smallest id
-    set. Weights may be zero or negative (the forbidden-repair and 1-NN
-    reductions rely on it); they default to the tuples' own weights. Raises
-    NotChainError when the schema has no lhs-chain equivalent.
+    set. Weights are ints or Fractions, possibly zero or negative (the
+    forbidden-repair and 1-NN reductions rely on it), the tuples' own by
+    default; the fold sums them as the ints of their ``Column``, scaled by
+    D > 0, the lcm of their denominators, which keeps order and ties, and
+    divides by D at the end.
+    Raises NotChainError when the schema has no lhs-chain equivalent.
     """
     ids = list(dataset.ids()) if ids is None else sorted(ids)
     if weights is None:
         weights = dataset.weights
-    tree = build_tree(dataset.tuples, ids, list(dataset.schema.fds), dataset.schema)
-    repair, weight = _min_rep(tree, weights)
-    return tuple(repair), weight
+    scaled = Column.of(weights)
+    if scaled.scale is None:
+        raise InputError("weights must be ints or Fractions")
+    tree = build_tree(dataset.cells, ids, list(dataset.schema.fds), dataset.schema)
+    repair, weight = _min_rep(tree, scaled.data)
+    return tuple(repair), Fraction(weight, scaled.scale)
 
 
-def _min_rep(tree: Node, weights) -> tuple[tuple[int, ...], Fraction]:
+def _min_rep(tree: Node, weights: Sequence[int]) -> tuple[tuple[int, ...], int]:
     # The fold's values are (weight, ids) pairs, so ``min`` picks the
     # cheapest repair and breaks ties toward the smallest id set.
-    weight, repair = fold(tree, lambda ids: (sum((weights[t] for t in ids), Fraction(0)), ids),
-                          min, _union)
+    weight, repair = fold(tree, lambda ids: (sum(weights[t] for t in ids), ids), min, _union)
     return repair, weight
 
 
-def _union(parts: list) -> tuple[Fraction, tuple[int, ...]]:
+def _union(parts: list) -> tuple[int, tuple[int, ...]]:
     merged: list[int] = []
     for _, ids in parts:
         merged.extend(ids)
-    return sum((weight for weight, _ in parts), Fraction(0)), tuple(sorted(merged))
+    return sum(weight for weight, _ in parts), tuple(sorted(merged))
 
 
 def forbidden_repair(
@@ -65,7 +70,7 @@ def forbidden_repair(
     pool = set(dataset.ids() if ids is None else ids)
     if not forbidden <= pool:
         raise InputError("forbidden ids outside the instance")
-    weights = [Fraction(1) if t in forbidden else Fraction(0) for t in dataset.ids()]
+    weights = [int(t in forbidden) for t in dataset.ids()]
     repair, weight = min_rep(dataset, ids=ids, weights=weights)
     return repair if weight == 0 else None
 
@@ -79,7 +84,7 @@ def certify_1nn_via_forbidden(dataset: LabeledDataset, ordering: Ordering) -> Ce
     and 0 elsewhere, such a repair exists iff the minimum weight is
     negative, and that minimum-weight repair is the witness.
     """
-    tree = build_tree(dataset.tuples, list(dataset.ids()), list(dataset.schema.fds), dataset.schema)
+    tree = build_tree(dataset.cells, list(dataset.ids()), list(dataset.schema.fds), dataset.schema)
     return challenge(
         dataset, ordering, 1, greedy_repair(dataset, ordering),
         lambda ell2, ell1: _nearest_first(dataset, ordering, tree, ell2),

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import knncert as kc
 from knncert import fastscan, hardgen, models, oracle
-from knncert.decompose import Sweep, build_tree
+from knncert.decompose import Sweep, build_tree, fold
 
 ATTR_POOL = ("A", "B", "C", "D", "E", "F")
 
@@ -138,6 +138,23 @@ def root_table(ds, ids, ops, tau, ordering):
     for tid in ordering.ranked[:tau]:
         sweep.admit(tid)
     return sweep.root
+
+
+def fraction_min_rep(ds, weights, ids=None):
+    """``minrepair.min_rep``'s (repair, weight) by a fold in Fractions over
+    the tuples view: the cheapest repair, ties toward the smallest id set."""
+    ids = list(ds.ids()) if ids is None else sorted(ids)
+    tree = build_tree(ds.tuples, ids, list(ds.schema.fds), ds.schema)
+
+    def union(parts):
+        merged = sorted(t for _, repair in parts for t in repair)
+        return sum((weight for weight, _ in parts), Fraction(0)), tuple(merged)
+
+    def leaf(leaf_ids):
+        return sum((Fraction(weights[t]) for t in leaf_ids), Fraction(0)), leaf_ids
+
+    weight, repair = fold(tree, leaf, min, union)
+    return tuple(repair), weight
 
 
 def codd_certify(attributes, rows, x, k, p, features):

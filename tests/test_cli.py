@@ -411,6 +411,26 @@ class TestMinRepairAndForbidden:
         assert code == 2 and "error" in payload
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["min-repair"],
+        ["forbidden", "--ids", "0"],
+        ["count", "--label", "0"] + CERT_ARGS,
+        ["certify", "--force-dp"] + CERT_ARGS,
+    ],
+)
+def test_chain_paths_never_read_the_tuples_view(example_files, capsys, monkeypatch, argv):
+    def refuse(dataset):
+        raise AssertionError("the tuples view was read")
+
+    schema, data = example_files
+    want = run(capsys, argv + ["--schema", schema, "--data", data])
+    monkeypatch.setattr(knncert.LabeledDataset, "tuples", property(refuse))
+    got = run(capsys, argv + ["--schema", schema, "--data", data])
+    assert got == want and got[0] == 0
+
+
 class TestPoisonCertify:
     def test_budget_zero_matches_plain_prediction(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
@@ -522,6 +542,17 @@ class TestCoddAndOrset:
             capsys,
             [command, "--data", str(data), "--features", "A", "--point", "0", "--k", "1"],
         )
+        assert (code, payload) == (cli.EXIT_INPUT, {"error": error})
+
+    @pytest.mark.parametrize("cell", ["<1|>", "<|2>", "<>"])
+    def test_empty_or_set_alternative_exits_two(self, tmp_path, capsys, cell):
+        data = tmp_path / "d.csv"
+        data.write_text(f"A,B,label\n1,{cell},0\n2,,1\n")
+        code, payload = run(
+            capsys,
+            ["orset-certify", "--data", str(data), "--features", "A", "--point", "0", "--k", "1"],
+        )
+        error = f"row 0: or-set cell has an empty alternative: {cell!r}"
         assert (code, payload) == (cli.EXIT_INPUT, {"error": error})
 
     @pytest.mark.parametrize(

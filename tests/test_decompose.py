@@ -5,13 +5,17 @@ common-lhs step of ``decide_lhs_chain``, in order, so the tree's shape can
 be checked against the schema-level trace without an oracle.
 """
 
+import os
 import random
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import knncert as kc
-from knncert import NotChainError, counting, minrepair
+from knncert import NotChainError, counting, ingest, minrepair
 from knncert.decompose import CommonNode, ConsensusNode, Leaf, build_tree, fold
 
 import helpers
@@ -106,6 +110,51 @@ class TestTreeFollowsTheChainSteps:
         assert build_tree(ds.tuples, [], list(schema.fds), schema) == Leaf(())
         assert counting.count_repairs(ds, ids=[]) == 1
         assert minrepair.min_rep(ds, ids=[]) == ((), Fraction(0))
+
+
+WIDE = 2**64
+# Spellings of each value a column kind draws from: several texts per value.
+SPELLINGS = {
+    "rational": [["0", "0.0", "-0", "0/3"], ["0.5", "1/2", "0.50", "2/4", ".5"],
+                 ["1", "1.0", "01", "2/2"], ["1.5", "3/2", "1.50"]],
+    "mixed": [["x"], ["y"], ["0.5", "1/2", "0.50"], ["1", "1.0"]],
+    "wide": [[str(WIDE), f"{WIDE}.0", f"{2 * WIDE}/2"], [f"{WIDE}.5", f"{2 * WIDE + 1}/2"],
+             [str(WIDE + 1), f"{WIDE + 1}.00"], ["0", "0.0"]],
+}
+
+
+@st.composite
+def spelled_chain_csvs(draw):
+    """A random chain schema and CSV text whose columns spell one value
+    several ways, mix symbols and numbers, or hold numbers past int64."""
+    schema = helpers.random_chain_schema(random.Random(draw(st.integers(0, 2**32 - 1))),
+                                         draw(st.integers(1, 4)))
+    kinds = [draw(st.sampled_from(sorted(SPELLINGS))) for _ in schema.attributes]
+    lines = [",".join(schema.attributes) + ",label"]
+    for _ in range(draw(st.integers(1, 25))):
+        cells = [draw(st.sampled_from(draw(st.sampled_from(SPELLINGS[kind])))) for kind in kinds]
+        lines.append(",".join(cells) + "," + draw(st.sampled_from("01")))
+    return schema, kinds, "\n".join(lines) + "\n"
+
+
+class TestCellsSplitLikeValues:
+    @settings(max_examples=200, deadline=None)
+    @given(spelled_chain_csvs(), st.data())
+    def test_cells_and_tuples_build_the_same_tree(self, case, data):
+        schema, kinds, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.csv")
+            with open(path, "w") as fh:
+                fh.write(text)
+            ds, _, _ = ingest.load_dataset(path, schema, [])
+        for kind, column in zip(kinds, ds.columns):
+            if kind == "wide" and max(column.values()) >= WIDE:  # ``Column.numeric``'s list kind
+                assert isinstance(column.data, list) and column.scale is not None
+        ids = data.draw(st.lists(st.sampled_from(list(ds.ids())), unique=True))
+        fds = list(schema.fds)
+        for chosen in (list(ds.ids()), sorted(ids)):
+            assert build_tree(ds.cells, chosen, fds, schema) == build_tree(
+                ds.tuples, chosen, fds, schema)
 
 
 def shape(node):

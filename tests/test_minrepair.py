@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import knncert as kc
-from knncert import NotChainError, certify_dp, counting, minrepair, oracle
+from knncert import InputError, NotChainError, certify_dp, counting, minrepair, oracle
 from knncert.decompose import fold
 
 import helpers
@@ -51,11 +53,47 @@ class TestMinRep:
         repair, weight = minrepair.min_rep(ds, weights=[Fraction(0), Fraction(1)])
         assert repair == (0,) and weight == 0
 
+    @pytest.mark.parametrize("bad", [0.5, "1", None])
+    def test_rejects_weights_that_are_not_exact_numbers(self, bad):
+        schema = kc.FdSchema.of(("A", "B"), [(["A"], ["B"])])
+        ds = kc.make_dataset(schema, [((1, 1), "0"), ((1, 2), "0")], features=("A",))
+        with pytest.raises(InputError, match="^weights must be ints or Fractions$"):
+            minrepair.min_rep(ds, weights=[Fraction(1), bad])
+
     def test_rejects_non_chain(self):
         schema = kc.FdSchema.of(("A", "B", "C"), [(["A"], ["C"]), (["B"], ["C"])])
         ds = kc.make_dataset(schema, [((1, 1, 1), "0")], features=("A",))
         with pytest.raises(NotChainError):
             minrepair.min_rep(ds)
+
+
+# Exact weights of mixed denominators, zeros and negatives included.
+WEIGHTS = st.one_of(st.sampled_from([0, Fraction(0)]), st.integers(-4, 4),
+                    st.fractions(-4, 4, max_denominator=12))
+
+
+class TestIntegerFoldMatchesFractionFold:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_min_rep_and_forbidden_repair(self, seed, data):
+        rng = random.Random(seed)
+        ds, _ = helpers.random_chain_instance(rng, n_max=14, d_max=4, weighted=True)
+        weights = data.draw(st.lists(WEIGHTS, min_size=ds.size, max_size=ds.size))
+        ids = None if rng.random() < 0.5 else rng.sample(range(ds.size), rng.randint(0, ds.size))
+
+        got = minrepair.min_rep(ds, ids=ids, weights=weights)
+        assert got == helpers.fraction_min_rep(ds, weights, ids=ids)
+        assert type(got[1]) is Fraction
+        own = minrepair.min_rep(ds, ids=ids)
+        assert own == helpers.fraction_min_rep(ds, ds.weights, ids=ids)
+        assert type(own[1]) is Fraction
+
+        pool = list(ds.ids()) if ids is None else ids
+        forbidden = [t for t in pool if rng.random() < 0.3]
+        flags = [Fraction(int(t in forbidden)) for t in ds.ids()]
+        repair, weight = helpers.fraction_min_rep(ds, flags, ids=ids)
+        want = repair if weight == 0 else None
+        assert minrepair.forbidden_repair(ds, forbidden, ids=ids) == want
 
 
 class TestForbiddenRepair:
