@@ -20,10 +20,8 @@ from .fdschema import (
     ChainDecision,
     Fd,
     FdSchema,
-    KeyDecision,
     closure,
     decide_lhs_chain,
-    decide_primary_key,
     find_incomparable_pair,
     minimize,
     subtract_attribute,
@@ -37,7 +35,6 @@ __all__ = [
     "Fd",
     "FdSchema",
     "InputError",
-    "KeyDecision",
     "LabeledDataset",
     "NotChainError",
     "NotPrimaryKeyError",
@@ -47,7 +44,6 @@ __all__ = [
     "closure",
     "conflicts",
     "decide_lhs_chain",
-    "decide_primary_key",
     "find_incomparable_pair",
     "greedy_repair",
     "make_dataset",

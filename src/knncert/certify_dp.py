@@ -113,6 +113,7 @@ def _challenge(dataset, ordering, tree, ell, ell1, k, weighted) -> Optional[tupl
     """Sweep tau for challenger ``ell``; return the traced repair at the
     first hit whose best (ell minus ell1) difference is non-negative."""
     n = dataset.size
+    k = min(k, n + 1)  # no repair holds more than n tuples
     sweep = Sweep(tree, n, _row_ops(dataset, ell, ell1, k, weighted))
     for tau, tid in enumerate(ordering.ranked, start=1):
         sweep.admit(tid)

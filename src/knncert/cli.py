@@ -4,8 +4,8 @@ Exit codes: 0 robust (or plain success), 1 not robust, 2 input error,
 3 schema outside the tractable class, 4 enumeration cap exceeded, 141 the
 reader of stdout closed it early (as a process killed by SIGPIPE). Results
 are JSON on stdout with sorted keys, so identical inputs produce identical
-bytes. ``certify`` dispatches by schema shape, decided from the FDs
-alone: a primary-key equivalent (``fdschema.decide_primary_key``) goes to
+bytes. ``certify`` dispatches by schema shape, decided once from the FDs
+alone (``fdschema.decide_lhs_chain``): a primary-key equivalent goes to
 the linear scan, unless a block holds identical rows, and that or any
 other lhs-chain equivalent goes to the DP; anything else is refused with a
 pointer at the ``oracle`` subcommands, whose exponential enumeration is
@@ -30,7 +30,7 @@ from . import certify_dp, counting, fastscan, ingest, minrepair
 from .certresult import CertResult
 from .dataset import LabeledDataset, Ordering, order_by_distance, predict
 from .errors import CapExceededError, InputError, NotChainError, NotPrimaryKeyError
-from .fdschema import decide_lhs_chain, decide_primary_key
+from .fdschema import decide_lhs_chain
 
 EXIT_OK = 0
 EXIT_NOT_ROBUST = 1
@@ -89,16 +89,17 @@ def _cmd_check_schema(args) -> int:
 
 def _cmd_certify(args) -> int:
     dataset, ordering, _ = _load_instance(args)
+    decision = decide_lhs_chain(dataset.schema)
     method: Optional[str] = None
     result: Optional[CertResult] = None
-    if not (args.weighted or args.force_dp) and decide_primary_key(dataset.schema).key is not None:
+    if not (args.weighted or args.force_dp) and decision.key is not None:
         try:
             result = fastscan.certify_pk(dataset, ordering, args.k)
             method = "fastscan"
         except NotPrimaryKeyError:
             result = None
     if result is None:
-        if not decide_lhs_chain(dataset.schema).is_chain_equivalent:
+        if not decision.is_chain_equivalent:
             raise NotChainError(
                 "schema has no lhs-chain equivalent; certification is intractable "
                 "in general. Use the 'oracle certify' subcommand (capped enumeration)."

@@ -117,7 +117,7 @@ def count_label(dataset: LabeledDataset, ordering: Ordering, k: int, label: str,
 
     # Repairs with fewer than k tuples: neighborhood is the whole repair.
     if k > 1:
-        total += _predicting(sweep.root, set(range(1, k)))
+        total += _predicting(sweep.root, range(1, k))
     return total
 
 

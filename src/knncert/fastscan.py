@@ -14,8 +14,8 @@ ties or beats the incumbent, and the witness is materialized per block.
 Everything runs on integer code arrays in rank order: a block code per
 tuple, numbered by first appearance, and a label code that indexes the
 sorted label alphabet. The key comes from the FDs alone
-(``fdschema.decide_primary_key``, which the CLI asks before it sends a
-call here). ``as_keyed`` factorises the key cells into block codes and
+(``fdschema.decide_lhs_chain``, which the CLI asks before it sends a call
+here). ``as_keyed`` factorises the key cells into block codes and
 finds identical rows with one ``np.lexsort`` over the block codes and the
 other columns' int64 codes (the fixed-point ints themselves for numeric
 columns), and the label codes come from the row labels, so no per-row
@@ -41,7 +41,7 @@ from typing import Optional, Sequence, Union
 from .certresult import CertResult, refuted
 from .dataset import LabeledDataset, Ordering, PredictOutcome
 from .errors import InputError, NotPrimaryKeyError
-from .fdschema import decide_primary_key
+from .fdschema import decide_lhs_chain
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +72,7 @@ class ScanTrigger:
 def as_keyed(dataset: LabeledDataset) -> KeyedDataset:
     """Group tuples into blocks, after checking that they can be blocks.
 
-    The schema must be a primary key (``fdschema.decide_primary_key``), and
+    The schema must be a primary key (``fdschema.decide_lhs_chain``), and
     blocks must be conflict cliques: same-key tuples with identical values
     would coexist in repairs, which the block model cannot express, so such
     datasets are refused (the DP path handles them), naming the first such
@@ -82,10 +82,9 @@ def as_keyed(dataset: LabeledDataset) -> KeyedDataset:
     import numpy as np
 
     schema = dataset.schema
-    decision = decide_primary_key(schema)
-    if decision.key is None:
-        raise NotPrimaryKeyError(decision.reason)
-    key_attrs = decision.key
+    key_attrs = decide_lhs_chain(schema).key
+    if key_attrs is None:
+        raise NotPrimaryKeyError("FDs are not equivalent to a single primary key")
     key_idx = tuple(schema.index(a) for a in key_attrs)
 
     key_cells = (dataset.columns[key_idx[0]].data if len(key_idx) == 1

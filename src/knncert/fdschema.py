@@ -1,16 +1,16 @@
 """Functional-dependency schemas.
 
-Attribute closures, canonical covers, the primary-key test that sends
-certification to the linear scan (``decide_primary_key``), and the
-simplification recursion that decides whether an FD set is equivalent to
-one whose left-hand sides form a chain under inclusion. That chain test is
-the dispatch point for every other polynomial algorithm in this package:
-the recursion removes trivial FDs, then repeatedly eliminates either a
-consensus attribute (an FD with empty lhs) or an attribute common to every
-lhs, and succeeds iff the FD set empties. The steps depend on the FDs
-only and come from ``_chain_steps``: ``decide_lhs_chain`` formats them as
-its trace, and ``decompose.build_tree`` splits level d of its tree on the
-d-th consensus or common-lhs attribute.
+Attribute closures, canonical covers, and the simplification recursion
+that decides whether an FD set is equivalent to one whose left-hand sides
+form a chain under inclusion, and whether it amounts to a single primary
+key. That one decision is the dispatch point for every polynomial
+algorithm in this package: the recursion removes trivial FDs, then
+repeatedly eliminates either a consensus attribute (an FD with empty lhs)
+or an attribute common to every lhs, and succeeds iff the FD set empties.
+The steps depend on the FDs only and come from ``_chain_steps``:
+``decide_lhs_chain`` formats them as its trace and reads the key off them,
+and ``decompose.build_tree`` splits level d of its tree on the d-th
+consensus or common-lhs attribute.
 """
 
 from __future__ import annotations
@@ -76,10 +76,12 @@ class FdSchema:
 
 @dataclass(frozen=True)
 class ChainDecision:
-    """Outcome of the lhs-chain test, with the simplification trace."""
+    """Outcome of the lhs-chain test, with the simplification trace, and the
+    primary key in schema order when the FDs amount to one, else None."""
 
     is_chain_equivalent: bool
     trace: tuple[str, ...]
+    key: Optional[tuple[str, ...]]
 
 
 def _fire(attrs: set[str], fds: Iterable[Fd]) -> set[str]:
@@ -158,39 +160,24 @@ def decide_lhs_chain(schema: FdSchema) -> ChainDecision:
 
     The trace lists the steps of ``_chain_steps`` as ``removed-trivial``,
     ``consensus(attr)``, ``common-lhs(attr)`` and a final ``stuck``.
+
+    The FDs amount to a primary key K (``K -> every attribute``) iff the
+    steps eliminate every attribute, the common-lhs ones first: every
+    nontrivial lhs then contains K and they meet in K. With no nontrivial
+    FD, K is every attribute. The key sends ``certify`` to the linear scan,
+    which still checks that no block holds identical rows.
     """
     steps = _chain_steps(schema.fds, schema)
     trace = tuple(kind if attr is None else f"{kind}({attr})" for kind, attr in steps)
-    return ChainDecision(not steps or steps[-1][0] != "stuck", trace)
-
-
-@dataclass(frozen=True)
-class KeyDecision:
-    """Outcome of the primary-key test: the key attributes in schema order,
-    or None and the reason the FDs are not a single key."""
-
-    key: Optional[tuple[str, ...]]
-    reason: Optional[str] = None
-
-
-def decide_primary_key(schema: FdSchema) -> KeyDecision:
-    """Whether the FDs amount to a single primary key, from the FDs alone.
-
-    They do when the canonical cover has one shared lhs whose closure spans
-    every attribute; with no nontrivial FD the key is every attribute. This
-    is the dispatch point of the linear-time scan, which still has to check
-    the data: a block holding identical rows is not a conflict clique.
-    """
-    mini = minimize(schema)
-    lhss = {fd.lhs for fd in mini.fds}
-    if not lhss:
-        return KeyDecision(schema.attributes)
-    if len(lhss) != 1:
-        return KeyDecision(None, "FDs do not share a single lhs")
-    key = next(iter(lhss))
-    if closure(key, mini) != frozenset(schema.attributes):
-        return KeyDecision(None, "shared lhs is not a key of the relation")
-    return KeyDecision(tuple(schema.sort_attrs(key)))
+    chain = not steps or steps[-1][0] != "stuck"
+    kinds = [kind for kind, attr in steps if attr is not None]
+    common = [attr for kind, attr in steps if kind == "common-lhs"]
+    key = None
+    if chain and not kinds:
+        key = schema.attributes
+    elif len(kinds) == schema.arity and "consensus" not in kinds[:len(common)]:
+        key = tuple(schema.sort_attrs(common))
+    return ChainDecision(chain, trace, key)
 
 
 def _fd_key(schema: FdSchema, fd: Fd) -> tuple:

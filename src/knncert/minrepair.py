@@ -5,12 +5,13 @@ reduced to a sequence of forbidden-set queries on one decomposition tree.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .certresult import CertResult, challenge
 from .dataset import Column, LabeledDataset, Ordering, greedy_repair
-from .decompose import Node, build_tree, fold
+from .decompose import Node, Sweep, TableOps, build_tree, fold
 from .errors import InputError
 
 
@@ -34,6 +35,8 @@ def min_rep(
     ids = list(dataset.ids()) if ids is None else sorted(ids)
     if weights is None:
         weights = dataset.weights
+    if len(weights) != dataset.size:
+        raise InputError(f"{len(weights)} weights for {dataset.size} rows")
     scaled = Column.of(weights)
     if scaled.scale is None:
         raise InputError("weights must be ints or Fractions")
@@ -82,7 +85,9 @@ def certify_1nn_via_forbidden(dataset: LabeledDataset, ordering: Ordering) -> Ce
     possible iff some ell2-labeled tuple t admits a repair that contains t
     but avoids everything closer: weight 1 on every closer tuple, -1 on t
     and 0 elsewhere, such a repair exists iff the minimum weight is
-    negative, and that minimum-weight repair is the witness.
+    negative, and that minimum-weight repair is the witness. A ``Sweep``
+    counting the closer tuples answers the test as ``pinned(t) == 0``, so
+    the tree is folded only for the witness.
     """
     tree = build_tree(dataset.cells, list(dataset.ids()), list(dataset.schema.fds), dataset.schema)
     return challenge(
@@ -93,14 +98,17 @@ def certify_1nn_via_forbidden(dataset: LabeledDataset, ordering: Ordering) -> Ce
 
 def _nearest_first(dataset: LabeledDataset, ordering: Ordering, tree: Node, ell2: str):
     """A repair whose nearest tuple is labeled ``ell2``, or None."""
-    weights = [0] * dataset.size
+    # Tables count admitted (closer) tuples: the fewest over a consensus node.
+    sweep = Sweep(tree, dataset.size, TableOps(0, lambda c, tid: c + 1, min, operator.add))
     for position, tid in enumerate(ordering.ranked):
-        if dataset.row_labels[tid] == ell2:
+        if dataset.row_labels[tid] == ell2 and sweep.pinned(tid) == 0:
+            closer = ordering.ranked[:position]
+            weights = [0] * dataset.size
+            for t in closer:
+                weights[t] = 1
             weights[tid] = -1
-            repair, weight = _min_rep(tree, weights)
-            if weight < 0:
-                closer = ordering.ranked[:position]
-                assert set(closer).isdisjoint(repair), "1-NN witness keeps a closer tuple"
-                return repair
-        weights[tid] = 1
+            repair, _ = _min_rep(tree, weights)
+            assert set(closer).isdisjoint(repair), "1-NN witness keeps a closer tuple"
+            return repair
+        sweep.admit(tid)
     return None

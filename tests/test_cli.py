@@ -332,17 +332,21 @@ class TestFastscanAgreesWithDp:
         assert scan["robust"] is True and scan["certain_label"] == "0"
 
 
+def child_env():
+    """The environment of a child interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(knncert.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def test_broken_pipe_exits_without_traceback(tmp_path):
     # Two witnesses of 5000 ids each are far more than a pipe buffer holds,
     # so the write fails once the reader has closed its end.
     rows = [f"{b},{2 * b + j},{j}" for b in range(5000) for j in (0, 1)]
     files = keyed_files(tmp_path, "K,X,label\n" + "\n".join(rows) + "\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(knncert.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.Popen(
         [sys.executable, "-m", "knncert.cli", "certify", *files, "--p", "1", "--k", "1"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
     )
     assert proc.stdout.read(20).startswith(b"{")
     proc.stdout.close()
@@ -350,6 +354,29 @@ def test_broken_pipe_exits_without_traceback(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+# The CLI in a child limited to 1 GiB of address space, so a table sized by
+# k fails at once instead of filling the machine.
+LIMITED_CLI = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+               "from knncert import cli; sys.exit(cli.main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("argv", [["certify", "--force-dp"], ["count", "--label", "0"]])
+def test_k_past_the_row_count_answers_as_rows_plus_one(tmp_path, argv):
+    schema, data = tmp_path / "s.json", tmp_path / "d.csv"
+    schema.write_text(json.dumps({"attributes": ["A", "B"], "fds": [{"lhs": ["A"], "rhs": ["B"]}]}))
+    data.write_text("A,B,label\n1,1,0\n1,2,1\n2,1,0\n3,1,1\n")
+
+    def answer(k):
+        proc = subprocess.run(
+            [sys.executable, "-c", LIMITED_CLI, *argv, "--schema", str(schema), "--data",
+             str(data), "--features", "A", "--point", "0", "--k", str(k)],
+            capture_output=True, env=child_env(), timeout=120,
+        )
+        return proc.returncode, proc.stdout
+
+    assert answer(10**9) == answer(5)
 
 
 class TestCount:
@@ -409,6 +436,25 @@ class TestMinRepairAndForbidden:
             capsys, ["forbidden", "--schema", schema, "--data", data, "--ids", "0,x"]
         )
         assert code == 2 and "error" in payload
+
+
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        (["count", "--label", "0"] + CERT_ARGS, 3,
+         "counting requires an lhs-chain-equivalent schema"),
+        (["min-repair"], 3, "min-repair requires an lhs-chain-equivalent schema"),
+        (["forbidden", "--ids", "0"], 3, "forbidden-repair requires an lhs-chain-equivalent schema"),
+        (["certify"] + CERT_ARGS, 2, "--schema is required for this command"),
+    ],
+)
+def test_refusals_name_what_is_missing(tmp_path, example_files, capsys, argv, code, error):
+    _, data = example_files
+    schema = tmp_path / "nonchain.json"
+    schema.write_text(json.dumps(NONCHAIN_SCHEMA))
+    if argv[0] != "certify":
+        argv = argv + ["--schema", str(schema)]
+    assert run(capsys, argv + ["--data", data]) == (code, {"error": error})
 
 
 @pytest.mark.parametrize(

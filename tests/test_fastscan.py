@@ -128,7 +128,7 @@ class TestAsKeyedMatchesRowTuples:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(key_datasets())
     def test_blocks_and_refusals(self, ds):
-        key = kc.decide_primary_key(ds.schema).key
+        key = kc.decide_lhs_chain(ds.schema).key
         blocks, num_blocks, named = reference_keyed(ds, key)
         if named is None:
             keyed = fastscan.as_keyed(ds)

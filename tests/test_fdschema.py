@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import knncert as kc
 from knncert import InputError, NotPrimaryKeyError, fastscan
-from knncert.fdschema import Fd, decide_primary_key
+from knncert.fdschema import Fd
 
 import helpers
 
@@ -127,16 +127,18 @@ class TestDecidePrimaryKey:
     @example(schema("AB", [("A", "B"), ("B", "A")]))  # two candidate keys
     @example(schema("ABC", [("A", "B")]))  # the lhs is not a key
     @example(schema("AB", [("", "AB")]))  # the empty key: one block
+    @example(schema("ABCD", [("A", "BC"), ("AC", "D")]))  # a key through a redundant chain
     def test_accepts_exactly_what_as_keyed_accepts(self, s):
         # Distinct rows, so as_keyed's data-level check never refuses.
         rows = [((i,) * s.arity, "0") for i in range(3)]
         ds = kc.make_dataset(s, rows, features=s.attributes[:1])
-        decision = decide_primary_key(s)
+        key = kc.decide_lhs_chain(s).key
         try:
-            assert fastscan.as_keyed(ds).key == decision.key
+            assert fastscan.as_keyed(ds).key == key
         except NotPrimaryKeyError as exc:
-            assert decision.key is None and str(exc) == decision.reason
-        assert decision.key == single_key(s)
+            assert key is None
+            assert str(exc) == "FDs are not equivalent to a single primary key"
+        assert key == single_key(s)
 
 
 def _closure_function_equal(a, b):

@@ -249,6 +249,18 @@ class TestEndToEnd:
                     if u != t:
                         assert not kc.conflicts(ds.tuples[t], ds.tuples[u], ds.schema)
 
+    def test_lift_scales_past_k_when_the_nearest_tuple_is_close(self):
+        # Surrogate distance 1 is below the arity 2, so lam = k = 3 leaves
+        # 3**2 * 1 < 2 * 3**2, and lam grows to 5, the first with 5**2 >= 18.
+        rows = [((1, 0), "0"), ((0, 2), "1")]
+        ds = kc.make_dataset(hardgen.default_target(), rows, features=("A", "B"))
+        lifted = hardgen.lift_to_k(hardgen.HardInstance(ds, kc.TestPoint((0, 0)), 0, {}, 2), 3)
+        assert lifted.scale == 5
+        dist = [kc.surrogate_distance(lifted.test_point, lifted.dataset, t, 2)
+                for t in lifted.dataset.ids()]
+        assert dist[:2] == [25, 100]  # (5, 0) and (0, 10)
+        assert max(dist[2:]) < min(dist[:2])
+
     def test_lift_preserves_verdict(self):
         rng = random.Random(23)
         for _ in range(6):

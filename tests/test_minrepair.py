@@ -25,6 +25,13 @@ class TestMinRep:
         repair, weight = minrepair.min_rep(ds)
         assert repair == (1, 2) and weight == 3
 
+    @pytest.mark.parametrize("weights", [[1], [1, 2, 3, 4]])
+    def test_weights_must_cover_each_row_once(self, weights):
+        schema = kc.FdSchema.of(("A", "B"), [(["A"], ["B"])])
+        ds = kc.make_dataset(schema, [((1, 1), "0"), ((1, 2), "1"), ((2, 1), "0")], features=("A",))
+        with pytest.raises(InputError, match=f"^{len(weights)} weights for 3 rows$"):
+            minrepair.min_rep(ds, weights=weights)
+
     def test_matches_oracle_on_randoms(self):
         rng = random.Random(101)
         for _ in range(80):
@@ -167,6 +174,28 @@ class TestCertify1nn:
         with pytest.raises(AssertionError, match="closer tuple"):
             minrepair.certify_1nn_via_forbidden(ds, ordering)
 
+    @pytest.mark.parametrize("rows, robust, folds", [
+        # The nearest tuple conflicts with nothing: no challenger is tried.
+        ([((0, 0), "0"), ((1, 0), "1"), ((1, 1), "1")], True, 0),
+        # Tuple 1 shares a leaf with the closer tuple 0; tuple 2 is the witness.
+        ([((0, 0), "0"), ((0, 0), "1"), ((0, 1), "1")], False, 1),
+    ])
+    def test_folds_the_tree_only_for_the_witness(self, monkeypatch, rows, robust, folds):
+        calls = []
+
+        def counted(tree, weights):
+            calls.append(weights)
+            return min_rep(tree, weights)
+
+        min_rep = minrepair._min_rep
+        monkeypatch.setattr(minrepair, "_min_rep", counted)
+        schema = kc.FdSchema.of(("A", "B"), [(["A"], ["B"])])
+        ds = kc.make_dataset(schema, rows, features=("A",))
+        res = minrepair.certify_1nn_via_forbidden(ds, kc.Ordering((0, 1, 2)))
+        assert (res.robust, len(calls)) == (robust, folds)
+        if not robust:
+            assert res.witnesses[1][0] == (2,)
+
     def test_matches_dp_and_oracle(self):
         rng = random.Random(107)
         for _ in range(80):
@@ -178,7 +207,7 @@ class TestCertify1nn:
             assert got.certain_label == want.certain_label
 
     def test_matches_dp_at_scale(self):
-        # Trees of hundreds of nodes, refolded once per challenger tuple tried.
+        # Trees of hundreds of nodes, swept once per challenger label.
         rng = random.Random(109)
         sizes = []
         for _ in range(18):

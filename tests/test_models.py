@@ -6,7 +6,7 @@ import pytest
 
 import helpers
 import knncert as kc
-from knncert import InputError, fastscan, models, oracle
+from knncert import InputError, fastscan, ingest, models, oracle
 
 
 def plain_dataset(rng, n, max_labels=3):
@@ -219,6 +219,14 @@ class TestCoddCells:
             ("A",),
         )
         assert near == (0,) and far == (2,)
+
+    def test_interval_outside_the_features_completes_at_its_low_end(self, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text('A,B,label\n1,"[2,9]",0\n3,4,1\n')
+        attrs, rows = ingest.load_uncertain_table(str(data))
+        keyed, roles = models.codd_extremal_instance(attrs, rows, kc.TestPoint((0,)), ("A",))
+        assert roles == ((0, "only"), (1, "only"))
+        assert keyed.dataset.columns[1].value(0) == 2
 
     def test_bad_interval_rejected(self):
         with pytest.raises(InputError, match="^interval low must not exceed high$"):
