@@ -21,13 +21,12 @@ same positive constant and so leaves the order unchanged.
 
 from __future__ import annotations
 
-import itertools
 import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
 from .fdschema import FdSchema
@@ -142,13 +141,6 @@ class LabeledDataset:
         """Each row's values as a plain tuple, built from the columns on
         first use."""
         return tuple(zip(*[c.values() for c in self.columns]))
-
-    def row_cells(self, indices: Sequence[int]) -> Iterator[tuple]:
-        """Per row, the ``data`` entries of the columns at ``indices``: two
-        rows agree on those attributes iff their entries are equal."""
-        if not indices:
-            return itertools.repeat((), self.size)
-        return zip(*[self.columns[i].data for i in indices])
 
     def ids(self) -> range:
         return range(self.size)

@@ -87,8 +87,9 @@ def as_keyed(dataset: LabeledDataset) -> KeyedDataset:
         raise NotPrimaryKeyError("FDs are not equivalent to a single primary key")
     key_idx = tuple(schema.index(a) for a in key_attrs)
 
-    key_cells = (dataset.columns[key_idx[0]].data if len(key_idx) == 1
-                 else list(dataset.row_cells(key_idx)))
+    key_cols = [dataset.columns[i].data for i in key_idx]
+    # The empty key, which zips to no rows, puts every row in one block.
+    key_cells = key_cols[0] if len(key_cols) == 1 else list(zip(*key_cols)) or [()] * dataset.size
     block_of, num_blocks = _factorise(key_cells)
     # Identical rows share their key, so there are none unless some block
     # holds two rows or more; sorted by all codes, they are neighbours.
@@ -128,36 +129,42 @@ def _codes(keyed: KeyedDataset, ordering: Ordering):
     return keyed.block_of[ranked], label_of[ranked], ranked
 
 
+_NARROW_BELOW = 2**31 - 1  # rows for which int32 positions and counts suffice
+
+
 def _block_stats(keys: np.ndarray):
+    """The positions 0..n-1, and the first and last of each block code (n
+    and -1 for a code no position holds): a block holds one tuple iff its
+    two are equal. Positions are int32 below ``_NARROW_BELOW``, so every
+    array built from them is half as wide and a call touches fewer pages."""
     import numpy as np
 
     # Positions are scanned in order, so duplicate-index assignment keeps the
     # last write: forward gives last occurrences, reversed gives first ones.
     n = keys.shape[0]
     nkeys = int(keys.max()) + 1 if n else 0
-    pos = np.arange(n, dtype=np.int64)
-    first = np.full(nkeys, n, dtype=np.int64)
+    pos = np.arange(n, dtype=np.int32 if n < _NARROW_BELOW else np.int64)
+    first = np.full(nkeys, n, dtype=pos.dtype)
     first[keys[::-1]] = pos[::-1]
-    last = np.full(nkeys, -1, dtype=np.int64)
+    last = np.full(nkeys, -1, dtype=pos.dtype)
     last[keys] = pos
-    count = np.bincount(keys, minlength=nkeys)
-    return first, last, count
+    return pos, first, last
 
 
-def _prune_mask(keys: np.ndarray, labels: np.ndarray, last: np.ndarray, ell2: int,
-                ell1: int) -> np.ndarray:
+def _prune_mask(keys: np.ndarray, labels: np.ndarray, pos: np.ndarray, last: np.ndarray,
+                ell2: int, ell1: int) -> np.ndarray:
     """Survivors of the (ell2, ell1) pruning; ``last`` is the last position
     of each block, from ``_block_stats(keys)``."""
     import numpy as np
 
     n = keys.shape[0]
-    pos = np.arange(n, dtype=np.int64)
     nkeys = last.shape[0]
-    first_target = np.full(nkeys, n, dtype=np.int64)
+    first_target = np.full(nkeys, n, dtype=pos.dtype)
     target = labels == ell2
     first_target[keys[target][::-1]] = pos[target][::-1]
-    doomed_ref = (labels == ell1) & (pos < last[keys])
-    behind_target = pos > first_target[keys]
+    gathered = last[keys]  # one buffer for both gathers: fewer fresh pages per call
+    doomed_ref = (labels == ell1) & (pos < gathered)
+    behind_target = pos > np.take(first_target, keys, out=gathered)
     return ~(doomed_ref | behind_target)
 
 
@@ -167,12 +174,11 @@ def _scan_arrays(keys: np.ndarray, labels: np.ndarray, ell2: int, ell1: int, k: 
     n = keys.shape[0]
     if n == 0:
         return None
-    first, last, count = _block_stats(keys)
-    pos = np.arange(n, dtype=np.int64)
-    blocks_seen = np.cumsum(first[keys] == pos)
-    blocks_closed = np.cumsum(last[keys] == pos)
-    target_seen = np.cumsum(labels == ell2)
-    forced_ref = np.cumsum((count[keys] == 1) & (labels == ell1))
+    pos, first, last = _block_stats(keys)
+    blocks_seen = np.cumsum(first[keys] == pos, dtype=pos.dtype)
+    blocks_closed = np.cumsum(last[keys] == pos, dtype=pos.dtype)
+    target_seen = np.cumsum(labels == ell2, dtype=pos.dtype)
+    forced_ref = np.cumsum((first == last)[keys] & (labels == ell1), dtype=pos.dtype)
     assert blocks_closed[-1] == blocks_seen[-1] and (blocks_closed <= blocks_seen).all()
     fired = (blocks_closed <= k) & (k <= blocks_seen) & (target_seen >= forced_ref)
     if not fired.any():
@@ -194,8 +200,8 @@ def prune(keyed: KeyedDataset, ell2: str, ell1: str, ordering: Ordering) -> tupl
         if lab not in ds.labels:
             raise InputError(f"unknown label {lab!r}")
     keys, labels, ranked = _codes(keyed, ordering)
-    _, last, _ = _block_stats(keys)
-    mask = _prune_mask(keys, labels, last, ds.labels.index(ell2), ds.labels.index(ell1))
+    pos, _, last = _block_stats(keys)
+    mask = _prune_mask(keys, labels, pos, last, ds.labels.index(ell2), ds.labels.index(ell1))
     return tuple(int(t) for t in ranked[mask])
 
 
@@ -239,13 +245,13 @@ def _build_witness(
     import numpy as np
 
     kept, trigger, num_blocks = verdict.kept, verdict.trigger, verdict.greedy.shape[0]
-    first, last, count = _block_stats(keys[kept])
+    _, first, last = _block_stats(keys[kept])
     # Pruning never erases a block, so every block has a pick.
-    assert count.shape[0] == num_blocks and count.all()
+    assert last.shape[0] == num_blocks and (last >= 0).all()
     boundary = trigger.index  # the prefix is the pruned positions < boundary
     closed = last < boundary
     pick = last.copy()
-    dodge = closed & (labels[kept][last] == verdict.incumbent) & (count > 1)
+    dodge = closed & (labels[kept][last] == verdict.incumbent) & (first < last)
     pick[dodge] = first[dodge]
     straddling = np.flatnonzero((first < boundary) & ~closed)
     need = min(k, num_blocks) - trigger.blocks_closed
@@ -290,11 +296,11 @@ def certify_pk(
 class ArrayVerdict:
     """Outcome of the array core; positions index the rank-ordered codes.
 
-    ``greedy`` holds the positions of the greedy repair, the first witness
-    of a verdict that is not robust; a robust verdict needs no witness and
-    holds None, so it keeps no array of the size of the input alive. When a
-    challenger fired, ``kept`` holds the positions that survived its
-    pruning and ``trigger`` the scan state over them.
+    ``greedy`` holds the positions of the greedy repair (int32 below
+    ``_NARROW_BELOW`` rows), the first witness of a verdict that is not
+    robust; a robust verdict holds None, so it keeps no array of the size
+    of the input alive. When a challenger fired, ``kept`` holds the int64
+    positions that survived its pruning and ``trigger`` the scan state.
     """
 
     robust: bool
@@ -319,9 +325,9 @@ def certify_pk_arrays(keys: np.ndarray, labels: np.ndarray, k: int) -> ArrayVerd
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     n = keys.shape[0]
     if n == 0:
-        return ArrayVerdict(False, None, np.zeros(0, dtype=np.int64))
-    first, last, _ = _block_stats(keys)
-    greedy = np.flatnonzero(first[keys] == np.arange(n, dtype=np.int64))
+        return ArrayVerdict(False, None, np.zeros(0, dtype=np.int32))
+    pos, first, last = _block_stats(keys)
+    greedy = np.sort(first[first < n])  # the first position of every block
     k_eff = min(k, greedy.shape[0])
     counts = np.bincount(labels[greedy[:k_eff]])
     if (counts == counts.max()).sum() > 1:
@@ -331,7 +337,7 @@ def certify_pk_arrays(keys: np.ndarray, labels: np.ndarray, k: int) -> ArrayVerd
     for ell2 in range(int(labels.max()) + 1):
         if ell2 == ell1:
             continue
-        mask = _prune_mask(keys, labels, last, ell2, ell1)
+        mask = _prune_mask(keys, labels, pos, last, ell2, ell1)
         trigger = _scan_arrays(keys[mask], labels[mask], ell2, ell1, k_eff)
         if trigger is not None:
             return ArrayVerdict(False, ell1, greedy, ell2, trigger, np.flatnonzero(mask))

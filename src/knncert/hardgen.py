@@ -64,7 +64,6 @@ class GadgetGraph:
 
     num_vars: int
     num_clauses: int
-    vertices: tuple[Vertex, ...]
     edges: tuple[tuple[Vertex, Vertex, int], ...]
 
 
@@ -99,11 +98,7 @@ def gadget_graph(phi: Sat3R) -> GadgetGraph:
                 (("y", j, 1), ("y", j, 2), 0),
             ]
         )
-
-    vertices = [("C+", i) for i in range(1, m + 1)] + [("C-", i) for i in range(1, m + 1)]
-    for j in range(1, phi.num_vars + 1):
-        vertices += [("x", j, v) for v in range(3)] + [("y", j, v) for v in range(3)]
-    return GadgetGraph(phi.num_vars, m, tuple(vertices), tuple(edges))
+    return GadgetGraph(phi.num_vars, m, tuple(edges))
 
 
 @dataclass(frozen=True)

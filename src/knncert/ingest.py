@@ -2,7 +2,8 @@
 
 CSV conventions: the header carries the attribute names plus a required
 ``label`` column and optional ``weight``, ``rank`` and ``uncertain``
-columns. Every non-blank row has exactly as many cells as the header.
+columns, each named once. Every non-blank row has exactly as many cells as
+the header.
 Scalar cells are integers, fractions like ``1/2`` or decimals (parsed
 exactly), anything else is a symbol. Uncertain tables additionally allow
 or-set cells ``<a|b|c>`` and interval cells ``[lo,hi]``.
@@ -35,6 +36,8 @@ if TYPE_CHECKING:  # imported where used, so a dataset load never loads them
     from .hardgen import Sat3R
 
 RESERVED = ("label", "weight", "rank", "uncertain")
+# The stripped ``uncertain`` cells: whether each marks its row deletable.
+_MARKS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False, "": False}
 UNIT_WEIGHT = Fraction(1)  # shared by every row without a weight cell
 
 
@@ -127,6 +130,9 @@ def _read_batches(path: str) -> Iterator[list]:
             header = [h.strip() for h in header]
             if "label" not in header:
                 raise InputError(f"{path}: missing required column 'label'")
+            if len(set(header)) < len(header):
+                twice = next(h for i, h in enumerate(header) if h in header[:i])
+                raise InputError(f"{path}: column {twice!r} appears more than once")
             yield header
             rows, start, failure = filter(None, reader), 0, None
             while failure is None:
@@ -284,13 +290,18 @@ def load_dataset(
                 ranks.extend(map(int, cells[rank_col]))  # keeps the ranks before a failure
             except ValueError:  # at the row after the last rank kept
                 faults.append((len(ranks) - start, 2, f"row {len(ranks)}: rank must be an integer"))
+        if uncertain_col is not None:
+            marks = list(map(_MARKS.get, map(str.strip, cells[uncertain_col])))
+            if None in marks:
+                i = marks.index(None)
+                faults.append((i, 3, f"row {start + i}: uncertain must be one of 1, true, yes, 0, "
+                                     f"false, no or empty, got {cells[uncertain_col][i]!r}"))
         if faults:
             raise InputError(min(faults)[2])
         weights.extend(map(weight_of.__getitem__, texts))
         row_labels.extend(map(alphabet.setdefault, labels, labels))
         if uncertain_col is not None:
-            uncertain += [start + i for i, text in enumerate(cells[uncertain_col])
-                          if text.strip() in ("1", "true", "yes")]
+            uncertain += [start + i for i, mark in enumerate(marks) if mark]
         for builder, j in builders:
             builder.extend(cells[j])
 

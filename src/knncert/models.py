@@ -1,10 +1,11 @@
 """Certification under three light uncertainty models.
 
-?-sets: up to a budget of marked tuples may be deleted; a sliding scan over
-the distance order maintains the most promising k-neighborhood reachable
-within the budget. Or-sets and Codd tables both become a primary-key
-instance through one expansion, ``_keyed_blocks``: each row becomes a block
-of alternative tuples under a fresh key ``id``, so a world is a block repair
+?-sets: up to a budget of marked tuples may be deleted. The best world
+deletes the nearest incumbent-labeled ones first, then neutral, then
+challenger-labeled ones: one pass over the distance order reads its vote off
+prefix counts. Or-sets and Codd tables both become a primary-key instance
+through one expansion, ``_keyed_blocks``: each row becomes a block of
+alternative tuples under a fresh key ``id``, so a world is a block repair
 and the primary-key scan certifies it. For an or-set row the block holds
 every realization of its cells; for a row of a Codd table, whose missing
 values range over rational intervals, only the nearest and farthest
@@ -14,7 +15,6 @@ completions matter, so the block holds those two.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -45,53 +45,28 @@ class QSetInstance:
 def _qset_scan(q: QSetInstance, ordering: Ordering, k: int, ell: str, ell1: str):
     """Return the removed-id list of a world where ell catches ell1, or None.
 
-    The candidate neighborhood starts as the k nearest tuples; each step
-    admits the next tuple and evicts the least useful deletable member
-    (incumbent-labeled first, neutral next, target-labeled last; FIFO within
-    a class). Every state reached this way is the exact k-neighborhood of
-    the world deleting the evicted tuples.
+    The best world that deletes ``gone`` marked tuples to leave k of those
+    seen drops the nearest incumbent-labeled (ell1) ones first, then neutral,
+    then challenger-labeled (ell) ones. ``lead``, ell's count minus ell1's
+    among the tuples seen, gives its vote, so one pass reads every such world.
     """
-    ds = q.dataset
-    labels = ds.row_labels
-
-    def priority(lab: str) -> int:
-        if lab == ell1:
-            return 0
-        return 2 if lab == ell else 1
-
-    count_target = count_ref = 0
-    buckets = (deque(), deque(), deque())
-    removed: list[int] = []
-
-    def admit(tid: int) -> None:
-        nonlocal count_target, count_ref
-        lab = labels[tid]
-        if lab == ell:
-            count_target += 1
-        elif lab == ell1:
-            count_ref += 1
-        if tid in q.uncertain:
-            buckets[priority(lab)].append(tid)
-
-    for tid in ordering.ranked[:k]:
-        admit(tid)
-    for tid in ordering.ranked[k:]:
-        if count_target >= count_ref:
-            return removed
-        if not any(buckets) or len(removed) >= q.budget:
+    labels, uncertain = q.dataset.row_labels, q.uncertain
+    marked = ([], [], [])  # incumbent-labeled, neutral, challenger-labeled
+    lead = seen = 0
+    for gone, tid in enumerate(ordering.ranked[: k + q.budget], 1 - k):
+        if gone > seen:  # fewer marked tuples came before than must go
             return None
-        admit(tid)
-        for bucket in buckets:
-            if bucket:
-                out = bucket.popleft()
-                lab = labels[out]
-                if lab == ell:
-                    count_target -= 1
-                elif lab == ell1:
-                    count_ref -= 1
-                removed.append(out)
-                break
-    return removed if count_target >= count_ref else None
+        lab = labels[tid]
+        step = (lab == ell) - (lab == ell1)  # -1, 0 or 1: the index into marked, less one
+        lead += step
+        if tid in uncertain:
+            marked[step + 1].append(tid)
+            seen += 1
+        if gone >= 0:
+            r, u = len(marked[0]), len(marked[1])
+            if lead + min(gone, r) >= max(0, gone - r - u):
+                return (marked[0] + marked[1] + marked[2])[:gone]
+    return None
 
 
 def qset_certify(q: QSetInstance, ordering: Ordering, k: int) -> CertResult:

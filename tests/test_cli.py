@@ -518,6 +518,81 @@ class TestPoisonCertify:
         assert code == 0 and payload["robust"] is True
 
 
+# ?-set instances over A = 1..n at --point 0 --p 1, so rank follows the row:
+# labels by rank, marked rows, budget, k, then the exit code, certain label,
+# possible labels and witnesses, each (predicted label or None for a tie,
+# repair ids). The expected payloads were computed by the earlier
+# evicting-window scan, an independent implementation of the same search.
+QSET_PINNED = {
+    "tie": ("1,1,2,1,0", {1, 2, 3}, 3, 2, 1, None, ["1"], [("1", [0, 1, 2, 3, 4]), (None, [0, 4])]),
+    "budget-out": ("0,0,1,0,1,1", {0, 1, 3}, 1, 3, 0, "0", ["0"], []),
+    "marks-out": ("0,0,1,0,1,1", {0, 5}, 2, 3, 0, "0", ["0"], []),
+    "neutral-first": (
+        "1,2,0,1,1,2,1,0,2,1", {1, 4, 5, 6, 7, 8}, 4, 4, 1, None, ["1"],
+        [("1", list(range(10))), (None, [0, 2, 3, 7, 8, 9])],
+    ),
+    "deep": (
+        "0,1,0,2,0,1,1,0", {0, 1, 2, 4}, 3, 3, 1, None, ["0"],
+        [("0", list(range(8))), (None, [1, 2, 3, 4, 5, 6, 7])],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(QSET_PINNED))
+def test_poison_certify_witnesses_are_pinned(tmp_path, capsys, case):
+    labels, marked, budget, k, code, certain, possible, witnesses = QSET_PINNED[case]
+    data = tmp_path / "d.csv"
+    data.write_text("A,label,uncertain\n" + "".join(
+        f"{i + 1},{label},{int(i in marked)}\n" for i, label in enumerate(labels.split(","))))
+    got = run(capsys, ["poison-certify", "--data", str(data), "--features", "A", "--point", "0",
+                       "--p", "1", "--k", str(k), "--budget", str(budget)])
+    assert got == (code, {
+        "budget": budget, "certain_label": certain, "possible_labels": possible,
+        "robust": certain is not None, "uncertain_count": len(marked),
+        "witnesses": [{"predicted": {"kind": "tie"} if label is None else
+                       {"kind": "label", "label": label}, "repair_ids": ids}
+                      for label, ids in witnesses],
+    })
+
+
+@pytest.mark.parametrize("cell", ["TRUE", "2", "x"])
+def test_poison_certify_refuses_other_uncertain_cells(tmp_path, capsys, cell):
+    # Read as unmarked, TRUE would leave row 0 undeletable and the vote robust.
+    data = tmp_path / "d.csv"
+    data.write_text(f"A,label,uncertain\n1,0,{cell}\n2,1,1\n3,1,0\n")
+    code, payload = run(capsys, ["poison-certify", "--data", str(data), "--features", "A",
+                                 "--point", "0", "--k", "1", "--budget", "1"])
+    error = f"row 0: uncertain must be one of 1, true, yes, 0, false, no or empty, got {cell!r}"
+    assert (code, payload) == (cli.EXIT_INPUT, {"error": error})
+
+
+# A header naming one column twice, per repeated name; each row is as wide.
+REPEATED_COLUMNS = {
+    "A": "A,A,label\n1,2,0\n2,1,1\n",
+    "label": "A,label,label\n1,0,1\n2,1,0\n",
+    "weight": "A,label,weight,weight\n1,0,1,3\n2,1,2,1\n",
+    "rank": "A,label,rank,rank\n1,0,1,2\n2,1,2,1\n",
+    "uncertain": "A,label,uncertain,uncertain\n1,0,1,0\n2,1,0,1\n",
+}
+REPEAT_COMMANDS = {
+    "certify": ["certify", "--schema", "{dir}/s.json", "--k", "1"],
+    "poison-certify": ["poison-certify", "--k", "1", "--budget", "0"],
+    "orset-certify": ["orset-certify", "--k", "1"],
+}
+
+
+@pytest.mark.parametrize("command", list(REPEAT_COMMANDS))
+@pytest.mark.parametrize("name", list(REPEATED_COLUMNS))
+def test_repeated_column_exits_two(tmp_path, capsys, command, name):
+    (tmp_path / "s.json").write_text(json.dumps({"attributes": ["A"], "fds": []}))
+    data = tmp_path / "d.csv"
+    data.write_text(REPEATED_COLUMNS[name])
+    argv = [a.format(dir=tmp_path) for a in REPEAT_COMMANDS[command]]
+    code, payload = run(capsys, argv + ["--data", str(data), "--features", "A", "--point", "0"])
+    error = f"{data}: column '{name}' appears more than once"
+    assert (code, payload) == (cli.EXIT_INPUT, {"error": error})
+
+
 class TestCoddAndOrset:
     def test_codd_certify(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -304,6 +304,24 @@ class TestArrayPath:
             want = fastscan.certify_pk(ds, ordering, k)
             assert verdict.robust == want.robust
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 3)), min_size=1, max_size=40),
+           st.integers(1, 6))
+    def test_int32_positions_match_int64(self, cells, k):
+        keys = np.array([key for key, _ in cells], dtype=np.int64)
+        labels = np.array([label for _, label in cells], dtype=np.int64)
+        narrow = fastscan.certify_pk_arrays(keys, labels, k)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fastscan, "_NARROW_BELOW", 0)
+            wide = fastscan.certify_pk_arrays(keys, labels, k)
+        if narrow.greedy is not None:
+            assert (narrow.greedy.dtype, wide.greedy.dtype) == (np.int32, np.int64)
+        for field in ("robust", "incumbent", "challenger", "trigger"):
+            assert getattr(narrow, field) == getattr(wide, field)
+        for field in ("greedy", "kept"):
+            got, want = getattr(narrow, field), getattr(wide, field)
+            assert (got is None and want is None) or got.tolist() == want.tolist()
+
     def test_linearity_smoke(self):
         # Same shape as the acceptance perf check, at friendlier sizes.
         def build(n):

@@ -147,6 +147,13 @@ class TestDatasetCsv:
         with pytest.raises(InputError, match=r"^cannot read .*d\.csv: 'utf-8' codec can't decode"):
             ingest.load_dataset(str(path), None, ["A"])
 
+    def test_uncertain_spellings(self, tmp_path):
+        cells = ["1", "true", " yes ", "0", "false", "no", "", " "]
+        path = self.write(tmp_path, "A,label,uncertain\n" + "".join(
+            f"{i},0,{cell}\n" for i, cell in enumerate(cells)))
+        _, _, uncertain = ingest.load_dataset(path, None, ["A"])
+        assert uncertain == frozenset({0, 1, 2})
+
     def test_write_then_load(self, tmp_path):
         schema = kc.FdSchema.of(("A", "B"), [(["A"], ["B"])])
         ds = kc.make_dataset(
@@ -359,6 +366,15 @@ class TestErrorPrecedence:
             ingest.load_dataset(str(path), None, ["A"])
         path.write_text("A,label,weight,rank\n1,0,1,0\n1,0,0,x\n")
         with pytest.raises(InputError, match=r"^row 1: weight must be positive$"):
+            ingest.load_dataset(str(path), None, ["A"])
+
+    def test_uncertain_fault_comes_after_the_rows_other_faults(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("A,label,weight,rank,uncertain\n1,0,1,0,1\n1,0,1,x,2\n")
+        with pytest.raises(InputError, match=r"^row 1: rank must be an integer$"):
+            ingest.load_dataset(str(path), None, ["A"])
+        path.write_text("A,label,weight,rank,uncertain\n1,0,1,0,2\n1,,1,1,1\n")
+        with pytest.raises(InputError, match=r"^row 0: uncertain must be one of"):
             ingest.load_dataset(str(path), None, ["A"])
 
     @pytest.mark.parametrize("at", [5, 900, ingest._BATCH_ROWS, 2500])
