@@ -1,19 +1,20 @@
 """File formats: schema JSON, dataset CSV, uncertain tables, formula files.
 
-CSV conventions: the header carries the attribute names plus a required
-``label`` column and optional ``weight``, ``rank`` and ``uncertain``
-columns, each named once. Every non-blank row has exactly as many cells as
-the header.
+Every file is read as UTF-8, a leading byte-order mark skipped. CSV
+conventions: the header carries at least one attribute name plus a required
+``label`` column and optional ``weight``, ``rank`` and ``uncertain`` columns,
+each named once. Every non-blank row has as many cells as the header.
 Scalar cells are integers, fractions like ``1/2`` or decimals (parsed
 exactly), anything else is a symbol. Uncertain tables additionally allow
 or-set cells ``<a|b|c>`` and interval cells ``[lo,hi]``.
 
-``load_dataset`` reads rows in batches and works a column at a time: the
-row checks run over each batch's columns and name the first failing row,
-and one builder per attribute takes the cells, turning plain decimals into
-fixed-point ints over the column's largest number of places (one regex and
-``map(int, ...)`` per batch), so no ``Fraction`` and no per-row record is
-built (see ``dataset.Column``). It stays pure Python: the chain
+One reader, ``_read_table``, reads every table in batches, a column at a
+time: the reserved columns' checks name the first failing row, and one
+builder per attribute takes the cells. ``load_dataset``'s turns plain
+decimals into fixed-point ints over the column's largest number of places
+(one regex and ``map(int, ...)`` per batch), so no ``Fraction`` and no
+per-row record is built (see ``dataset.Column``); ``load_uncertain_table``'s
+reads each cell with ``parse_cell``. It stays pure Python: the chain
 subcommands, which never load numpy, share it.
 """
 
@@ -25,8 +26,8 @@ import json
 import os
 import re
 from fractions import Fraction
-from itertools import chain, islice, takewhile
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from itertools import islice, takewhile
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
 
 from .dataset import Column, LabeledDataset, Ordering, TestPoint
 from .errors import InputError
@@ -43,9 +44,9 @@ UNIT_WEIGHT = Fraction(1)  # shared by every row without a weight cell
 
 def load_schema(path: str) -> FdSchema:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read schema {path}: {exc}") from None
     try:
         return FdSchema.of(raw["attributes"], [(fd["lhs"], fd["rhs"]) for fd in raw["fds"]])
@@ -122,7 +123,7 @@ def _read_batches(path: str) -> Iterator[list]:
     error ends its batch early and is raised on the next read, so the
     caller checks the rows before it first."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -239,25 +240,24 @@ def _plain_run(texts: Sequence[str]) -> Optional[tuple[list[int], int]]:
 _BATCH_ROWS = 1024  # rows read and checked together, column by column
 
 
-def load_dataset(
-    path: str,
-    schema: Optional[FdSchema],
-    features: Sequence[str],
-) -> tuple[LabeledDataset, Optional[tuple[int, ...]], Optional[frozenset[int]]]:
-    """Load a CSV into a dataset; returns (dataset, ranks, uncertain ids).
+def _read_table(path: str, schema: Optional[FdSchema], builder: Callable[[], Any]):
+    """Read and check a table: (builders by attribute, labels, sorted label
+    alphabet, weights, rank order, marked ids).
 
-    ``ranks`` and ``uncertain`` are None when the respective column is
-    absent; an all-zero uncertain column is an explicit empty marking, which
-    is not the same thing. With ``schema`` None the attributes are taken
-    from the header and the FD set is empty. Each batch is checked column
-    by column, and an error names the first offending row of the file.
+    One ``builder()`` per attribute takes its cells a batch at a time; its
+    ``extend`` returns None, or (row in batch, message) for the first cell
+    it refuses. An error names the first failing row of the file: its cells
+    in attribute order first, then label, weight, rank and uncertain. Rank
+    order and marked ids are None when their column is absent; an all-zero
+    uncertain column is an explicit empty marking, not the same thing.
     """
     batches = _read_batches(path)
     header = next(batches)
     attrs = _attributes(header, schema)
-    schema = schema or FdSchema.of(attrs, [])
+    if not attrs:
+        raise InputError(f"{path}: no attribute columns")
     column = {name: j for j, name in enumerate(header)}
-    builders = [(_ColumnBuilder(), column[a]) for a in attrs]
+    builders = {a: builder() for a in attrs}
     label_col = column["label"]
     weight_col, rank_col = column.get("weight"), column.get("rank")
     uncertain_col = column.get("uncertain")
@@ -272,6 +272,10 @@ def load_dataset(
         start = len(row_labels)
         cells = list(zip(*batch))
         faults = []  # (row in batch, check order, message) of each failing check
+        for order, (name, cell_builder) in enumerate(builders.items(), -len(builders)):
+            fault = cell_builder.extend(cells[column[name]])
+            if fault is not None:
+                faults.append((fault[0], order, f"row {start + fault[0]}: {fault[1]}"))
         labels = list(map(str.strip, cells[label_col]))
         if "" in labels:
             faults.append((labels.index(""), 0, f"row {start + labels.index('')}: empty label"))
@@ -302,17 +306,7 @@ def load_dataset(
         row_labels.extend(map(alphabet.setdefault, labels, labels))
         if uncertain_col is not None:
             uncertain += [start + i for i, mark in enumerate(marks) if mark]
-        for builder, j in builders:
-            builder.extend(cells[j])
 
-    dataset = LabeledDataset(
-        schema,
-        tuple(b.column() for b, _ in builders),
-        tuple(row_labels),
-        tuple(weights),
-        tuple(sorted(alphabet)),
-        tuple(features),
-    )
     rank_order: Optional[tuple[int, ...]] = None
     if rank_col is not None:
         if len(set(ranks)) != len(ranks):
@@ -321,7 +315,26 @@ def load_dataset(
             raise InputError(f"row {row}: rank column must hold distinct integers")
         rank_order = tuple(tid for _, tid in sorted(zip(ranks, range(len(ranks)))))
     marked = frozenset(uncertain) if uncertain_col is not None else None
-    return dataset, rank_order, marked
+    return builders, row_labels, tuple(sorted(alphabet)), weights, rank_order, marked
+
+
+def load_dataset(
+    path: str,
+    schema: Optional[FdSchema],
+    features: Sequence[str],
+) -> tuple[LabeledDataset, Optional[tuple[int, ...]], Optional[frozenset[int]]]:
+    """Load a CSV into a dataset; returns (dataset, ranks, uncertain ids).
+    With ``schema`` None the attributes come from the header, with no FDs."""
+    columns, labels, alphabet, weights, ranks, marked = _read_table(path, schema, _ColumnBuilder)
+    dataset = LabeledDataset(
+        schema or FdSchema.of(tuple(columns), []),
+        tuple(b.column() for b in columns.values()),
+        tuple(labels),
+        tuple(weights),
+        alphabet,
+        tuple(features),
+    )
+    return dataset, ranks, marked
 
 
 def ordering_from_ranks(rank_order: Optional[tuple[int, ...]]) -> Ordering:
@@ -348,25 +361,23 @@ def parse_cell(text: str):
     return parse_scalar(text)
 
 
-def load_uncertain_table(path: str) -> tuple[tuple[str, ...], list[tuple]]:
-    """Load rows whose cells may be or-sets or intervals: (attributes, rows)."""
-    batches = _read_batches(path)
-    header = next(batches)
-    attrs = tuple(h for h in header if h not in RESERVED)
-    column = {name: j for j, name in enumerate(header)}
-    attr_cols = [column[a] for a in attrs]
-    label_col = column["label"]
-    rows = []
-    for i, row in enumerate(chain.from_iterable(batches)):
+class _CellList(list):
+    """An uncertain table's attribute column: each cell as ``parse_cell``
+    reads it."""
+
+    def extend(self, texts: Sequence[str]) -> Optional[tuple[int, str]]:
+        start = len(self)
         try:
-            cells = tuple(parse_cell(row[j]) for j in attr_cols)
+            super().extend(map(parse_cell, texts))  # keeps the cells before a failure
         except InputError as exc:
-            raise InputError(f"row {i}: {exc}") from None
-        label = row[label_col].strip()
-        if label == "":
-            raise InputError(f"row {i}: empty label")
-        rows.append((cells, label))
-    return attrs, rows
+            return len(self) - start, str(exc)
+
+
+def load_uncertain_table(path: str) -> tuple[tuple[str, ...], list[tuple]]:
+    """Load rows whose cells may be or-sets or intervals: (attributes, rows),
+    each row a (cells, label) pair, read and checked by ``_read_table``."""
+    columns, labels = _read_table(path, None, _CellList)[:2]
+    return tuple(columns), list(zip(zip(*columns.values()), labels))
 
 
 def open_for_writing(path: str, mode: str = "w", **kwargs):
@@ -418,9 +429,9 @@ def load_formula(path: str) -> Sat3R:
 
     clauses = []
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read formula {path}: {exc}") from None
     for line in lines:
         line = line.strip()

@@ -578,6 +578,7 @@ REPEAT_COMMANDS = {
     "certify": ["certify", "--schema", "{dir}/s.json", "--k", "1"],
     "poison-certify": ["poison-certify", "--k", "1", "--budget", "0"],
     "orset-certify": ["orset-certify", "--k", "1"],
+    "codd-certify": ["codd-certify", "--k", "1"],
 }
 
 
@@ -591,6 +592,37 @@ def test_repeated_column_exits_two(tmp_path, capsys, command, name):
     code, payload = run(capsys, argv + ["--data", str(data), "--features", "A", "--point", "0"])
     error = f"{data}: column '{name}' appears more than once"
     assert (code, payload) == (cli.EXIT_INPUT, {"error": error})
+
+
+# Tables every table command refuses alike, each with the error it names.
+TABLE_REFUSALS = {
+    "empty-label": ("A,label\n1,0\n2, \n", "row 1: empty label"),
+    "weight-negative": ("A,label,weight\n1,0,-3\n", "row 0: weight must be positive"),
+    "weight-symbol": ("A,label,weight\n1,0,1\n2,1,x\n", "row 1: expected a number, got 'x'"),
+    "rank-fraction": ("A,label,rank\n1,0,1\n2,1,1.5\n", "row 1: rank must be an integer"),
+    "rank-repeated": (
+        "A,label,rank\n1,0,1\n2,1,1\n", "row 1: rank column must hold distinct integers"
+    ),
+    "uncertain-maybe": (
+        "A,label,uncertain\n1,0,1\n2,1,maybe\n",
+        "row 1: uncertain must be one of 1, true, yes, 0, false, no or empty, got 'maybe'",
+    ),
+    "weight-before-uncertain": (
+        "A,label,weight,uncertain\n1,0,-3,maybe\n2,1,x,7\n", "row 0: weight must be positive"
+    ),
+    "no-attribute": ("label\n0\n1\n", "{data}: no attribute columns"),
+}
+
+
+@pytest.mark.parametrize("command", [c for c in REPEAT_COMMANDS if c != "certify"])
+@pytest.mark.parametrize("case", list(TABLE_REFUSALS))
+def test_table_commands_refuse_alike(tmp_path, capsys, command, case):
+    text, error = TABLE_REFUSALS[case]
+    data = tmp_path / "d.csv"
+    data.write_text(text)
+    code, payload = run(capsys, REPEAT_COMMANDS[command] + [
+        "--data", str(data), "--features", "A", "--point", "0"])
+    assert (code, payload) == (cli.EXIT_INPUT, {"error": error.format(data=data)})
 
 
 class TestCoddAndOrset:

@@ -1,5 +1,4 @@
 import csv
-import locale
 from fractions import Fraction
 
 import pytest
@@ -97,6 +96,44 @@ class TestCells:
         with pytest.raises(InputError, match=f"^row 1: {error}$"):
             ingest.load_uncertain_table(str(path))
 
+    def test_cell_faults_come_first_in_their_row(self, tmp_path):
+        # Cells in attribute order, then the label; an earlier row first.
+        path = tmp_path / "d.csv"
+        path.write_text('A,B,label\n1,2,0\n"[4,1]","[4,x]",\n')
+        with pytest.raises(InputError, match="^row 1: interval low must not exceed high$"):
+            ingest.load_uncertain_table(str(path))
+        path.write_text('A,B,label\n1,"[4,x]",0\n"[4,1]",1,\n')
+        with pytest.raises(InputError, match="^row 0: expected a number, got 'x'$"):
+            ingest.load_uncertain_table(str(path))
+
+
+# Every input file, each with a loader and its text, to be read with a BOM.
+BOM_FILES = {
+    "label-first": (lambda p: ingest.load_dataset(p, None, ["A"])[0].tuples, "label,A\n0,1\n"),
+    "label-last": (lambda p: ingest.load_dataset(p, None, ["A"])[0].tuples, "A,label\n1,0\n"),
+    "uncertain-table": (ingest.load_uncertain_table, 'A,label\n"[1,2]",0\n'),
+    "schema": (ingest.load_schema, '{"attributes": ["A"], "fds": []}'),
+    "formula": (ingest.load_formula, "1 -2 3 0\n"),
+}
+
+
+@pytest.mark.parametrize("kind", list(BOM_FILES))
+def test_byte_order_mark_is_skipped(tmp_path, kind):
+    # Excel's "CSV UTF-8" export starts with one.
+    load, text = BOM_FILES[kind]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert load(str(marked)) == load(str(plain))
+
+
+@pytest.mark.parametrize("kind", ["schema", "formula"])
+def test_undecodable_schema_or_formula_rejected(tmp_path, kind):
+    path = tmp_path / "f"
+    path.write_bytes(b"\xe9")
+    with pytest.raises(InputError, match=f"^cannot read {kind} .*: 'utf-8' codec can't decode"):
+        getattr(ingest, f"load_{kind}")(str(path))
+
 
 class TestDatasetCsv:
     def write(self, tmp_path, text):
@@ -139,8 +176,6 @@ class TestDatasetCsv:
         with pytest.raises(InputError):
             ingest.load_dataset(path, None, ["A"])
 
-    @pytest.mark.skipif(locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
-                        reason="the CSV is read in the locale's encoding")
     def test_undecodable_file_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_bytes(b"A,label\n1,0\n\xe9,0\n")

@@ -1,10 +1,12 @@
-"""Oracle-free properties on instances of about a thousand tuples.
+"""Oracle-free properties on instances of one to five thousand tuples.
 
 The brute-force oracle stops at a dozen tuples. These properties tie the
 polynomial routines to each other instead, at sizes where the oracle cannot
 follow: the key scan against the DP on keyed data, counting against
-certification on chain data, and every repair the chain routines return
-against a linear consistency-and-maximality check.
+certification on chain data, every repair the chain routines return
+against a linear consistency-and-maximality check, and the three
+uncertainty models against plain prediction, against their own budget or
+widening, and against an independent DP.
 """
 
 import random
@@ -14,7 +16,8 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import knncert as kc
-from knncert import certify_dp, counting, fastscan, minrepair
+from knncert import certify_dp, counting, fastscan, minrepair, models
+from knncert.models import CoddCell, OrSetCell
 
 import helpers
 
@@ -136,3 +139,152 @@ class TestOutputsAreRepairs:
         assert helpers.repair_problems(ds, (0,)) == ["tuple 2 could be added"]
         assert helpers.repair_problems(ds, (0, 1, 2)) == ["tuple 1 conflicts inside the repair"]
         assert helpers.repair_problems(ds, (0,), ids=[0, 1]) == []
+
+
+@st.composite
+def qset_instances(draw):
+    """A ?-set table: skewed labels in random rank order, a random share of
+    the rows marked, and the budgets 0..min(|marked|, 3k + 2) to try."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1000, 5000))
+    bias = draw(st.sampled_from((0.34, 0.6, 0.9)))
+    share = draw(st.sampled_from((0.1, 0.5, 1.0)))
+    k = draw(st.sampled_from((1, 2, 3, 5)))
+    rng = random.Random(seed)
+    rows = [((i,), "0" if rng.random() < bias else rng.choice("12")) for i in range(n)]
+    ds = kc.make_dataset(kc.FdSchema.of(("A",), []), rows, features=(), labels=("0", "1", "2"))
+    marked = frozenset(i for i in range(n) if rng.random() < share)
+    return ds, _ordering(rng, ds, 0), k, marked, range(min(len(marked), 3 * k + 2) + 1)
+
+
+def best_lead(labels, ranked, marked, budget, k, ell, ell1):
+    """The largest count of ``ell`` less that of ``ell1`` among the first k
+    tuples left after deleting at most ``budget`` marked ones: a DP over
+    the first k + budget ranked tuples and the number deleted so far."""
+    leads = {0: 0}  # tuples deleted so far -> best lead among those kept
+    best = None
+    for i, tid in enumerate(ranked[: k + budget]):
+        step = (labels[tid] == ell) - (labels[tid] == ell1)
+        after: dict = {}
+        for gone, lead in leads.items():
+            if i + 1 - gone == k:  # keeping it fills the neighborhood
+                best = lead + step if best is None else max(best, lead + step)
+            else:
+                after[gone] = max(after.get(gone, lead + step), lead + step)
+            if tid in marked and gone < budget:
+                after[gone + 1] = max(after.get(gone + 1, lead), lead)
+        leads = after
+    return best
+
+
+class TestQSetAtScale:
+    @AT_SCALE
+    @given(qset_instances())
+    def test_budget_zero_is_the_plain_vote(self, inst):
+        ds, ordering, k, marked, _ = inst
+        res = models.qset_certify(models.QSetInstance(ds, marked, 0), ordering, k)
+        vote = kc.predict(ds, ds.ids(), ordering, k)
+        assert (res.robust, res.certain_label) == (vote.kind == "label", vote.label)
+
+    @AT_SCALE
+    @given(qset_instances())
+    def test_verdict_is_monotone_in_the_budget(self, inst):
+        # A larger budget only adds worlds: once flagged, always flagged.
+        ds, ordering, k, marked, budgets = inst
+        verdicts = [models.qset_certify(models.QSetInstance(ds, marked, b), ordering, k)
+                    for b in budgets]
+        robust = [res.robust for res in verdicts]
+        assert robust == sorted(robust, reverse=True)
+        assert len({res.certain_label for res in verdicts if res.robust}) <= 1
+
+    @AT_SCALE
+    @given(qset_instances())
+    def test_scan_agrees_with_a_dp(self, inst):
+        ds, ordering, k, marked, budgets = inst
+        labels = ds.row_labels
+        for budget in budgets:
+            q = models.QSetInstance(ds, marked, budget)
+            for ell, ell1 in [("0", "1"), ("1", "0"), ("1", "2"), ("2", "0")]:
+                removed = models._qset_scan(q, ordering, k, ell, ell1)
+                best = best_lead(labels, ordering.ranked, marked, budget, k, ell, ell1)
+                assert (removed is not None) == (best >= 0)
+                if removed is not None:  # the world it names reaches the lead
+                    gone = set(removed)
+                    assert len(removed) <= budget and gone <= marked
+                    kept = [t for t in ordering.ranked if t not in gone][:k]
+                    assert sum((labels[t] == ell) - (labels[t] == ell1) for t in kept) >= 0
+
+
+def _planted_rows(rng, n, k, cell):
+    """Rows of a two-attribute table around the point 0: ``k // 2`` or
+    ``k // 2 + 1`` label-0 rows whose ``cell(rng, 30)`` lies near it, then
+    rows of ``cell(rng, 20_000)`` cells and skewed labels."""
+    planted = [((cell(rng, 30), "p"), "0") for _ in range(k // 2 + rng.randint(0, 1))]
+    bias = rng.choice((0.34, 0.6, 0.9))
+    return planted + [((cell(rng, 20_000), cell(rng, 20_000)),
+                       "0" if rng.random() < bias else rng.choice("12"))
+                      for _ in range(n - len(planted))]
+
+
+def _orset_cell(rng, top):
+    values = [rng.randint(1, top) for _ in range(rng.choice((1, 2, 3)))]
+    return values[0] if len(values) == 1 else OrSetCell(tuple(values))
+
+
+def _codd_cell(rng, top, points=False):
+    low = rng.randint(-top, top)
+    if rng.random() < 0.5:
+        return low
+    return CoddCell(low, low if points else low + rng.randint(0, top // 100))
+
+
+@st.composite
+def table_instances(draw, cell):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.sampled_from((1, 2, 3, 5)))
+    return _planted_rows(rng, draw(st.integers(1000, 2000)), k, cell), k, rng
+
+
+def _codd_verdict(rows, k):
+    x = kc.TestPoint((0,))
+    keyed, _ = models.codd_extremal_instance(("A", "B"), rows, x, ("A",))
+    res = fastscan.certify_pk(keyed, kc.order_by_distance(keyed.dataset, x, 1), k)
+    return res.robust, res.certain_label
+
+
+class TestOrSetAndCoddAtScale:
+    @AT_SCALE
+    @given(table_instances(_orset_cell))
+    def test_orset_blocks_scan_as_the_dp_certifies(self, inst):
+        rows, k, _ = inst
+        keyed = models.orset_expand(("A", "B"), rows, ("A",))
+        ordering = kc.order_by_distance(keyed.dataset, kc.TestPoint((0,)), 1)
+        scan = fastscan.certify_pk(keyed, ordering, k)
+        dp = certify_dp.certify(keyed.dataset, ordering, k)
+        assert (scan.robust, scan.certain_label) == (dp.robust, dp.certain_label)
+
+    @AT_SCALE
+    @given(table_instances(lambda rng, top: _codd_cell(rng, top, points=True)))
+    def test_point_intervals_give_the_plain_vote(self, inst):
+        rows, k, _ = inst
+        plain = [(tuple(c.low if isinstance(c, CoddCell) else c for c in cells), label)
+                 for cells, label in rows]
+        ds = kc.make_dataset(kc.FdSchema.of(("A", "B"), []), plain, ("A",))
+        vote = kc.predict(ds, ds.ids(), kc.order_by_distance(ds, kc.TestPoint((0,)), 1), k)
+        assert _codd_verdict(rows, k) == (vote.kind == "label", vote.label)
+
+    @AT_SCALE
+    @given(table_instances(_codd_cell))
+    def test_widening_never_makes_robust(self, inst):
+        # A wider interval only adds completions, so it keeps every world:
+        # along nested widenings, once flagged, always flagged.
+        rows, k, rng = inst
+        verdicts = [_codd_verdict(rows, k)]
+        for _ in range(3):
+            rows = [(tuple(CoddCell(c.low - rng.randint(0, 200), c.high + rng.randint(0, 200))
+                           if isinstance(c, CoddCell) else c for c in cells), label)
+                    for cells, label in rows]
+            verdicts.append(_codd_verdict(rows, k))
+        robust = [robust for robust, _ in verdicts]
+        assert robust == sorted(robust, reverse=True)
+        assert len({label for robust, label in verdicts if robust}) <= 1
