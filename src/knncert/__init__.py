@@ -24,7 +24,6 @@ from .fdschema import (
     decide_lhs_chain,
     find_incomparable_pair,
     minimize,
-    subtract_attribute,
     with_label_attribute,
 )
 
@@ -50,7 +49,6 @@ __all__ = [
     "minimize",
     "order_by_distance",
     "predict",
-    "subtract_attribute",
     "surrogate_distance",
     "with_label_attribute",
 ]

@@ -3,12 +3,12 @@
 For a target label and a distance threshold, the recursion computes, per
 prefix size i, the maximum over all repairs with exactly i tuples inside the
 threshold of (weight of target label) - (weight of the incumbent label)
-within that prefix. Partitioning follows the decomposition tree: a consensus
-attribute takes a max across values, a common lhs attribute combines per
-value tables by max-plus convolution. A non-negative entry at i = k for some
-threshold (or at i < k at the widest threshold, covering repairs smaller
-than k) falsifies robustness, and a witness repair is reconstructed by
-walking the stored tables back.
+within that prefix. The tables are ``decompose.size_tables`` over (max, +):
+a consensus attribute takes a max across values, a common lhs attribute
+combines per value tables by max-plus convolution. A non-negative entry at
+i = k for some threshold (or at i < k at the widest threshold, covering
+repairs smaller than k) falsifies robustness, and a witness repair is
+reconstructed by walking the stored tables back.
 
 The threshold sweep is incremental: raising tau by one admits one tuple,
 and ``decompose.Sweep`` updates only that tuple's leaf and its ancestors,
@@ -20,61 +20,23 @@ re-evaluating the tree at every tau.
 
 from __future__ import annotations
 
+import operator
 from typing import Optional
 
 from .certresult import CertResult, challenge
 from .dataset import LabeledDataset, Ordering, greedy_repair
-from .decompose import ConsensusNode, Leaf, Sweep, TableOps, build_tree
+from .decompose import ConsensusNode, Leaf, Sweep, TableOps, build_tree, size_tables
 from .errors import InputError
-
-# A table is a list of length k+1; None stands for minus infinity, meaning
-# no repair attains that prefix size.
-Row = list
 
 
 def _row_ops(dataset: LabeledDataset, label: str, ref_label: str, k: int,
              weighted: bool) -> TableOps:
-    """Max-plus rows. A leaf's row has one finite entry, at the number of
-    its admitted tuples, holding their (label minus ref_label) weight, until
-    more than k are admitted; consensus takes the max, common convolves."""
+    """Max-plus size tables: entry i is the best (label minus ref_label)
+    weight of a repair with i admitted tuples."""
     labels = dataset.row_labels
-    weights = dataset.weights if weighted else None
-    dead: Row = [None] * (k + 1)
-
-    def admit(row: Row, tid: int) -> Row:
-        size = next((i for i, v in enumerate(row) if v is not None), k)
-        if size == k:
-            return dead
-        diff = row[size]
-        if labels[tid] == label:
-            diff += 1 if weights is None else weights[tid]
-        elif labels[tid] == ref_label:
-            diff -= 1 if weights is None else weights[tid]
-        out: Row = [None] * (k + 1)
-        out[size + 1] = diff
-        return out
-
-    return TableOps([0] + [None] * k, admit, _max_rows, _convolve)
-
-
-def _max_rows(a: Row, b: Row) -> Row:
-    return [x if y is None or (x is not None and x >= y) else y for x, y in zip(a, b)]
-
-
-def _convolve(a: Row, b: Row) -> Row:
-    k = len(a) - 1
-    out: Row = [None] * (k + 1)
-    for i, va in enumerate(a):
-        if va is None:
-            continue
-        for j in range(k - i + 1):
-            vb = b[j]
-            if vb is None:
-                continue
-            s = va + vb
-            if out[i + j] is None or s > out[i + j]:
-                out[i + j] = s
-    return out
+    weights = dataset.weights if weighted else [1] * dataset.size
+    sign = {ref_label: -1, label: 1}
+    return size_tables(k, 0, max, operator.add, lambda tid: sign.get(labels[tid], 0) * weights[tid])
 
 
 def _trace(sweep: Sweep, v: int, i: int) -> list[int]:
@@ -94,7 +56,7 @@ def _trace(sweep: Sweep, v: int, i: int) -> list[int]:
         return _trace(sweep, pick, i)
     prefixes = [rows[0]]
     for row in rows[1:]:
-        prefixes.append(_convolve(prefixes[-1], row))
+        prefixes.append(sweep.ops.combine(prefixes[-1], row))
     chosen: list[int] = []
     target = i
     for c in range(len(rows) - 1, 0, -1):

@@ -1,11 +1,11 @@
 """Exact per-label repair counting for lhs-chain schemas.
 
-The counting table generalizes the certification DP: a cell is keyed by the
-prefix size i and a vector of per-label count differences (each other label
-minus the queried label, inside the prefix), and holds the exact number of
-repairs realizing that cell. Consensus attributes add tables cell-wise,
-common lhs attributes convolve them. Tables are sparse dicts: populated
-cells never outnumber the repairs of the subinstance.
+Counting runs the certification DP over another semiring: the entry of a
+``decompose.size_tables`` table at prefix size i maps each vector of
+per-label count differences (each other label minus the queried label,
+inside the prefix) to the exact number of repairs realizing it. Consensus
+attributes add these sparse dicts, common lhs attributes multiply them as
+polynomials, so no entry holds more vectors than the subinstance repairs.
 
 A repair predicts the queried label when every difference is at most -1.
 To count each repair exactly once, the threshold is pinned to the rank of
@@ -27,49 +27,38 @@ sparse tables for n tuples, tree depth and fan-out f.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Optional, Sequence
 
 from .dataset import LabeledDataset, Ordering
-from .decompose import Node, Sweep, TableOps, build_tree, fold
+from .decompose import Node, Sweep, TableOps, build_tree, fold, size_tables
 from .errors import InputError
 
 
 def _cell_ops(dataset: LabeledDataset, label: str, others: tuple[str, ...], k: int) -> TableOps:
-    """Sparse count tables. A leaf's table is its one cell, (admitted
-    tuples, per-label differences), until more than k are admitted;
-    consensus adds, common convolves."""
+    """Count tables: an admitted tuple steps its repairs' vector by -1 in
+    every slot when it has ``label``, else by +1 in its own label's slot."""
     labels = dataset.row_labels
-    slot = {other: j for j, other in enumerate(others)}
-
-    def admit(table: dict, tid: int) -> dict:
-        if not table:
-            return table
-        ((size, vec),) = table
-        if size == k:
-            return {}
-        if labels[tid] == label:
-            return {(size + 1, tuple(c - 1 for c in vec)): 1}
-        j = slot[labels[tid]]
-        return {(size + 1, vec[:j] + (vec[j] + 1,) + vec[j + 1:]): 1}
-
-    def convolve(a: dict, b: dict) -> dict:
-        out: dict = {}
-        for (ia, ca), va in a.items():
-            for (ib, cb), vb in b.items():
-                i = ia + ib
-                if i > k:
-                    continue
-                cell = (i, tuple(x + y for x, y in zip(ca, cb)))
-                out[cell] = out.get(cell, 0) + va * vb
-        return out
-
-    return TableOps({(0, (0,) * len(others)): 1}, admit, _add, convolve)
+    steps = {label: {(-1,) * len(others): 1}}
+    for j, other in enumerate(others):
+        steps[other] = {tuple(int(i == j) for i in range(len(others))): 1}
+    return size_tables(k, {(0,) * len(others): 1}, _add, _times,
+                       lambda tid: steps[labels[tid]])
 
 
 def _add(a: dict, b: dict) -> dict:
     out = dict(a)
-    for cell, count in b.items():
-        out[cell] = out.get(cell, 0) + count
+    for vec, count in b.items():
+        out[vec] = out.get(vec, 0) + count
+    return out
+
+
+def _times(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for va, ca in a.items():
+        for vb, cb in b.items():
+            vec = tuple(map(operator.add, va, vb))
+            out[vec] = out.get(vec, 0) + ca * cb
     return out
 
 
@@ -77,11 +66,12 @@ def _others(dataset: LabeledDataset, label: str) -> tuple[str, ...]:
     return tuple(sorted(set(dataset.labels) - {label}))
 
 
-def _predicting(entries: dict, sizes) -> int:
+def _predicting(table: list, sizes) -> int:
     total = 0
-    for (i, vec), count in entries.items():
-        if i in sizes and all(c <= -1 for c in vec):
-            total += count
+    for i in sizes:
+        for vec, count in (table[i] or {}).items():
+            if all(c <= -1 for c in vec):
+                total += count
     return total
 
 
@@ -106,6 +96,7 @@ def count_label(dataset: LabeledDataset, ordering: Ordering, k: int, label: str,
     n = dataset.size
     if n == 0:
         return 0
+    k = min(k, n + 1)  # no repair holds more than n tuples
     sweep = Sweep(tree, n, _cell_ops(dataset, label, _others(dataset, label), k))
     total = 0
 
@@ -113,7 +104,7 @@ def count_label(dataset: LabeledDataset, ordering: Ordering, k: int, label: str,
     # the repairs that keep the tuple admitted at tau, read at size k.
     for tid in ordering.ranked:
         sweep.admit(tid)
-        total += _predicting(sweep.pinned(tid), {k})
+        total += _predicting(sweep.pinned(tid), [k])
 
     # Repairs with fewer than k tuples: neighborhood is the whole repair.
     if k > 1:

@@ -12,7 +12,8 @@ tree is built once and shared by the certification DP, the counting DP, and
 the minimum-weight repair. The repair count and the minimum-weight repair
 are two bottom-up evaluations of a tree by ``fold``. ``Sweep`` keeps every
 node's table while tuples are admitted in rank order, for certification and
-counting alike; ``TableOps`` says how tables are built and merged.
+counting alike; ``TableOps`` says how tables are built and merged, and
+``size_tables`` builds the one table layout both use, over their semirings.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence, Union
 
-from .errors import NotChainError
+from .errors import InputError, NotChainError
 from .fdschema import Fd, FdSchema, _chain_steps
 
 
@@ -63,17 +64,30 @@ def build_tree(
     The simplification steps of ``fdschema.decide_lhs_chain`` run once:
     depth d splits on the d-th consensus or common-lhs step's attribute,
     and a node is a leaf when the steps run out. Raises NotChainError when
-    the steps get stuck, i.e. the FDs are not equivalent to an lhs chain.
+    the steps get stuck, i.e. the FDs are not equivalent to an lhs chain,
+    and InputError when ``ids`` repeats an id or names no row.
     """
     steps = _chain_steps(fds, schema)
     if steps and steps[-1][0] == "stuck":
         raise NotChainError("FD set is not equivalent to an lhs chain")
+    check_ids(ids, len(tuples))
     splits = [
         (ConsensusNode if kind == "consensus" else CommonNode, attr, schema.index(attr))
         for kind, attr in steps
         if attr is not None
     ]
     return _grow(tuples, ids, splits, 0)
+
+
+def check_ids(ids: Sequence[int], n: int) -> None:
+    """Raise InputError naming the first id that repeats or is no row of n."""
+    seen: set[int] = set()
+    for tid in ids:
+        if not 0 <= tid < n:
+            raise InputError(f"id {tid} is not one of the {n} rows")
+        if tid in seen:
+            raise InputError(f"id {tid} is repeated")
+        seen.add(tid)
 
 
 def _grow(tuples, ids, splits, depth) -> Node:
@@ -103,13 +117,53 @@ class TableOps(NamedTuple):
     ``admit(table, tid)`` returns the leaf's table with ``tid`` added.
     ``choose`` merges two children of a consensus node (a repair picks one
     child), ``combine`` two children of a common node (a repair unions one
-    repair per child). Both merges must be associative and commutative.
+    repair per child). Both merges must be associative and commutative,
+    and ``blank`` must be the unit of ``combine``.
     """
 
     blank: Any
     admit: Callable[[Any, int], Any]
     choose: Callable[[Any, Any], Any]
     combine: Callable[[Any, Any], Any]
+
+
+def size_tables(k: int, one, plus: Callable, times: Callable, step: Callable) -> TableOps:
+    """Size tables over a semiring: entry i of a node's list, i = 0..k, is
+    the ``plus`` over its repairs with i admitted tuples of the ``times``
+    product of their ``step(tid)``; ``one`` is the unit, None the zero. A
+    leaf's one entry sits at its admitted count until that passes k and the
+    leaf is dead. Consensus adds entrywise; common multiplies, truncated at
+    k. Certification takes (max, +), counting polynomials (sum, product).
+    """
+    dead = [None] * (k + 1)
+
+    def admit(table: list, tid: int) -> list:
+        size = next((i for i, v in enumerate(table) if v is not None), k)
+        if size == k:
+            return dead
+        out = [None] * (k + 1)
+        out[size + 1] = times(table[size], step(tid))
+        return out
+
+    def add(a: list, b: list) -> list:
+        return [y if x is None else x if y is None else plus(x, y) for x, y in zip(a, b)]
+
+    def product(a: list, b: list) -> list:
+        if a is unit or b is unit:  # untouched leaves and their products share it
+            return b if a is unit else a
+        out = [None] * (k + 1)
+        for i, x in enumerate(a):
+            if x is None:
+                continue
+            for j in range(k + 1 - i):
+                y = b[j]
+                if y is not None:
+                    xy = times(x, y)
+                    out[i + j] = xy if out[i + j] is None else plus(out[i + j], xy)
+        return out
+
+    unit = [one] + dead[1:]
+    return TableOps(unit, admit, add, product)
 
 
 class Sweep:

@@ -114,16 +114,6 @@ def _subtract(fds: Iterable[Fd], attr: str) -> list[Fd]:
     return out
 
 
-def subtract_attribute(schema: FdSchema, attr: str) -> FdSchema:
-    """Remove ``attr`` from every FD, dropping FDs whose rhs empties.
-
-    The attribute list itself is unchanged; consensus FDs (empty lhs) that
-    appear as a result are kept, since the recursive algorithms rely on them.
-    """
-    schema.index(attr)
-    return FdSchema(schema.attributes, tuple(_subtract(schema.fds, attr)))
-
-
 def _chain_steps(fds: Iterable[Fd], schema: FdSchema) -> list[tuple[str, Optional[str]]]:
     """The steps of the simplification recursion on ``fds``, in order.
 

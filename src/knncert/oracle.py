@@ -17,6 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from .certresult import CertResult
 from .dataset import LabeledDataset, Ordering, PredictOutcome, conflicts, predict
+from .decompose import check_ids
 from .errors import CapExceededError, InputError
 
 DEFAULT_CAP = 20
@@ -37,8 +38,10 @@ def enumerate_repairs(
     cap: Optional[int] = None,
 ) -> tuple[tuple[int, ...], ...]:
     """Every maximal consistent subset of ``ids`` (default: the whole
-    instance), in sorted order."""
+    instance), in sorted order. Raises InputError when ``ids`` repeats an
+    id or names no row."""
     ids = list(dataset.ids()) if ids is None else sorted(ids)
+    check_ids(ids, dataset.size)
     cap = DEFAULT_CAP if cap is None else cap
     if len(ids) > cap:
         raise CapExceededError(f"enumeration over {len(ids)} tuples exceeds cap {cap}")

@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 import knncert as kc
-from knncert import fastscan, hardgen, models, oracle
+from knncert import certify_dp, counting, fastscan, hardgen, models, oracle
 from knncert.decompose import Sweep, build_tree, fold
 
 ATTR_POOL = ("A", "B", "C", "D", "E", "F")
@@ -131,13 +131,40 @@ def random_keyed_instance(rng, n_max=12, max_labels=3, extra_attr=False):
 
 def root_table(ds, ids, ops, tau, ordering):
     """The root table of a sweep over the repairs of ``ids`` once the tau
-    nearest tuples are admitted; ``ops`` is ``certify_dp._row_ops`` or
-    ``counting._cell_ops``. Non-chain schemas raise from ``build_tree``."""
+    nearest tuples are admitted: a ``decompose.size_tables`` list indexed
+    by prefix size, with ``ops`` from ``certify_dp._row_ops`` (max-plus
+    entries) or ``counting._cell_ops`` (dicts from difference vector to
+    count). Non-chain schemas raise from ``build_tree``."""
     tree = build_tree(ds.tuples, sorted(ids), list(ds.schema.fds), ds.schema)
     sweep = Sweep(tree, ds.size, ops)
     for tid in ordering.ranked[:tau]:
         sweep.admit(tid)
     return sweep.root
+
+
+def check_semirings_agree(ds, ordering, k, label, taus=None):
+    """Run the counting sweep for ``label`` and, over the same tree, the
+    unweighted max-plus sweep of every other label against it, admitting in
+    rank order. After each admission (only at ``taus`` when given), the
+    max-plus root row of challenger ``others[j]`` must be, entry by entry,
+    the largest component j among the vectors of the count table's entry
+    (None where the entry is empty). Returns the number of rows compared."""
+    others = counting._others(ds, label)
+    tree = build_tree(ds.cells, list(ds.ids()), list(ds.schema.fds), ds.schema)
+    counts = Sweep(tree, ds.size, counting._cell_ops(ds, label, others, k))
+    rows = [Sweep(tree, ds.size, certify_dp._row_ops(ds, other, label, k, False))
+            for other in others]
+    compared = 0
+    for tau, tid in enumerate(ordering.ranked, start=1):
+        for sweep in [counts, *rows]:
+            sweep.admit(tid)
+        if taus is not None and tau not in taus:
+            continue
+        for j, sweep in enumerate(rows):
+            want = [max(vec[j] for vec in entry) if entry else None for entry in counts.root]
+            assert sweep.root == want, (tau, label, others[j])
+            compared += 1
+    return compared
 
 
 def fraction_min_rep(ds, weights, ids=None):

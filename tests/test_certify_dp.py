@@ -1,11 +1,13 @@
 import functools
+import operator
 import random
 
 import pytest
 
 import knncert as kc
 from knncert import NotChainError, certify_dp, oracle
-from knncert.certify_dp import _convolve, _row_ops
+from knncert.certify_dp import _row_ops
+from knncert.decompose import size_tables
 
 import helpers
 
@@ -84,7 +86,8 @@ class TestMaxLabelDiff:
 
 def convolve_all(rows):
     """Max-plus combination of rows at a shared total prefix size."""
-    return functools.reduce(_convolve, [list(r) for r in rows])
+    convolve = size_tables(len(rows[0]) - 1, 0, max, operator.add, None).combine
+    return functools.reduce(convolve, [list(r) for r in rows])
 
 
 class TestCombineRows:

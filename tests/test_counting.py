@@ -9,10 +9,12 @@ import helpers
 
 
 def count_table(ds, ids, label, tau, k, ordering):
-    """The counting DP's root table: repairs of ``ids`` per (prefix size at
-    ``tau``, per-label differences against ``label``)."""
+    """The counting DP's root table flattened: repairs of ``ids`` per
+    (prefix size at ``tau``, per-label differences against ``label``)."""
     ops = counting._cell_ops(ds, label, counting._others(ds, label), k)
-    return helpers.root_table(ds, ids, ops, tau, ordering)
+    table = helpers.root_table(ds, ids, ops, tau, ordering)
+    return {(i, vec): count for i, entry in enumerate(table) if entry
+            for vec, count in entry.items()}
 
 
 def classify_repairs(ds, ordering, label, tau, k):
@@ -85,6 +87,20 @@ class TestCountTable:
                 )
                 want[(inside, vec)] = want.get((inside, vec), 0) + 1
             assert table == want
+
+
+class TestSemiringsAgree:
+    def test_max_plus_rows_are_the_count_tables_maxima(self):
+        # Certification and counting run one table over two semirings, so
+        # the best difference at each size is the largest count-table vector.
+        rng = random.Random(83)
+        compared = 0
+        for _ in range(60):
+            ds, ordering = helpers.random_chain_instance(rng, n_max=10)
+            k = rng.randint(1, 4)
+            for label in ds.labels:
+                compared += helpers.check_semirings_agree(ds, ordering, k, label)
+        assert compared > 500
 
 
 class TestCountLabel:

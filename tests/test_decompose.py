@@ -5,6 +5,7 @@ common-lhs step of ``decide_lhs_chain``, in order, so the tree's shape can
 be checked against the schema-level trace without an oracle.
 """
 
+import operator
 import os
 import random
 import tempfile
@@ -15,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knncert as kc
-from knncert import NotChainError, counting, ingest, minrepair
-from knncert.decompose import CommonNode, ConsensusNode, Leaf, build_tree, fold
+from knncert import InputError, NotChainError, counting, ingest, minrepair, oracle
+from knncert.decompose import CommonNode, ConsensusNode, Leaf, build_tree, fold, size_tables
 
 import helpers
 
@@ -199,3 +200,71 @@ class TestNonChainRejected:
         ds = kc.make_dataset(NON_CHAIN, [], features=("A",), labels=("0",))
         with pytest.raises(NotChainError):
             counting.count_label(ds, kc.Ordering(()), 1, "0")
+
+
+class TestIdsChecked:
+    SCHEMA = kc.FdSchema.of(("A", "B"), [(["A"], ["B"])])
+    ROWS = [((1, 1), "0"), ((1, 2), "0"), ((2, 1), "1")]
+
+    @pytest.mark.parametrize("ids, message", [
+        ([0, 0], "id 0 is repeated"),
+        ([7], "id 7 is not one of the 3 rows"),
+        ([-1, 0], "id -1 is not one of the 3 rows"),
+        ([2, 5, 2], "id 5 is not one of the 3 rows"),
+        ([1, 2, 1, 9], "id 1 is repeated"),
+    ])
+    def test_build_tree_names_the_first_bad_id(self, ids, message):
+        ds = kc.make_dataset(self.SCHEMA, self.ROWS, features=("A",))
+        with pytest.raises(InputError, match=f"^{message}$"):
+            build_tree(ds.tuples, ids, list(self.SCHEMA.fds), self.SCHEMA)
+
+    @pytest.mark.parametrize("ids", [[0, 0], [7]])
+    def test_chain_paths_and_the_oracle_refuse(self, ids):
+        ds = kc.make_dataset(self.SCHEMA, self.ROWS, features=("A",))
+        with pytest.raises(InputError):
+            minrepair.min_rep(ds, ids=ids)
+        with pytest.raises(InputError):
+            minrepair.forbidden_repair(ds, [], ids=ids)
+        with pytest.raises(InputError):
+            counting.count_repairs(ds, ids=ids)
+        with pytest.raises(InputError):
+            oracle.enumerate_repairs(ds, ids=ids)
+
+    def test_non_chain_is_decided_first(self):
+        ds = kc.make_dataset(NON_CHAIN, [((1, 1, 1), "0")], features=("A",))
+        with pytest.raises(NotChainError):
+            build_tree(ds.tuples, [0, 0], list(NON_CHAIN.fds), NON_CHAIN)
+
+
+def max_plus(rng, k):
+    return size_tables(k, 0, max, operator.add, None), lambda: rng.randint(-3, 3)
+
+
+def polynomials(rng, k):
+    width = rng.randint(0, 2)
+
+    def entry():
+        return {tuple(rng.randint(-2, 2) for _ in range(width)): rng.randint(1, 4)
+                for _ in range(rng.randint(1, 3))}
+
+    return size_tables(k, {(0,) * width: 1}, counting._add, counting._times, None), entry
+
+
+class TestSizeTableLaws:
+    # ``Sweep`` regroups merges along its segment trees, so both semirings'
+    # tables must add and multiply associatively and commutatively.
+    @pytest.mark.parametrize("semiring", [max_plus, polynomials])
+    def test_add_and_product_are_associative_and_commutative(self, semiring):
+        rng = random.Random(97)
+        for _ in range(200):
+            k = rng.randint(1, 4)
+            ops, entry = semiring(rng, k)
+            a, b, c = ([entry() if rng.random() < 0.6 else None for _ in range(k + 1)]
+                       for _ in range(3))
+            for merge in (ops.choose, ops.combine):
+                assert merge(a, b) == merge(b, a)
+                assert merge(merge(a, b), c) == merge(a, merge(b, c))
+            # A copy, so the product runs in full rather than return early.
+            unit = list(ops.blank)
+            assert ops.combine(unit, a) == a == ops.combine(a, unit)
+            assert ops.combine(ops.blank, a) == a == ops.combine(a, ops.blank)

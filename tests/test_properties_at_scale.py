@@ -3,7 +3,7 @@
 The brute-force oracle stops at a dozen tuples. These properties tie the
 polynomial routines to each other instead, at sizes where the oracle cannot
 follow: the key scan against the DP on keyed data, counting against
-certification on chain data, every repair the chain routines return
+certification on chain data, in verdicts and table by table, every repair the chain routines return
 against a linear consistency-and-maximality check, and the three
 uncertainty models against plain prediction, against their own budget or
 widening, and against an independent DP.
@@ -104,6 +104,23 @@ class TestCountsAgreeWithCertification:
         else:
             assert all(c < total for c in counts.values())
         assert sum(counts.values()) <= total
+
+
+class TestSemiringsAgreeAtScale:
+    def test_max_plus_rows_are_the_count_tables_maxima(self):
+        # One consensus level over A, common over B, consensus over C: the
+        # sweeps add, multiply and admit at every level of a 1,000-row tree.
+        rng = random.Random(89)
+        schema = kc.FdSchema.of(("A", "B", "C"), [([], ["A"]), (["B"], ["C"])])
+        rows = [((rng.randint(0, 3), rng.randint(0, 150), rng.randint(0, 3)), rng.choice("012"))
+                for _ in range(1000)]
+        ds = kc.make_dataset(schema, rows, features=(), labels=("0", "1", "2"))
+        ordering = _ordering(rng, ds, 0)
+        for k in (1, 3, 6):
+            for label in ds.labels:
+                compared = helpers.check_semirings_agree(ds, ordering, k, label,
+                                                         taus={1, 5, 50, 500, 1000})
+                assert compared == 10
 
 
 class TestOutputsAreRepairs:
