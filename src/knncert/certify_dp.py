@@ -3,12 +3,12 @@
 For a target label and a distance threshold, the recursion computes, per
 prefix size i, the maximum over all repairs with exactly i tuples inside the
 threshold of (weight of target label) - (weight of the incumbent label)
-within that prefix. The tables are ``decompose.size_tables`` over (max, +):
-a consensus attribute takes a max across values, a common lhs attribute
-combines per value tables by max-plus convolution. A non-negative entry at
-i = k for some threshold (or at i < k at the widest threshold, covering
-repairs smaller than k) falsifies robustness, and a witness repair is
-reconstructed by walking the stored tables back.
+within that prefix, weights read as the ints of their ``Column``. Tables
+are ``decompose.size_tables`` over (max, +): a consensus attribute takes a
+max across values, a common lhs attribute combines per value tables by
+max-plus convolution. A non-negative entry at i = k for some threshold (or
+at i < k at the widest threshold, covering repairs smaller than k)
+falsifies robustness, and a witness is traced back through the tables.
 
 The threshold sweep is incremental: raising tau by one admits one tuple,
 and ``decompose.Sweep`` updates only that tuple's leaf and its ancestors,
@@ -34,7 +34,7 @@ def _row_ops(dataset: LabeledDataset, label: str, ref_label: str, k: int,
     """Max-plus size tables: entry i is the best (label minus ref_label)
     weight of a repair with i admitted tuples."""
     labels = dataset.row_labels
-    weights = dataset.weights if weighted else [1] * dataset.size
+    weights = dataset.weights.data if weighted else [1] * dataset.size
     sign = {ref_label: -1, label: 1}
     return size_tables(k, 0, max, operator.add, lambda tid: sign.get(labels[tid], 0) * weights[tid])
 

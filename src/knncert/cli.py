@@ -128,7 +128,7 @@ def _cmd_min_repair(args) -> int:
     if not decide_lhs_chain(dataset.schema).is_chain_equivalent:
         raise NotChainError("min-repair requires an lhs-chain-equivalent schema")
     repair, weight = minrepair.min_rep(dataset)
-    _emit({"repair_ids": sorted(repair), "weight": ingest.format_value(weight)})
+    _emit({"repair_ids": sorted(repair), "weight": str(weight)})
     return EXIT_OK
 
 
@@ -208,7 +208,7 @@ def _cmd_gen_hard(args) -> int:
     target = ingest.load_schema(args.schema)
     inst = hardgen.generate(phi, target, k=args.k, p=args.p)
     point_doc = {
-        "point": [ingest.format_value(c) for c in inst.test_point.coords],
+        "point": [str(c) for c in inst.test_point.coords],
         "features": list(inst.dataset.features),
         "k": args.k,
         "p": args.p,
@@ -259,7 +259,7 @@ def _cmd_oracle(args) -> int:
         _emit({"label": args.label, "count": str(count), "total_repairs": str(total)})
         return EXIT_OK
     repair, weight = oracle.brute_min_repair(dataset, cap=args.cap)
-    _emit({"repair_ids": sorted(repair), "weight": ingest.format_value(weight)})
+    _emit({"repair_ids": sorted(repair), "weight": str(weight)})
     return EXIT_OK
 
 

@@ -1,14 +1,14 @@
 """Labeled training points over an FD schema, stored column by column.
 
-A ``LabeledDataset`` keeps one ``Column`` per attribute plus each row's
-label and weight. A numeric column holds ints over one scale for the whole
-column, so equal values hold equal ints: keys, FD lookups and the
-identical-row check compare those ints directly, and ranking reads them
-without building a ``Fraction`` per cell. ``make_dataset`` and
-``ingest.load_dataset`` build the columns. ``cells`` is each row's ``data``
-entries, which the lhs-chain paths group on; ``tuples`` is each row's values,
-built on first use for the oracle, ``hardgen``, ``ingest.dataset_csv`` and
-the benchmark. Row i has label ``row_labels[i]`` and weight ``weights[i]``.
+A ``LabeledDataset`` keeps one ``Column`` per attribute, one of the rows'
+weights and each row's label. A numeric column holds ints over one scale,
+so equal values hold equal ints: keys, FD lookups and the identical-row
+check compare those ints directly, ranking reads them without building a
+``Fraction`` per cell, and the weighted vote, DP and fold add them.
+``make_dataset`` and ``ingest.load_dataset`` build the columns. ``cells`` is
+each row's ``data`` entries, which the lhs-chain paths group on; ``tuples``
+is each row's values, built on first use for the oracle, ``hardgen``,
+``ingest.dataset_csv`` and the benchmark.
 
 Everything distance-related uses the exact surrogate sum(|dx|^p): it is
 order-equivalent to the p-norm (the 1/p root is never taken), so orderings
@@ -50,11 +50,11 @@ class Column:
     """One attribute's cells in row order.
 
     A numeric column has an int ``scale`` and cell i is ``data[i] / scale``;
-    the ints sit in an ``array('q')`` when they fit in 64 bits. Any other
-    column has ``scale`` None and ``data`` holds the values themselves.
-    ``Column.of`` picks the kind, so a column of the second kind holds at
-    least one value that is not a number. Within one column, equal cells
-    have equal ``data`` entries either way.
+    the ints sit in an ``array('q')`` when they fit in 64 bits, and keep the
+    values' order, ties and sums. Any other column has ``scale`` None and
+    ``data`` holds the values themselves. ``Column.of`` picks the kind, so a
+    column of the second kind holds at least one value that is not a
+    number. Within one column, equal cells have equal ``data`` entries.
     """
 
     data: Sequence
@@ -96,17 +96,17 @@ class Column:
 class LabeledDataset:
     """Labeled tuples, one column per attribute, plus the feature
     attributes used for distance. Tuple ids are dense row indices 0..n-1;
-    ``row_labels`` and ``weights`` hold each row's label and weight, and
-    ``labels`` is the label alphabet in sorted order, so a label's index
-    is its code. The constructor checks the columns' shape, the alphabet
-    and the features; ``make_dataset`` and ``ingest`` check the weights.
-    Datasets compare and hash by identity.
+    ``row_labels`` holds each row's label, the numeric ``weights`` column
+    their weights, and ``labels`` is the label alphabet in sorted order, so
+    a label's index is its code. The constructor checks the columns' shape,
+    the alphabet and the features; ``make_dataset`` and ``ingest`` check the
+    weights. Datasets compare and hash by identity.
     """
 
     schema: FdSchema
     columns: tuple[Column, ...]
     row_labels: tuple[str, ...]
-    weights: tuple[Fraction, ...]
+    weights: Column
     labels: tuple[str, ...]
     features: tuple[str, ...]
 
@@ -157,7 +157,7 @@ def make_dataset(
     values, row_labels, weights = [], [], []
     for i, row in enumerate(rows):
         row_labels.append(str(row[1]))
-        weights.append(Fraction(row[2]) if len(row) > 2 else Fraction(1))
+        weights.append(Fraction(row[2]) if len(row) > 2 else 1)
         values.append(tuple(row[0]))
         if weights[-1] <= 0:
             raise InputError(f"tuple {i}: weight must be positive")
@@ -166,7 +166,7 @@ def make_dataset(
         if len(v) != schema.arity:
             raise InputError(f"tuple {i}: arity mismatch")
     columns = tuple(Column.of([v[j] for v in values]) for j in range(schema.arity))
-    return LabeledDataset(schema, columns, tuple(row_labels), tuple(weights), alphabet,
+    return LabeledDataset(schema, columns, tuple(row_labels), Column.of(weights), alphabet,
                           tuple(features))
 
 
@@ -301,9 +301,9 @@ def predict(dataset: LabeledDataset, ids: Iterable[int], ordering: Ordering, k: 
     idset = set(ids)
     if not idset:
         return PredictOutcome.EMPTY
-    labels, weights = dataset.row_labels, dataset.weights
+    labels, weights = dataset.row_labels, dataset.weights.data
     take = min(k, len(idset))
-    totals: dict[str, Fraction] = {}
+    totals: dict[str, int] = {}
     seen = 0
     for tid in ordering.ranked:
         if tid in idset:

@@ -48,6 +48,8 @@ class FdSchema:
             raise InputError("schema needs at least one attribute")
         if len(set(self.attributes)) != len(self.attributes):
             raise InputError("attribute names must be unique")
+        if not all(isinstance(a, str) for a in self.attributes):
+            raise InputError("attribute names must be strings")
         known = set(self.attributes)
         for fd in self.fds:
             if not fd.rhs:

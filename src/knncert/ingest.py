@@ -13,8 +13,9 @@ time: the reserved columns' checks name the first failing row, and one
 builder per attribute takes the cells. ``load_dataset``'s turns plain
 decimals into fixed-point ints over the column's largest number of places
 (one regex and ``map(int, ...)`` per batch), so no ``Fraction`` and no
-per-row record is built (see ``dataset.Column``); ``load_uncertain_table``'s
-reads each cell with ``parse_cell``. It stays pure Python: the chain
+per-row record is built (see ``dataset.Column``); weights become ints too.
+``load_uncertain_table``'s reads each cell with ``parse_cell`` and refuses
+the columns it would not read. It stays pure Python: the chain
 subcommands, which never load numpy, share it.
 """
 
@@ -23,8 +24,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import re
+from array import array
 from fractions import Fraction
 from itertools import islice, takewhile
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
@@ -39,7 +42,6 @@ if TYPE_CHECKING:  # imported where used, so a dataset load never loads them
 RESERVED = ("label", "weight", "rank", "uncertain")
 # The stripped ``uncertain`` cells: whether each marks its row deletable.
 _MARKS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False, "": False}
-UNIT_WEIGHT = Fraction(1)  # shared by every row without a weight cell
 
 
 def load_schema(path: str) -> FdSchema:
@@ -102,12 +104,6 @@ def parse_number(text: str) -> Fraction:
     if isinstance(value, str):
         raise InputError(f"expected a number, got {text!r}")
     return Fraction(value)
-
-
-def format_value(value) -> str:
-    if isinstance(value, Fraction) and value.denominator != 1:
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
 
 
 def parse_point(text: str, expected: int) -> TestPoint:
@@ -240,32 +236,33 @@ def _plain_run(texts: Sequence[str]) -> Optional[tuple[list[int], int]]:
 _BATCH_ROWS = 1024  # rows read and checked together, column by column
 
 
-def _read_table(path: str, schema: Optional[FdSchema], builder: Callable[[], Any]):
+def _read_table(path: str, schema: Optional[FdSchema], builder: Callable[[], Any],
+                reserved: Sequence[str] = RESERVED):
     """Read and check a table: (builders by attribute, labels, sorted label
-    alphabet, weights, rank order, marked ids).
+    alphabet, weight column, rank order, marked ids), refusing a header that
+    names a reserved column outside ``reserved``.
 
     One ``builder()`` per attribute takes its cells a batch at a time; its
     ``extend`` returns None, or (row in batch, message) for the first cell
     it refuses. An error names the first failing row of the file: its cells
-    in attribute order first, then label, weight, rank and uncertain. Rank
-    order and marked ids are None when their column is absent; an all-zero
-    uncertain column is an explicit empty marking, not the same thing.
+    in attribute order first, then label, weight, rank and uncertain. The
+    weights, rank order and marked ids are None when their column is absent;
+    an all-zero uncertain column is an explicit empty marking, not the same.
     """
     batches = _read_batches(path)
     header = next(batches)
+    if unread := [h for h in header if h in RESERVED and h not in reserved]:
+        raise InputError(f"{path}: column {unread[0]!r} is not read from an uncertain table")
     attrs = _attributes(header, schema)
     if not attrs:
         raise InputError(f"{path}: no attribute columns")
     column = {name: j for j, name in enumerate(header)}
     builders = {a: builder() for a in attrs}
-    label_col = column["label"]
-    weight_col, rank_col = column.get("weight"), column.get("rank")
-    uncertain_col = column.get("uncertain")
+    label_col, weight_col, rank_col, uncertain_col = map(column.get, RESERVED)
 
     alphabet: dict[str, str] = {}  # one shared str per label
-    weight_of: dict[str, Fraction] = {}  # and one Fraction per weight cell text
+    weights, scale = [], 1  # ints over the lcm of the weights' denominators
     row_labels: list[str] = []
-    weights: list[Fraction] = []
     ranks: list[int] = []
     uncertain: list[int] = []
     for batch in batches:
@@ -279,16 +276,20 @@ def _read_table(path: str, schema: Optional[FdSchema], builder: Callable[[], Any
         labels = list(map(str.strip, cells[label_col]))
         if "" in labels:
             faults.append((labels.index(""), 0, f"row {start + labels.index('')}: empty label"))
-        texts = cells[weight_col] if weight_col is not None else ("",) * len(batch)
-        for text in set(texts).difference(weight_of):
-            try:
-                weight = weight_of[text] = parse_number(text) if text.strip() else UNIT_WEIGHT
-                fault = None if weight > 0 else "weight must be positive"
-            except InputError as exc:
-                fault = str(exc)
-            if fault:
-                i = texts.index(text)
+        if weight_col is not None:  # each distinct cell text read once per batch
+            texts = cells[weight_col]
+            read = {text: parse_scalar(text) if text.strip() else 1 for text in set(texts)}
+            if bad := [t for t, w in read.items() if isinstance(w, str) or w <= 0]:
+                i = min(map(texts.index, bad))
+                fault = (f"expected a number, got {texts[i]!r}" if isinstance(read[texts[i]], str)
+                         else "weight must be positive")
                 faults.append((i, 1, f"row {start + i}: {fault}"))
+            else:
+                top = math.lcm(scale, *[w.denominator for w in read.values()])
+                if top > scale:  # rescale the weights read so far
+                    weights, scale = [w * (top // scale) for w in weights], top
+                nums = {t: w.numerator * (scale // w.denominator) for t, w in read.items()}
+                weights.extend(map(nums.__getitem__, texts))
         if rank_col is not None:
             try:
                 ranks.extend(map(int, cells[rank_col]))  # keeps the ranks before a failure
@@ -302,7 +303,6 @@ def _read_table(path: str, schema: Optional[FdSchema], builder: Callable[[], Any
                                      f"false, no or empty, got {cells[uncertain_col][i]!r}"))
         if faults:
             raise InputError(min(faults)[2])
-        weights.extend(map(weight_of.__getitem__, texts))
         row_labels.extend(map(alphabet.setdefault, labels, labels))
         if uncertain_col is not None:
             uncertain += [start + i for i, mark in enumerate(marks) if mark]
@@ -315,6 +315,7 @@ def _read_table(path: str, schema: Optional[FdSchema], builder: Callable[[], Any
             raise InputError(f"row {row}: rank column must hold distinct integers")
         rank_order = tuple(tid for _, tid in sorted(zip(ranks, range(len(ranks)))))
     marked = frozenset(uncertain) if uncertain_col is not None else None
+    weights = Column.numeric(weights, scale) if weight_col is not None else None
     return builders, row_labels, tuple(sorted(alphabet)), weights, rank_order, marked
 
 
@@ -330,7 +331,7 @@ def load_dataset(
         schema or FdSchema.of(tuple(columns), []),
         tuple(b.column() for b in columns.values()),
         tuple(labels),
-        tuple(weights),
+        weights if weights is not None else Column(array("q", [1]) * len(labels), 1),
         alphabet,
         tuple(features),
     )
@@ -376,7 +377,7 @@ class _CellList(list):
 def load_uncertain_table(path: str) -> tuple[tuple[str, ...], list[tuple]]:
     """Load rows whose cells may be or-sets or intervals: (attributes, rows),
     each row a (cells, label) pair, read and checked by ``_read_table``."""
-    columns, labels = _read_table(path, None, _CellList)[:2]
+    columns, labels = _read_table(path, None, _CellList, reserved=("label",))[:2]
     return tuple(columns), list(zip(zip(*columns.values()), labels))
 
 
@@ -418,7 +419,7 @@ def dataset_csv(dataset: LabeledDataset) -> str:
     writer = csv.writer(buf)
     writer.writerow(list(dataset.schema.attributes) + ["label"])
     for t, label in zip(dataset.tuples, dataset.row_labels):
-        writer.writerow([format_value(v) for v in t] + [label])
+        writer.writerow([*map(str, t), label])
     return buf.getvalue()
 
 

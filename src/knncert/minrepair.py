@@ -25,19 +25,16 @@ def min_rep(
     Follows the decomposition tree: leaves keep everything, a common lhs
     attribute unions per-value minima, a consensus attribute takes the
     cheapest value. Ties break toward the lexicographically smallest id
-    set. Weights are ints or Fractions, possibly zero or negative (the
-    forbidden-repair and 1-NN reductions rely on it), the tuples' own by
-    default; the fold sums them as the ints of their ``Column``, scaled by
-    D > 0, the lcm of their denominators, which keeps order and ties, and
-    divides by D at the end.
+    set. Weights are the dataset's own by default, else ints or Fractions,
+    possibly zero or negative (the forbidden-repair and 1-NN reductions
+    rely on it). The fold sums the ints of their ``Column`` and divides by
+    its scale once at the end.
     Raises NotChainError when the schema has no lhs-chain equivalent.
     """
     ids = list(dataset.ids()) if ids is None else sorted(ids)
-    if weights is None:
-        weights = dataset.weights
-    if len(weights) != dataset.size:
-        raise InputError(f"{len(weights)} weights for {dataset.size} rows")
-    scaled = Column.of(weights)
+    scaled = dataset.weights if weights is None else Column.of(weights)
+    if len(scaled) != dataset.size:
+        raise InputError(f"{len(scaled)} weights for {dataset.size} rows")
     if scaled.scale is None:
         raise InputError("weights must be ints or Fractions")
     tree = build_tree(dataset.cells, ids, list(dataset.schema.fds), dataset.schema)

@@ -119,12 +119,10 @@ def brute_count(
 
 def brute_min_repair(
     dataset: LabeledDataset,
-    weights: Optional[Sequence[Fraction]] = None,
     cap: Optional[int] = None,
 ) -> tuple[tuple[int, ...], Fraction]:
     """Minimum-total-weight repair, ties broken by the canonical repair order."""
-    if weights is None:
-        weights = dataset.weights
+    weights = dataset.weights.values()
     best = None
     for r in enumerate_repairs(dataset, cap=cap):
         total = sum((weights[t] for t in r), Fraction(0))

@@ -194,7 +194,7 @@ def brute_max_diff(ds, ordering, label, ref_label, tau, k, weighted=False):
     """Independent oracle for the certification table: classify every repair
     by its prefix size and take per-size maxima of the label difference
     (of label weights when ``weighted``)."""
-    weight = ds.weights if weighted else [1] * ds.size
+    weight = ds.weights.values() if weighted else [1] * ds.size
     rows = [None] * (k + 1)
     for repair in oracle.enumerate_repairs(ds):
         prefix = [t for t in repair if ordering.rank_of[t] <= tau]

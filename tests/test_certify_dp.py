@@ -222,11 +222,16 @@ class TestCertify:
             tree = build_tree(ds.tuples, list(ds.ids()), list(ds.schema.fds), ds.schema)
             sweep = Sweep(tree, ds.size, _row_ops(ds, ell, ell1, k, weighted))
             repairs = set(oracle.enumerate_repairs(ds))
-            weight = ds.weights if weighted else [1] * ds.size
+            # Weighted entries are in the ints of the weight column: the
+            # brute-force Fractions times its scale.
+            weight, scale = [1] * ds.size, 1
+            if weighted:
+                weight, scale = ds.weights.values(), ds.weights.scale
             for tau, tid in enumerate(ordering.ranked, start=1):
                 sweep.admit(tid)
                 row = sweep.root
-                assert row == helpers.brute_max_diff(ds, ordering, ell, ell1, tau, k, weighted)
+                want = helpers.brute_max_diff(ds, ordering, ell, ell1, tau, k, weighted)
+                assert row == [None if v is None else v * scale for v in want]
                 for i, value in enumerate(row):
                     if value is None:
                         continue
@@ -237,7 +242,7 @@ class TestCertify:
                     diff = sum(
                         weight[t] for t in prefix if ds.row_labels[t] == ell
                     ) - sum(weight[t] for t in prefix if ds.row_labels[t] == ell1)
-                    assert diff == value
+                    assert diff * scale == value
 
     def test_traceback_attains_every_finite_entry(self):
         self.check_sweep_and_traceback(random.Random(53), weighted=False)

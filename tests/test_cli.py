@@ -77,6 +77,16 @@ class TestCheckSchema:
         code, payload = run(capsys, ["check-schema", "--schema", str(path)])
         assert code == 0 and payload["lhs_chain"] is True
 
+    def test_attribute_names_must_be_strings(self, tmp_path, capsys):
+        # A number among the names used to escape as a TypeError when a
+        # table missed it and a named attribute, as sorting mixed the two.
+        path, data = tmp_path / "s.json", tmp_path / "d.csv"
+        path.write_text(json.dumps({"attributes": ["A", 1], "fds": []}))
+        data.write_text("B,label\n1,0\n")
+        code, payload = run(capsys, ["certify", "--schema", str(path), "--data", str(data),
+                                     "--features", "B", "--point", "0", "--k", "1"])
+        assert (code, payload) == (2, {"error": "attribute names must be strings"})
+
 
 CERT_ARGS = ["--features", "A,B", "--point", "0,0", "--p", "1", "--k", "3"]
 
@@ -617,12 +627,34 @@ TABLE_REFUSALS = {
 @pytest.mark.parametrize("command", [c for c in REPEAT_COMMANDS if c != "certify"])
 @pytest.mark.parametrize("case", list(TABLE_REFUSALS))
 def test_table_commands_refuse_alike(tmp_path, capsys, command, case):
+    # The uncertain-table commands read no weight, rank or uncertain column,
+    # so they refuse the first one at the header instead.
     text, error = TABLE_REFUSALS[case]
+    unread = [h for h in text.split("\n")[0].split(",") if h in ("weight", "rank", "uncertain")]
+    if command != "poison-certify" and unread:
+        error = f"{{data}}: column {unread[0]!r} is not read from an uncertain table"
     data = tmp_path / "d.csv"
     data.write_text(text)
     code, payload = run(capsys, REPEAT_COMMANDS[command] + [
         "--data", str(data), "--features", "A", "--point", "0"])
     assert (code, payload) == (cli.EXIT_INPUT, {"error": error.format(data=data)})
+
+
+# Cells that would change a k=3 vote on the labels 0, 0, 1 if they were read.
+UNREAD_COLUMNS = {"weight": ("1", "1", "5"), "rank": ("3", "2", "1"), "uncertain": ("1", "1", "0")}
+
+
+@pytest.mark.parametrize("command", ["orset-certify", "codd-certify"])
+@pytest.mark.parametrize("name", list(UNREAD_COLUMNS))
+def test_uncertain_tables_refuse_columns_they_do_not_read(tmp_path, capsys, command, name):
+    # Both commands used to drop the column unread and answer "0".
+    cells = UNREAD_COLUMNS[name]
+    data = tmp_path / "d.csv"
+    data.write_text(f"A,label,{name}\n1,0,{cells[0]}\n2,0,{cells[1]}\n3,1,{cells[2]}\n")
+    code, payload = run(capsys, [command, "--data", str(data), "--features", "A",
+                                 "--point", "0", "--k", "3"])
+    error = f"{data}: column {name!r} is not read from an uncertain table"
+    assert (code, payload) == (cli.EXIT_INPUT, {"error": error})
 
 
 class TestCoddAndOrset:

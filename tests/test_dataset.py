@@ -27,20 +27,22 @@ class TestColumns:
         assert [(list(c.data), c.scale) for c in ds.columns] == [
             ([4, 3], 4), ([1, 4], 2), (["x", 5], None)
         ]
-        assert ds.row_labels == ("0", "1") and ds.weights == (2, 1)
+        assert ds.row_labels == ("0", "1")
+        assert (list(ds.weights.data), ds.weights.scale) == ([2, 1], 1)
         values = list(ds.tuples)
         assert values == [(1, Fraction(1, 2), "x"), (Fraction(3, 4), 2, 5)]
         assert [type(v) for v in values[0]] == [int, Fraction, str]
 
     def test_constructor_rebuilds_the_same_columns(self, example1):
         ds, _, _ = example1
-        rows = list(zip(ds.tuples, ds.row_labels, ds.weights))
+        rows = list(zip(ds.tuples, ds.row_labels, ds.weights.values()))
         again = kc.make_dataset(ds.schema, rows, ds.features, ds.labels)
         assert [(list(c.data), c.scale) for c in again.columns] == [
             (list(c.data), c.scale) for c in ds.columns
         ]
         assert again.tuples == ds.tuples
-        assert again.row_labels == ds.row_labels and again.weights == ds.weights
+        assert again.row_labels == ds.row_labels
+        assert again.weights.values() == ds.weights.values()
 
     def test_given_alphabet_is_read_as_strings(self):
         schema = kc.FdSchema.of(("A",), [])
@@ -77,7 +79,7 @@ class TestConstructor:
             schema=self.SCHEMA,
             columns=(Column.of([1, 2]), Column.of(["x", "y"])),
             row_labels=("0", "1"),
-            weights=(Fraction(1), Fraction(2)),
+            weights=Column.of([1, 2]),
             labels=("0", "1"),
             features=("A",),
         )
@@ -94,7 +96,7 @@ class TestConstructor:
             ({"columns": (Column.of([1, 2]),)}, "one column per schema attribute is required"),
             ({"columns": (Column.of([1, 2]), Column.of(["x"]))},
              "columns, labels and weights must have one entry per row"),
-            ({"weights": (Fraction(1),)},
+            ({"weights": Column.of([1])},
              "columns, labels and weights must have one entry per row"),
             ({"labels": ("1", "0")}, "label alphabet must be sorted and distinct"),
             ({"labels": ("0", "0", "1")}, "label alphabet must be sorted and distinct"),

@@ -32,8 +32,9 @@ class TestScalars:
             ingest.parse_point("1,2,3", 2)
 
     def test_format_round_trip(self):
-        for v in (7, Fraction(1, 3), Fraction(4, 2)):
-            assert ingest.parse_scalar(ingest.format_value(v)) == v
+        # Output writes a number with str(), which parse_scalar reads back.
+        for v in (7, Fraction(1, 3), Fraction(4, 2), Fraction(-5, 3)):
+            assert ingest.parse_scalar(str(v)) == v
 
 
 def reference_scalar(text):
@@ -146,9 +147,18 @@ class TestDatasetCsv:
         ds, ranks, uncertain = ingest.load_dataset(path, None, ["A"])
         assert ds.tuples[0] == (Fraction(1, 2),)
         assert ds.tuples[1] == (Fraction(7, 2),)
-        assert ds.weights[0] == 2
-        assert ds.weights[1] == Fraction(1, 4)
+        assert (list(ds.weights.data), ds.weights.scale) == ([8, 1], 4)
+        assert ds.weights.values() == [2, Fraction(1, 4)]
         assert ranks is None and uncertain is None
+
+    def test_weights_span_batches(self, tmp_path):
+        # A new denominator in a later batch rescales the weights read so
+        # far; a blank cell weighs 1.
+        texts = ["2", " 0.5", ""] * ingest._BATCH_ROWS + ["1/3", "7"]
+        rows = "".join(f"{i},0,{text}\n" for i, text in enumerate(texts))
+        ds, _, _ = ingest.load_dataset(self.write(tmp_path, "A,label,weight\n" + rows), None, [])
+        assert ds.weights.scale == 6
+        assert ds.weights.values() == [ingest.parse_scalar(t) if t else 1 for t in texts]
 
     def test_rank_column(self, tmp_path):
         path = self.write(tmp_path, "A,label,rank\n5,0,2\n6,1,1\n")

@@ -3,13 +3,16 @@
 The brute-force oracle stops at a dozen tuples. These properties tie the
 polynomial routines to each other instead, at sizes where the oracle cannot
 follow: the key scan against the DP on keyed data, counting against
-certification on chain data, in verdicts and table by table, every repair the chain routines return
-against a linear consistency-and-maximality check, and the three
+certification on chain data, in verdicts and table by table, the weighted
+chain routines against the same weights times one factor, every repair the
+chain routines return against a linear consistency-and-maximality check,
+and the three
 uncertainty models against plain prediction, against their own budget or
 widening, and against an independent DP.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import Phase, given, settings
@@ -17,6 +20,8 @@ from hypothesis import strategies as st
 
 import knncert as kc
 from knncert import certify_dp, counting, fastscan, minrepair, models
+from knncert.dataset import Column
+from knncert.decompose import Sweep, build_tree
 from knncert.models import CoddCell, OrSetCell
 
 import helpers
@@ -121,6 +126,30 @@ class TestSemiringsAgreeAtScale:
                 compared = helpers.check_semirings_agree(ds, ordering, k, label,
                                                          taus={1, 5, 50, 500, 1000})
                 assert compared == 10
+
+
+class TestWeightedPathsIgnoreTheScale:
+    @settings(AT_SCALE, max_examples=6)
+    @given(chain_instances(), st.integers(0, 2**32 - 1))
+    def test_weights_times_seven_thirds(self, inst, seed):
+        # The weighted DP and fold add the ints of the weight column, so one
+        # factor on every weight changes its ints and scale, not a verdict,
+        # a witness or a repair.
+        ds, ordering, k = inst
+        rng = random.Random(seed)
+        weights = [Fraction(rng.randint(1, 12), rng.choice((1, 2, 4))) for _ in ds.ids()]
+        base = replace(ds, weights=Column.of(weights))
+        scaled = replace(ds, weights=Column.of([w * Fraction(7, 3) for w in weights]))
+        assert certify_dp.certify(scaled, ordering, k, weighted=True) == certify_dp.certify(
+            base, ordering, k, weighted=True)
+        repair, weight = minrepair.min_rep(base)
+        assert minrepair.min_rep(scaled) == (repair, weight * Fraction(7, 3))
+
+        tree = build_tree(scaled.cells, list(scaled.ids()), list(scaled.schema.fds), scaled.schema)
+        sweep = Sweep(tree, scaled.size, certify_dp._row_ops(scaled, "1", "0", k, True))
+        for tid in ordering.ranked:
+            sweep.admit(tid)
+        assert {type(v) for table in sweep.tables for v in table} <= {int, type(None)}
 
 
 class TestOutputsAreRepairs:
