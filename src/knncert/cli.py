@@ -9,12 +9,17 @@ alone (``fdschema.decide_lhs_chain``): a primary-key equivalent goes to
 the linear scan, unless a block holds identical rows, and that or any
 other lhs-chain equivalent goes to the DP; anything else is refused with a
 pointer at the ``oracle`` subcommands, whose exponential enumeration is
-opt-in and capped.
+opt-in and capped. The JSON is written by ``_dumps``, byte for byte what
+``json.dumps(payload, sort_keys=True, indent=2)`` writes.
 
 A call loads only the code its subcommand runs: ``models``, ``hardgen``
 and ``oracle`` are imported inside their handlers, and ``fastscan`` loads
 numpy only when the scan runs, so the chain subcommands and
-``check-schema`` start without numpy.
+``check-schema`` start without numpy. ``main`` sets
+``OPENBLAS_NUM_THREADS`` to 1 unless it is set: numpy's OpenBLAS would
+start worker threads that no subcommand uses. The primary-key calls rank
+through ``fastscan.rank_by_distance`` (int64 when the distances fit),
+every other call through ``dataset.order_by_distance``.
 """
 
 from __future__ import annotations
@@ -40,8 +45,28 @@ EXIT_CAP = 4
 EXIT_BROKEN_PIPE = 141
 
 
+def _dumps(value, pad: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for str-keyed
+    payloads. The frame of each dict and list is written here, and a list
+    of plain ints from its repr; keys and every other value go through
+    ``json.dumps``, whose C encoder the ``indent`` option would forgo."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [json.dumps(key) + ": " + _dumps(v, inner) for key, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if not isinstance(value, (list, tuple)):
+        return json.dumps(value)
+    if not value:
+        return "[]"
+    if set(map(type, value)) <= {int}:  # "[1, 2]": no int's text holds ", "
+        body = repr(list(value))[1:-1].replace(", ", "," + inner)
+    else:
+        body = ("," + inner).join([_dumps(v, inner) for v in value])
+    return "[" + inner + body + pad + "]"
+
+
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(_dumps(payload))
 
 
 def _outcome_json(outcome) -> dict:
@@ -66,18 +91,28 @@ def _result_json(result: CertResult, dataset: LabeledDataset, ordering: Ordering
     }
 
 
-def _load_instance(args, need_schema: bool = True):
+def _load_data(args, need_schema: bool = True):
+    """The dataset, the order of its rank column (None without one) and
+    its uncertain ids."""
     schema = ingest.load_schema(args.schema) if args.schema else None
     if need_schema and schema is None:
         raise InputError("--schema is required for this command")
     features = [f for f in (args.features or "").split(",") if f]
-    dataset, ranks, uncertain = ingest.load_dataset(args.data, schema, features)
+    return ingest.load_dataset(args.data, schema, features)
+
+
+def _rank(args, dataset: LabeledDataset, ranks, rank=None):
+    """The order of the rank column with ``--use-rank``, else ``rank`` at
+    the point (by default ``order_by_distance``, looked up at the call)."""
     if args.use_rank:
-        ordering = ingest.ordering_from_ranks(ranks)
-    else:
-        point = ingest.parse_point(args.point or "", len(features))
-        ordering = order_by_distance(dataset, point, args.p)
-    return dataset, ordering, uncertain
+        return ingest.ordering_from_ranks(ranks)
+    point = ingest.parse_point(args.point or "", len(dataset.features))
+    return (rank or order_by_distance)(dataset, point, args.p)
+
+
+def _load_instance(args, need_schema: bool = True):
+    dataset, ranks, uncertain = _load_data(args, need_schema)
+    return dataset, _rank(args, dataset, ranks), uncertain
 
 
 def _cmd_check_schema(args) -> int:
@@ -88,13 +123,18 @@ def _cmd_check_schema(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    dataset, ordering, _ = _load_instance(args)
+    dataset, ranks, _ = _load_data(args)
     decision = decide_lhs_chain(dataset.schema)
+    scan = not (args.weighted or args.force_dp) and decision.key is not None
+    if scan and not args.use_rank:
+        ordering, ranked = _rank(args, dataset, ranks, fastscan.rank_by_distance)
+    else:
+        ordering, ranked = _rank(args, dataset, ranks), None
     method: Optional[str] = None
     result: Optional[CertResult] = None
-    if not (args.weighted or args.force_dp) and decision.key is not None:
+    if scan:
         try:
-            result = fastscan.certify_pk(dataset, ordering, args.k)
+            result = fastscan.certify_pk(dataset, ordering, args.k, ranked)
             method = "fastscan"
         except NotPrimaryKeyError:
             result = None
@@ -177,8 +217,8 @@ def _cmd_codd(args) -> int:
 
     attrs, rows, features, point = _load_table(args)
     keyed, roles = models.codd_extremal_instance(attrs, rows, point, features)
-    ordering = order_by_distance(keyed.dataset, point, args.p)
-    result = fastscan.certify_pk(keyed, ordering, args.k)
+    ordering, ranked = fastscan.rank_by_distance(keyed.dataset, point, args.p)
+    result = fastscan.certify_pk(keyed, ordering, args.k, ranked)
     payload = _result_json(result, keyed.dataset, ordering, args.k)
     for witness in payload["witnesses"]:
         witness["completions"] = [
@@ -193,8 +233,8 @@ def _cmd_orset(args) -> int:
 
     attrs, rows, features, point = _load_table(args)
     keyed = models.orset_expand(attrs, rows, features, cap=args.cap)
-    ordering = order_by_distance(keyed.dataset, point, args.p)
-    result = fastscan.certify_pk(keyed, ordering, args.k)
+    ordering, ranked = fastscan.rank_by_distance(keyed.dataset, point, args.p)
+    result = fastscan.certify_pk(keyed, ordering, args.k, ranked)
     payload = _result_json(result, keyed.dataset, ordering, args.k)
     payload["expanded_tuples"] = keyed.dataset.size
     _emit(payload)
@@ -215,7 +255,7 @@ def _cmd_gen_hard(args) -> int:
     }
     ingest.write_all({
         args.out: ingest.dataset_csv(inst.dataset),
-        args.point_out: json.dumps(point_doc, sort_keys=True, indent=2) + "\n",
+        args.point_out: _dumps(point_doc) + "\n",
     })
     _emit(
         {
@@ -360,6 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    # numpy's OpenBLAS starts a pool of worker threads when numpy loads,
+    # and no subcommand calls BLAS: one thread, unless the caller chose.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse takes a value that starts with "-" for an option unless it is
     # one number, so "--point -2,1" is read as "--point=-2,1".

@@ -16,7 +16,10 @@ and tie-breaks are reproducible bit for bit. ``surrogate_distance`` states
 it in rational arithmetic for one row. ``order_by_distance`` ranks a whole
 dataset in exact Python integers instead: it scales every coordinate by the
 common denominator of all of them, which multiplies each distance by the
-same positive constant and so leaves the order unchanged.
+same positive constant and so leaves the order unchanged. The
+primary-key path ranks through ``fastscan.rank_by_distance``, the same
+distances in int64 when a bound shows they fit; this module stays free of
+numpy, which the chain paths never load.
 """
 
 from __future__ import annotations
@@ -177,7 +180,15 @@ class Ordering:
     ranked: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if set(self.ranked) != set(range(len(self.ranked))):
+        ranked, n = self.ranked, len(self.ranked)
+        # n distinct ints within [0, n) are a permutation: one set and the
+        # bounds. Anything else that hashes like an int (True, numpy ints)
+        # is compared with the set of ids itself.
+        if set(map(type, ranked)) <= {int}:
+            ok = len(set(ranked)) == n and (n == 0 or (min(ranked) >= 0 and max(ranked) < n))
+        else:
+            ok = set(ranked) == set(range(n))
+        if not ok:
             raise InputError("ordering must be a permutation of 0..n-1")
 
     @cached_property

@@ -15,17 +15,19 @@ Everything runs on integer code arrays in rank order: a block code per
 tuple, numbered by first appearance, and a label code that indexes the
 sorted label alphabet. The key comes from the FDs alone
 (``fdschema.decide_lhs_chain``, which the CLI asks before it sends a call
-here). ``as_keyed`` factorises the key cells into block codes and
-finds identical rows with one ``np.lexsort`` over the block codes and the
-other columns' int64 codes (the fixed-point ints themselves for numeric
-columns), and the label codes come from the row labels, so no per-row
-record is built. ``certify_pk`` puts both in rank order once per call and
-hands them to ``certify_pk_arrays``, the core that bulk workloads call
-directly: the greedy repair is the first tuple of each block, its vote
-names the incumbent, and one prune and scan per challenger, in alphabetical
-order, looks for a repair that ties or beats it. Ids become Python objects only
-for the witness, which ``certresult.refuted`` re-verifies as on every
-other path.
+here). ``as_keyed`` factorises the key cells into block codes and looks
+for identical rows among the block codes and the other columns' int64
+codes (the fixed-point ints themselves for numeric columns), and the label
+codes come from the row labels, so no per-row record is built.
+``rank_by_distance`` ranks the tuples as ``dataset.order_by_distance``
+does, in int64 when a bound shows the distances fit, and hands the ranked
+ids on as an array. ``certify_pk`` puts both codes
+in rank order once per call and hands them to ``certify_pk_arrays``, the
+core that bulk workloads call directly: the greedy repair is the first
+tuple of each block, its vote names the incumbent, and one prune and scan
+per challenger, in alphabetical order, looks for a repair that ties or
+beats it. Ids become Python objects only for the witness, which
+``certresult.refuted`` re-verifies as on every other path.
 
 numpy is imported inside the functions that run array code, not at the
 top: the CLI imports this module on every call, and a call that never
@@ -34,12 +36,14 @@ reaches the scan should not pay for numpy.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .certresult import CertResult, refuted
-from .dataset import LabeledDataset, Ordering, PredictOutcome
+from .dataset import LabeledDataset, Ordering, PredictOutcome, TestPoint, order_by_distance
 from .errors import InputError, NotPrimaryKeyError
 from .fdschema import decide_lhs_chain
 
@@ -69,6 +73,10 @@ class ScanTrigger:
     blocks_seen: int
 
 
+# The digest of a row's codes c1, c2, ..., cm is (..(c1 * mix + c2) ..) * mix + cm mod 2^64.
+_DIGEST_MIX = 0x9E3779B97F4A7C15
+
+
 def as_keyed(dataset: LabeledDataset) -> KeyedDataset:
     """Group tuples into blocks, after checking that they can be blocks.
 
@@ -92,12 +100,21 @@ def as_keyed(dataset: LabeledDataset) -> KeyedDataset:
     key_cells = key_cols[0] if len(key_cols) == 1 else list(zip(*key_cols)) or [()] * dataset.size
     block_of, num_blocks = _factorise(key_cells)
     # Identical rows share their key, so there are none unless some block
-    # holds two rows or more; sorted by all codes, they are neighbours.
+    # holds two rows or more. Identical rows have equal digests, so one sort
+    # of the digests rules them out; equal digests are settled exactly by
+    # sorting all the codes, where identical rows are neighbours.
     if num_blocks < dataset.size:
-        codes = np.stack([block_of] + [
+        codes = [block_of] + [
             np.frombuffer(c.data, np.int64) if isinstance(c.data, array) else _factorise(c.data)[0]
             for i, c in enumerate(dataset.columns) if i not in key_idx
-        ])
+        ]
+        digest = codes[0].astype(np.uint64)
+        for c in codes[1:]:
+            digest = digest * _DIGEST_MIX + c.view(np.uint64)  # wraps mod 2^64
+        digest.sort()
+        if not (digest[1:] == digest[:-1]).any():
+            return KeyedDataset(dataset, key_attrs, block_of, num_blocks)
+        codes = np.stack(codes)
         ranked = codes[:, np.lexsort(codes)]
         same = (ranked[:, 1:] == ranked[:, :-1]).all(axis=0)
         if same.any():  # name the lowest such block code, at its first row
@@ -108,22 +125,98 @@ def as_keyed(dataset: LabeledDataset) -> KeyedDataset:
 
 
 def _factorise(cells: Sequence):
-    """Int64 codes of ``cells`` by first appearance, and their number; by a
-    dict, as np.unique cannot order a mix of str, int and Fraction."""
+    """Int64 codes of ``cells`` by first appearance, and their number: one
+    dict pass finds each cell's first row (np.unique cannot order a mix of
+    str, int and Fraction), and those rows in order take codes 0, 1, ..."""
     import numpy as np
 
-    code_of = {cell: code for code, cell in enumerate(dict.fromkeys(cells))}
-    return np.fromiter(map(code_of.__getitem__, cells), np.int64, len(cells)), len(code_of)
+    n = len(cells)
+    first_row: dict = {}
+    firsts = np.fromiter(map(first_row.setdefault, cells, range(n)), np.int64, n)
+    code = np.empty(n, np.int64)
+    code[np.fromiter(first_row.values(), np.int64, len(first_row))] = np.arange(len(first_row))
+    return code[firsts], len(first_row)
 
 
-def _codes(keyed: KeyedDataset, ordering: Ordering):
-    """Key and label codes at rank positions, plus the ranked id array."""
+_INT64_LIMIT = 2**63  # every value the int64 distances hold stays below it
+
+
+def _int64_distances(dataset: LabeledDataset, x: TestPoint, p: int) -> Optional[np.ndarray]:
+    """Each row's sum(|v*factor - at|^p) in int64: the ints that
+    ``order_by_distance`` sums, over the same common scale.
+
+    None when they might not fit, and for the inputs ``order_by_distance``
+    refuses: a feature column not packed in ``array('q')``, a coordinate
+    that is not a number, a bad p or arity. The bounds come from each
+    column's minimum and maximum and the point: |v*factor|, |at|,
+    |v*factor - at|^p and their sum over the features must all be below
+    2^63, so no step of the numpy arithmetic wraps.
+    """
+    import numpy as np
+
+    columns = [dataset.columns[i] for i in dataset.feature_indices]
+    if not (len(x.coords) == len(columns) and isinstance(p, int) and p >= 1
+            and all(isinstance(c.data, array) for c in columns)
+            and all(isinstance(c, (int, Fraction)) for c in x.coords)):
+        return None
+    scale = math.lcm(*[c.scale for c in columns], *[c.denominator for c in x.coords])
+    total, bound = np.zeros(dataset.size, np.int64), 0
+    if dataset.size == 0:
+        return total
+    for coord, col in zip(x.coords, columns):
+        at = coord.numerator * (scale // coord.denominator)
+        factor = scale // col.scale
+        v = np.frombuffer(col.data, np.int64)
+        lo, hi = int(v.min()) * factor, int(v.max()) * factor
+        reach = max(abs(lo - at), abs(hi - at))  # the largest |v*factor - at|
+        # reach^p >= 2^63 once (bit length - 1) * p >= 63; test that before
+        # raising a large reach to a large p.
+        if max(abs(lo), abs(hi), abs(at)) >= _INT64_LIMIT or (reach.bit_length() - 1) * p >= 63:
+            return None
+        bound += reach**p
+        if bound >= _INT64_LIMIT:
+            return None
+        if factor != 1:
+            v = v * factor
+        total += np.abs(v - at) ** p
+    return total
+
+
+def rank_by_distance(dataset: LabeledDataset, x: TestPoint, p: int) -> tuple[Ordering, np.ndarray]:
+    """``order_by_distance(dataset, x, p)``, and its ids as an int64 array.
+
+    The distances are summed in int64 when ``_int64_distances`` bounds
+    them below 2^63, and ranked in ascending id order among ties, as the
+    Python sort does: by sorting the distinct keys dist * n + id when they
+    fit in int64 too, else by a stable argsort. Otherwise
+    ``order_by_distance`` ranks in exact Python ints, and raises its errors.
+    """
+    import numpy as np
+
+    dist = _int64_distances(dataset, x, p)
+    if dist is None:
+        ordering = order_by_distance(dataset, x, p)
+        return ordering, np.fromiter(ordering.ranked, np.int64, len(ordering.ranked))
+    n = dist.shape[0]
+    if n and (int(dist.max()) + 1) * n <= _INT64_LIMIT:
+        keys = dist * n + np.arange(n)
+        keys.sort()
+        ranked = keys % n
+    else:
+        ranked = np.argsort(dist, kind="stable")
+    return Ordering(tuple(ranked.tolist())), ranked
+
+
+def _codes(keyed: KeyedDataset, ordering: Ordering, ranked: Optional[np.ndarray] = None):
+    """Key and label codes at rank positions, plus the ranked id array:
+    ``ranked`` when given, else built from ``ordering``."""
     import numpy as np
 
     ds = keyed.dataset
     if len(ordering.ranked) != ds.size:
         raise InputError("ordering must rank every tuple of the dataset")
-    ranked = np.fromiter(ordering.ranked, np.int64, ds.size)
+    if ranked is None:
+        ranked = np.fromiter(ordering.ranked, np.int64, ds.size)
     lab_code = {lab: i for i, lab in enumerate(ds.labels)}
     label_of = np.fromiter(map(lab_code.__getitem__, ds.row_labels), np.int64, ds.size)
     return keyed.block_of[ranked], label_of[ranked], ranked
@@ -264,30 +357,35 @@ def certify_pk(
     source: Union[LabeledDataset, KeyedDataset],
     ordering: Ordering,
     k: int,
+    ranked: Optional[np.ndarray] = None,
 ) -> CertResult:
     """Certify robustness through the prune-and-scan path.
 
-    The key and label codes are built once and go through
-    ``certify_pk_arrays``. Votes are unweighted here; weighted certification
-    goes through the DP. k larger than the number of blocks is clamped:
-    every repair holds one tuple per block, so the neighborhood is then the
-    whole repair. ``certresult.refuted`` re-verifies the witness.
+    The key and label codes are built once, in the order of ``ranked``
+    (``ordering.ranked`` as an int64 array, as ``rank_by_distance`` returns
+    it; built here when None), and go through ``certify_pk_arrays``. Votes
+    are unweighted here; weighted certification goes through the DP. k
+    larger than the number of blocks is clamped: every repair holds one
+    tuple per block, so the neighborhood is then the whole repair.
+    ``certresult.refuted`` re-verifies the witness.
     """
+    import numpy as np
+
     if k < 1:
         raise InputError("k must be >= 1")
     keyed = source if isinstance(source, KeyedDataset) else as_keyed(source)
     ds = keyed.dataset
-    keys, labels, ranked = _codes(keyed, ordering)
+    keys, labels, ranked = _codes(keyed, ordering, ranked)
     verdict = certify_pk_arrays(keys, labels, k)
     if verdict.robust:
         ell1 = ds.labels[verdict.incumbent]
         return CertResult(True, ell1, (ell1,), ())
 
-    greedy = tuple(sorted(ranked[verdict.greedy].tolist()))
+    greedy = tuple(np.sort(ranked[verdict.greedy]).tolist())
     if verdict.incumbent is None:
         incumbent = PredictOutcome.TIE if greedy else PredictOutcome.EMPTY
         return CertResult(False, None, (), ((greedy, incumbent),))
-    witness = tuple(sorted(ranked[_build_witness(keys, labels, verdict, k)].tolist()))
+    witness = tuple(np.sort(ranked[_build_witness(keys, labels, verdict, k)]).tolist())
     return refuted(ds, ordering, k, greedy, ds.labels[verdict.incumbent],
                    ds.labels[verdict.challenger], witness)
 

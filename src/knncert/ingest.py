@@ -51,7 +51,14 @@ def load_schema(path: str) -> FdSchema:
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read schema {path}: {exc}") from None
     try:
-        return FdSchema.of(raw["attributes"], [(fd["lhs"], fd["rhs"]) for fd in raw["fds"]])
+        attributes, fds = raw["attributes"], [(fd["lhs"], fd["rhs"]) for fd in raw["fds"]]
+        # A string is iterable too, and would be read as its characters.
+        fields = [("attributes", attributes)] + [f for fd in fds for f in zip(("lhs", "rhs"), fd)]
+        for name, value in fields:
+            if not isinstance(value, list):
+                raise InputError(f"malformed schema {path}: {name!r} must be a JSON list, "
+                                 f"got {value!r}")
+        return FdSchema.of(attributes, fds)
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed schema {path}: {exc}") from None
 
@@ -174,8 +181,9 @@ class _ColumnBuilder:
     column ends numeric over 10**places; a batch of unpadded ones with one
     number of places is read whole (``_plain_run``), any other cell by
     cell. The first cell of any other form switches the column to
-    ``parse_scalar`` values, skipped for a batch of unpadded symbols, and
-    ``Column.of`` makes them numeric when all are numbers.
+    ``parse_scalar`` values, each distinct text read once per batch and a
+    batch of unpadded symbols taken as it is, and ``Column.of`` makes them
+    numeric when all are numbers.
     """
 
     __slots__ = ("nums", "places", "values")
@@ -203,8 +211,11 @@ class _ColumnBuilder:
                 return
             self.values, self.nums = Column(self.nums, 10**top).values(), []
             texts = texts[len(nums):]
-        symbols = _SYMBOL_RUN.fullmatch("\n".join(texts))
-        self.values.extend(texts if symbols else map(parse_scalar, texts))
+        if _SYMBOL_RUN.fullmatch("\n".join(texts)):
+            self.values.extend(texts)
+        else:  # each distinct text read once per batch
+            read = {text: parse_scalar(text) for text in set(texts)}
+            self.values.extend(map(read.__getitem__, texts))
 
     def column(self) -> Column:
         if self.values is None:

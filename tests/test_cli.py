@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -5,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import knncert
 from knncert import cli, counting
@@ -77,6 +81,20 @@ class TestCheckSchema:
         code, payload = run(capsys, ["check-schema", "--schema", str(path)])
         assert code == 0 and payload["lhs_chain"] is True
 
+    @pytest.mark.parametrize("doc, name, value", [
+        ({"attributes": ["AB", "A", "B", "C"], "fds": [{"lhs": "AB", "rhs": ["C"]}]}, "lhs", "AB"),
+        ({"attributes": ["A", "B"], "fds": [{"lhs": ["A"], "rhs": "B"}]}, "rhs", "B"),
+        ({"attributes": "AB", "fds": []}, "attributes", "AB"),
+        ({"attributes": ["A", "B"], "fds": [{"lhs": {"A": 1}, "rhs": ["B"]}]}, "lhs", {"A": 1}),
+    ], ids=["lhs", "rhs", "attributes", "object"])
+    def test_fields_must_be_json_lists(self, tmp_path, capsys, doc, name, value):
+        # Read as an iterable, the string "AB" would be the lhs {A, B}.
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        code, payload = run(capsys, ["check-schema", "--schema", str(path)])
+        error = f"malformed schema {path}: {name!r} must be a JSON list, got {value!r}"
+        assert (code, payload) == (2, {"error": error})
+
     def test_attribute_names_must_be_strings(self, tmp_path, capsys):
         # A number among the names used to escape as a TypeError when a
         # table missed it and a named attribute, as sorting mixed the two.
@@ -89,6 +107,62 @@ class TestCheckSchema:
 
 
 CERT_ARGS = ["--features", "A,B", "--point", "0,0", "--p", "1", "--k", "3"]
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(2**64, 2**200).map(lambda v: -v),
+    st.integers(2**64, 2**200), st.floats(allow_nan=False), st.text(),
+    st.text(alphabet=st.characters(min_codepoint=0x80)),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.lists(st.integers(), max_size=6),
+                            st.lists(st.one_of(st.integers(), st.booleans()), max_size=6),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+class TestEmit:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.dictionaries(st.text(max_size=5), JSON_VALUES, max_size=5))
+    def test_bytes_match_json_dumps(self, payload):
+        # Empty containers, bools among ints, ints past 2^64, non-ASCII text.
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(payload)
+        assert out.getvalue() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+# Reports OPENBLAS_NUM_THREADS after a key-schema certify in a fresh
+# interpreter, and whether the certify loaded numpy.
+BLAS_RUNNER = """
+import contextlib, io, json, os, sys
+from knncert import cli
+before = os.environ.get("OPENBLAS_NUM_THREADS")
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([before, code, os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
+def test_cli_pins_openblas_to_one_thread_unless_set(tmp_path, preset, want):
+    (tmp_path / "s.json").write_text(json.dumps({"attributes": ["K", "X"],
+                                                 "fds": [{"lhs": ["K"], "rhs": ["X"]}]}))
+    (tmp_path / "d.csv").write_text("K,X,label\na,1,0\na,2,1\nb,3,0\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(knncert.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    argv = ["certify", "--schema", str(tmp_path / "s.json"), "--data", str(tmp_path / "d.csv"),
+            "--features", "X", "--point", "0", "--k", "1"]
+    proc = subprocess.run([sys.executable, "-c", BLAS_RUNNER, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # Importing the package leaves the environment alone; main sets it.
+    assert json.loads(proc.stdout) == [preset, 1, want, True]
 
 
 class TestCertify:

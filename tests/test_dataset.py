@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knncert as kc
-from knncert import InputError, oracle
+from knncert import InputError, fastscan, oracle
 from knncert.dataset import Column
 
 import helpers
@@ -236,8 +237,13 @@ class TestOrderingMatchesRationalSurrogate:
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(ordering_instances(), st.sampled_from((1, 2, 3)))
     def test_same_order(self, inst, p):
+        # Cells past 2^63 and large scales send rank_by_distance to the
+        # Python ints, small ones to int64: both must rank as Fractions do.
         ds, x = inst
-        assert kc.order_by_distance(ds, x, p).ranked == rational_order(ds, x, p)
+        want = rational_order(ds, x, p)
+        assert kc.order_by_distance(ds, x, p).ranked == want
+        ordering, ranked = fastscan.rank_by_distance(ds, x, p)
+        assert ordering.ranked == want and ranked.tolist() == list(want)
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(ordering_instances(symbols=True), st.sampled_from((1, 2)))
@@ -251,6 +257,74 @@ class TestOrderingMatchesRationalSurrogate:
             assert str(got.value) == str(exc)
         else:
             assert kc.order_by_distance(ds, x, p).ranked == want
+
+
+class TestInt64Ranking:
+    """``fastscan.rank_by_distance`` sums in int64 only below 2^63."""
+
+    @staticmethod
+    def ranks(rows, point, p=1):
+        attrs = helpers.ATTR_POOL[:len(point)]
+        ds = kc.make_dataset(kc.FdSchema.of(attrs, []), [(r, "0") for r in rows], features=attrs)
+        x = kc.TestPoint(point)
+        ordering, ranked = fastscan.rank_by_distance(ds, x, p)
+        assert ordering.ranked == rational_order(ds, x, p) == tuple(ranked.tolist())
+        return fastscan._int64_distances(ds, x, p)
+
+    def test_a_sum_of_two_to_the_63_minus_one_stays_in_int64(self):
+        dist = self.ranks([(2**62, 2**62 - 1), (0, 0), (1, 0), (2**62, 2**62 - 2)], (0, 0))
+        assert dist is not None and dist.tolist() == [2**63 - 1, 0, 1, 2**63 - 2]
+
+    def test_a_sum_of_two_to_the_63_takes_the_python_ints(self):
+        # In int64 the first distance would wrap to -2^63 and rank first.
+        assert self.ranks([(2**62, 2**62), (0, 0), (1, 0)], (0, 0)) is None
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_the_bound_includes_the_power(self, p):
+        # The farthest cell, 2^21, is 3 * 2^20 from the point at -2^20.
+        reach = 3 * 2**20
+        dist = self.ranks([(2**21,), (-(2**20) + 1,), (5,), (-(2**20) - 1,)], (-(2**20),), p)
+        fits = reach**p < 2**63
+        assert (dist is not None) == fits
+
+    def test_a_scaled_cell_past_int64_takes_the_python_ints(self):
+        # The cells fit, but the point's denominator scales 2^62 past 2^63.
+        assert self.ranks([(2**62,), (0,)], (Fraction(1, 3),)) is None
+
+    def test_a_point_at_two_to_the_63_takes_the_python_ints(self):
+        # Every |dx| is small, but the coordinate itself is not an int64.
+        assert self.ranks([(2**63 - 1,), (2**63 - 2,)], (2**63,)) is None
+        assert self.ranks([(2**63 - 1,), (2**63 - 2,)], (2**63 - 1,)) is not None
+
+    def test_a_list_column_takes_the_python_ints(self):
+        # A column with one cell past int64 is kept in a list, not array('q').
+        rows = [(2**64,), (3,), (-(2**70),), (3,)]
+        schema = kc.FdSchema.of(("A",), [])
+        ds = kc.make_dataset(schema, [(r, "0") for r in rows], features=("A",))
+        assert isinstance(ds.columns[0].data, list)
+        assert self.ranks(rows, (0,)) is None
+
+    @pytest.mark.parametrize("unit", [1, 2**29], ids=["sorted-keys", "stable-argsort"])
+    def test_ties_keep_ascending_ids(self, unit):
+        # Thousands of rows on a few distances: an unstable sort would
+        # reorder the tied ids. At distances up to 2^60 the keys dist * n + id
+        # of 3000 rows pass 2^63, and the stable argsort ranks instead.
+        rng = random.Random(3)
+        rows = [(rng.choice((-1, 0, 1, 2)) * unit,) for _ in range(3000)]
+        dist = self.ranks(rows, (0,), 2)
+        assert dist is not None and ((int(dist.max()) + 1) * 3000 > 2**63) == (unit > 1)
+
+    def test_keys_past_int64_are_not_sorted(self):
+        # dist * n + id would be 2^63 for row 0, wrapping below row 1's key.
+        assert self.ranks([(2**31,), (0,)], (0,), 2) is not None
+
+    def test_errors_are_those_of_order_by_distance(self):
+        ds = simple_dataset([(1,), ("sym",)], ["0", "1"])
+        for x, p in [(kc.TestPoint((0,)), 1), (kc.TestPoint((0, 1)), 1), (kc.TestPoint((0,)), 0)]:
+            with pytest.raises(InputError) as want:
+                kc.order_by_distance(ds, x, p)
+            with pytest.raises(InputError, match=f"^{re.escape(str(want.value))}$"):
+                fastscan.rank_by_distance(ds, x, p)
 
 
 class TestConflicts:

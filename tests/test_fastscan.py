@@ -70,6 +70,18 @@ class TestAsKeyed:
         keyed = fastscan.as_keyed(kc.make_dataset(schema, rows, features=()))
         assert (keyed.block_of.tolist(), keyed.num_blocks) == ([0, 1, 0, 1], 2)
 
+    def test_rows_with_equal_digests_are_told_apart(self):
+        # Rows (k, 0, 0) and (k, 1, 2^64 - mix) share the digest
+        # (b * mix + x) * mix + y mod 2^64 without being identical.
+        schema = kc.FdSchema.of(("K", "X", "Y"), [(["K"], ["X", "Y"])])
+        twin = 2**64 - fastscan._DIGEST_MIX
+        rows = [(("a", 0, 0), "0"), (("a", 1, twin), "1"), (("b", 2, 2), "0")]
+        keyed = fastscan.as_keyed(kc.make_dataset(schema, rows, features=()))
+        assert (keyed.block_of.tolist(), keyed.num_blocks) == ([0, 0, 1], 2)
+        rows.append((("a", 1, twin), "0"))
+        with pytest.raises(NotPrimaryKeyError, match=r"^block \('a',\) holds identical rows$"):
+            fastscan.as_keyed(kc.make_dataset(schema, rows, features=()))
+
     def test_two_attribute_key(self):
         schema = kc.FdSchema.of(("A", "B", "V"), [(["A", "B"], ["V"])])
         cells = [(1, "p", 5), (1, "q", 5), (2, "p", 5), (1, "q", 6), (2, "p", 5)]
