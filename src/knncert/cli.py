@@ -101,13 +101,13 @@ def _load_data(args, need_schema: bool = True):
     return ingest.load_dataset(args.data, schema, features)
 
 
-def _rank(args, dataset: LabeledDataset, ranks, rank=None):
-    """The order of the rank column with ``--use-rank``, else ``rank`` at
-    the point (by default ``order_by_distance``, looked up at the call)."""
+def _rank(args, dataset: LabeledDataset, ranks) -> Ordering:
+    """The order of the rank column with ``--use-rank``, else by distance
+    to the point."""
     if args.use_rank:
         return ingest.ordering_from_ranks(ranks)
     point = ingest.parse_point(args.point or "", len(dataset.features))
-    return (rank or order_by_distance)(dataset, point, args.p)
+    return order_by_distance(dataset, point, args.p)
 
 
 def _load_instance(args, need_schema: bool = True):
@@ -127,7 +127,8 @@ def _cmd_certify(args) -> int:
     decision = decide_lhs_chain(dataset.schema)
     scan = not (args.weighted or args.force_dp) and decision.key is not None
     if scan and not args.use_rank:
-        ordering, ranked = _rank(args, dataset, ranks, fastscan.rank_by_distance)
+        point = ingest.parse_point(args.point or "", len(dataset.features))
+        ordering, ranked = fastscan.rank_by_distance(dataset, point, args.p)
     else:
         ordering, ranked = _rank(args, dataset, ranks), None
     method: Optional[str] = None

@@ -148,14 +148,15 @@ def _int64_distances(dataset: LabeledDataset, x: TestPoint, p: int) -> Optional[
     None when they might not fit, and for the inputs ``order_by_distance``
     refuses: a feature column not packed in ``array('q')``, a coordinate
     that is not a number, a bad p or arity. The bounds come from each
-    column's minimum and maximum and the point: |v*factor|, |at|,
-    |v*factor - at|^p and their sum over the features must all be below
-    2^63, so no step of the numpy arithmetic wraps.
+    column's minimum and maximum and the point: p and each factor, which
+    numpy takes as int64 operands, |v*factor|, |at|, |v*factor - at|^p and
+    their sum over the features must all be below 2^63, so no step of the
+    numpy arithmetic overflows or wraps.
     """
     import numpy as np
 
     columns = [dataset.columns[i] for i in dataset.feature_indices]
-    if not (len(x.coords) == len(columns) and isinstance(p, int) and p >= 1
+    if not (len(x.coords) == len(columns) and isinstance(p, int) and 1 <= p < _INT64_LIMIT
             and all(isinstance(c.data, array) for c in columns)
             and all(isinstance(c, (int, Fraction)) for c in x.coords)):
         return None
@@ -171,7 +172,8 @@ def _int64_distances(dataset: LabeledDataset, x: TestPoint, p: int) -> Optional[
         reach = max(abs(lo - at), abs(hi - at))  # the largest |v*factor - at|
         # reach^p >= 2^63 once (bit length - 1) * p >= 63; test that before
         # raising a large reach to a large p.
-        if max(abs(lo), abs(hi), abs(at)) >= _INT64_LIMIT or (reach.bit_length() - 1) * p >= 63:
+        if (max(abs(lo), abs(hi), abs(at), factor) >= _INT64_LIMIT
+                or (reach.bit_length() - 1) * p >= 63):
             return None
         bound += reach**p
         if bound >= _INT64_LIMIT:
@@ -186,10 +188,9 @@ def rank_by_distance(dataset: LabeledDataset, x: TestPoint, p: int) -> tuple[Ord
     """``order_by_distance(dataset, x, p)``, and its ids as an int64 array.
 
     The distances are summed in int64 when ``_int64_distances`` bounds
-    them below 2^63, and ranked in ascending id order among ties, as the
-    Python sort does: by sorting the distinct keys dist * n + id when they
-    fit in int64 too, else by a stable argsort. Otherwise
-    ``order_by_distance`` ranks in exact Python ints, and raises its errors.
+    them below 2^63, and ranked by a stable argsort, which keeps tied ids
+    ascending as the Python sort does. Otherwise ``order_by_distance``
+    ranks in exact Python ints, and raises its errors.
     """
     import numpy as np
 
@@ -197,13 +198,7 @@ def rank_by_distance(dataset: LabeledDataset, x: TestPoint, p: int) -> tuple[Ord
     if dist is None:
         ordering = order_by_distance(dataset, x, p)
         return ordering, np.fromiter(ordering.ranked, np.int64, len(ordering.ranked))
-    n = dist.shape[0]
-    if n and (int(dist.max()) + 1) * n <= _INT64_LIMIT:
-        keys = dist * n + np.arange(n)
-        keys.sort()
-        ranked = keys % n
-    else:
-        ranked = np.argsort(dist, kind="stable")
+    ranked = np.argsort(dist, kind="stable")
     return Ordering(tuple(ranked.tolist())), ranked
 
 

@@ -304,19 +304,24 @@ class TestInt64Ranking:
         assert isinstance(ds.columns[0].data, list)
         assert self.ranks(rows, (0,)) is None
 
-    @pytest.mark.parametrize("unit", [1, 2**29], ids=["sorted-keys", "stable-argsort"])
-    def test_ties_keep_ascending_ids(self, unit):
+    def test_ties_keep_ascending_ids(self):
         # Thousands of rows on a few distances: an unstable sort would
-        # reorder the tied ids. At distances up to 2^60 the keys dist * n + id
-        # of 3000 rows pass 2^63, and the stable argsort ranks instead.
+        # reorder the tied ids.
         rng = random.Random(3)
-        rows = [(rng.choice((-1, 0, 1, 2)) * unit,) for _ in range(3000)]
-        dist = self.ranks(rows, (0,), 2)
-        assert dist is not None and ((int(dist.max()) + 1) * 3000 > 2**63) == (unit > 1)
+        rows = [(rng.choice((-1, 0, 1, 2)),) for _ in range(3000)]
+        assert self.ranks(rows, (0,), 2) is not None
 
-    def test_keys_past_int64_are_not_sorted(self):
-        # dist * n + id would be 2^63 for row 0, wrapping below row 1's key.
-        assert self.ranks([(2**31,), (0,)], (0,), 2) is not None
+    def test_a_power_past_int64_takes_the_python_ints(self):
+        # Every |dx| is 0 or 1, so the bound holds, but numpy cannot take
+        # 2^63 as an exponent.
+        assert self.ranks([(1,), (0,), (-1,), (1,)], (0,), 2**63) is None
+        assert self.ranks([(1,), (0,), (-1,), (1,)], (0,), 2**63 - 1) is not None
+
+    def test_a_factor_past_int64_takes_the_python_ints(self):
+        # Zero cells bound every product by 0, but the point's denominator
+        # makes the column's factor 2^63 + 1, which numpy cannot take.
+        assert self.ranks([(0,), (0,), (0,)], (Fraction(1, 2**63 + 1),)) is None
+        assert self.ranks([(0,), (0,), (0,)], (Fraction(1, 2**63 - 1),)) is not None
 
     def test_errors_are_those_of_order_by_distance(self):
         ds = simple_dataset([(1,), ("sym",)], ["0", "1"])
