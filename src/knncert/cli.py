@@ -17,14 +17,16 @@ and ``oracle`` are imported inside their handlers, and ``fastscan`` loads
 numpy only when the scan runs, so the chain subcommands and
 ``check-schema`` start without numpy. ``main`` sets
 ``OPENBLAS_NUM_THREADS`` to 1 unless it is set: numpy's OpenBLAS would
-start worker threads that no subcommand uses. The primary-key calls rank
-through ``fastscan.rank_by_distance`` (int64 when the distances fit),
-every other call through ``dataset.order_by_distance``.
+start worker threads that no subcommand uses. ``run``, the console entry
+point, freezes the import-time heap before it calls ``main``. The
+primary-key calls rank through ``fastscan.rank_by_distance`` (int64 when
+the distances fit), every other call through ``dataset.order_by_distance``.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -157,9 +159,8 @@ def _cmd_count(args) -> int:
     dataset, ordering, _ = _load_instance(args)
     if not decide_lhs_chain(dataset.schema).is_chain_equivalent:
         raise NotChainError("counting requires an lhs-chain-equivalent schema")
-    tree = counting.repair_tree(dataset)
-    count = counting.count_label(dataset, ordering, args.k, args.label, tree=tree)
-    total = counting.count_repairs(dataset, tree=tree)
+    count = counting.count_label(dataset, ordering, args.k, args.label)
+    total = counting.count_repairs(dataset)
     _emit({"label": args.label, "count": str(count), "total_repairs": str(total)})
     return EXIT_OK
 
@@ -435,5 +436,13 @@ def _run(args) -> int:
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """``main`` on ``sys.argv`` as the process's one call: the objects made
+    by the imports are frozen first, so neither the collections during the
+    call nor the one at exit traverse them."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

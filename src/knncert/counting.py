@@ -31,7 +31,7 @@ import operator
 from typing import Optional, Sequence
 
 from .dataset import LabeledDataset, Ordering
-from .decompose import Node, Sweep, TableOps, build_tree, fold, size_tables
+from .decompose import Sweep, TableOps, build_tree, size_tables
 from .errors import InputError
 
 
@@ -75,24 +75,13 @@ def _predicting(table: list, sizes) -> int:
     return total
 
 
-def repair_tree(dataset: LabeledDataset, ids: Optional[Sequence[int]] = None) -> Node:
-    """The decomposition tree of ``dataset``, or of the tuples ``ids``."""
-    ids = list(dataset.ids()) if ids is None else sorted(ids)
-    return build_tree(dataset.cells, ids, list(dataset.schema.fds), dataset.schema)
-
-
-def count_label(dataset: LabeledDataset, ordering: Ordering, k: int, label: str,
-                tree: Optional[Node] = None) -> int:
-    """Number of repairs whose prediction is exactly ``label``.
-
-    ``tree`` is the dataset's ``repair_tree`` when the caller has built it.
-    """
+def count_label(dataset: LabeledDataset, ordering: Ordering, k: int, label: str) -> int:
+    """Number of repairs whose prediction is exactly ``label``."""
     if label not in dataset.labels:
         raise InputError(f"unknown label {label!r}")
     if k < 1:
         raise InputError("k must be >= 1")
-    if tree is None:
-        tree = repair_tree(dataset)
+    tree = build_tree(dataset.cells, list(dataset.ids()), list(dataset.schema.fds), dataset.schema)
     n = dataset.size
     if n == 0:
         return 0
@@ -112,11 +101,11 @@ def count_label(dataset: LabeledDataset, ordering: Ordering, k: int, label: str,
     return total
 
 
-def count_repairs(dataset: LabeledDataset, ids: Optional[Sequence[int]] = None,
-                  tree: Optional[Node] = None) -> int:
-    """Total number of repairs (lhs-chain schemas only).
-
-    ``tree`` is the ``repair_tree`` of the same tuples when the caller has
-    built it.
-    """
-    return fold(repair_tree(dataset, ids) if tree is None else tree, lambda ids: 1, sum, math.prod)
+def count_repairs(dataset: LabeledDataset, ids: Optional[Sequence[int]] = None) -> int:
+    """Total number of repairs (lhs-chain schemas only): a leaf has one, a
+    consensus attribute sums its values' counts and a common one multiplies
+    them, in ``build_tree``'s partition pass."""
+    ids = list(dataset.ids()) if ids is None else sorted(ids)
+    return build_tree(dataset.cells, ids, list(dataset.schema.fds), dataset.schema,
+                      lambda leaf: 1, lambda attr, counts: sum(counts),
+                      lambda attr, counts: math.prod(counts))

@@ -4,7 +4,8 @@ A ``LabeledDataset`` keeps one ``Column`` per attribute, one of the rows'
 weights and each row's label. A numeric column holds ints over one scale,
 so equal values hold equal ints: keys, FD lookups and the identical-row
 check compare those ints directly, ranking reads them without building a
-``Fraction`` per cell, and the weighted vote, DP and fold add them.
+``Fraction`` per cell, and the weighted vote, DP and minimum-weight repair
+add them.
 ``make_dataset`` and ``ingest.load_dataset`` build the columns. ``cells`` is
 each row's ``data`` entries, which the lhs-chain paths group on; ``tuples``
 is each row's values, built on first use for the oracle, ``hardgen``,
@@ -272,15 +273,37 @@ def order_by_distance(dataset: LabeledDataset, x: TestPoint, p: int) -> Ordering
     if bad < n:
         raise InputError(f"non-numeric feature value in tuple {bad}")
     scale = math.lcm(*[c.scale for c in columns], *[c.denominator for c in x.coords])
+    ats = [coord.numerator * (scale // coord.denominator) for coord in x.coords]
+    factors = [scale // col.scale for col in columns]
+    if n:
+        _check_power_cost(n, p, [max(abs(min(col.data) * f - at), abs(max(col.data) * f - at))
+                                 for col, f, at in zip(columns, factors, ats)])
     dist = [0] * n
-    for coord, col in zip(x.coords, columns):
-        at = coord.numerator * (scale // coord.denominator)
-        factor = scale // col.scale
+    for at, factor, col in zip(ats, factors, columns):
         if factor == 1:
             dist = [d + abs(v - at) ** p for d, v in zip(dist, col.data)]
         else:
             dist = [d + abs(v * factor - at) ** p for d, v in zip(dist, col.data)]
     return Ordering(tuple(sorted(range(n), key=dist.__getitem__)))
+
+
+# log2 of the work allowed for forming the distances, counted as n * b**1.6
+# for n rows of b-bit distances: Python squares large ints by Karatsuba, so
+# one b-bit power costs about b**1.6 word steps, and a budget on n * b alone
+# would let two rows run for hours. 2**38 lets 10**6 rows hold distances of
+# 2,500 bits, or one row one of 2**23.75 bits; the slowest call it admits,
+# a reach of 3 at any n, took about 7 s on a 2-core x86 host.
+_POWER_BUDGET_LOG2 = 38
+
+
+def _check_power_cost(n: int, p: int, reaches: list[int]) -> None:
+    """Raise InputError when p makes the largest ``reaches[j]**p``, the
+    widest |v*factor - at| of column j, too long to form for n rows. r**p
+    has at least (bit length of r - 1) * p + 1 bits for r >= 1, so only a
+    call whose cost surely exceeds the budget is refused."""
+    bits = max([(r.bit_length() - 1) * p + 1 if r else 0 for r in reaches], default=0)
+    if bits and math.log2(n) + 1.6 * math.log2(bits) > _POWER_BUDGET_LOG2:
+        raise InputError(f"p = {p} is too large: {n} distances of at least {bits} bits each")
 
 
 @lru_cache(maxsize=None)

@@ -7,10 +7,11 @@ values of it never conflict, so repairs are unions of per-value repairs.
 Which attribute each level of the tree splits on depends on the FDs only:
 ``build_tree`` follows the steps of ``fdschema.decide_lhs_chain``, computed
 once per call, and partitions the rows one level at a time by cells that
-compare like the values they stand for (``LabeledDataset.cells``). The
-tree is built once and shared by the certification DP, the counting DP, and
-the minimum-weight repair. The repair count and the minimum-weight repair
-are two bottom-up evaluations of a tree by ``fold``. ``Sweep`` keeps every
+compare like the values they stand for (``LabeledDataset.cells``). That one
+partition pass evaluates whatever algebra it is given at each node: by
+default the node tree that the certification and counting DPs sweep, and
+with other callbacks the repair count (1, sum, product) or the
+minimum-weight repair (min, union), without a tree. ``Sweep`` keeps every
 node's table while tuples are admitted in rank order, for certification and
 counting alike; ``TableOps`` says how tables are built and merged, and
 ``size_tables`` builds the one table layout both use, over their semirings.
@@ -56,10 +57,20 @@ def build_tree(
     ids: Sequence[int],
     fds: Sequence[Fd],
     schema: FdSchema,
-) -> Node:
-    """Build the partition tree for ``ids`` under ``fds``; ``tuples[tid]``
-    is row tid's cells, equal at an attribute iff the values are, as in
-    ``LabeledDataset.cells`` or ``LabeledDataset.tuples``.
+    leaf: Callable = Leaf,
+    consensus: Callable = ConsensusNode,
+    common: Callable = CommonNode,
+):
+    """Partition ``ids`` under ``fds`` and evaluate the partition tree
+    bottom up in the same pass; ``tuples[tid]`` is row tid's cells, equal
+    at an attribute iff the values are, as in ``LabeledDataset.cells`` or
+    ``LabeledDataset.tuples``.
+
+    A leaf's value is ``leaf(ids)``, its ids a tuple in the order given. An
+    inner node splitting on ``attr`` is ``consensus(attr, values)`` or
+    ``common(attr, values)`` of the tuple of its children's values, one per
+    value of ``attr`` in order of first appearance. The defaults return the
+    ``Node`` tree.
 
     The simplification steps of ``fdschema.decide_lhs_chain`` run once:
     depth d splits on the d-th consensus or common-lhs step's attribute,
@@ -72,11 +83,11 @@ def build_tree(
         raise NotChainError("FD set is not equivalent to an lhs chain")
     check_ids(ids, len(tuples))
     splits = [
-        (ConsensusNode if kind == "consensus" else CommonNode, attr, schema.index(attr))
+        (consensus if kind == "consensus" else common, attr, schema.index(attr))
         for kind, attr in steps
         if attr is not None
     ]
-    return _grow(tuples, ids, splits, 0)
+    return _grow(tuples, ids, splits, 0, leaf)
 
 
 def check_ids(ids: Sequence[int], n: int) -> None:
@@ -90,24 +101,15 @@ def check_ids(ids: Sequence[int], n: int) -> None:
         seen.add(tid)
 
 
-def _grow(tuples, ids, splits, depth) -> Node:
+def _grow(tuples, ids, splits, depth, leaf):
     if depth == len(splits) or not ids:
-        return Leaf(tuple(ids))
+        return leaf(tuple(ids))
     node, attr, idx = splits[depth]
     parts: dict[object, list[int]] = {}
     for tid in ids:
         parts.setdefault(tuples[tid][idx], []).append(tid)
-    return node(attr, tuple(_grow(tuples, part, splits, depth + 1) for part in parts.values()))
-
-
-def fold(node: Node, leaf: Callable, choose: Callable, combine: Callable):
-    """Evaluate ``node`` bottom up. A leaf's value is ``leaf(ids)``; a
-    consensus node's is ``choose`` and a common node's ``combine`` of the
-    list of its children's values, so a wide node merges in one call."""
-    if isinstance(node, Leaf):
-        return leaf(node.ids)
-    values = [fold(child, leaf, choose, combine) for child in node.children]
-    return (choose if isinstance(node, ConsensusNode) else combine)(values)
+    return node(attr, tuple(_grow(tuples, part, splits, depth + 1, leaf)
+                            for part in parts.values()))
 
 
 class TableOps(NamedTuple):

@@ -11,7 +11,7 @@ from typing import Iterable, Optional, Sequence
 
 from .certresult import CertResult, challenge
 from .dataset import Column, LabeledDataset, Ordering, greedy_repair
-from .decompose import Node, Sweep, TableOps, build_tree, fold
+from .decompose import Sweep, TableOps, build_tree
 from .errors import InputError
 
 
@@ -22,13 +22,13 @@ def min_rep(
 ) -> tuple[tuple[int, ...], Fraction]:
     """A repair of minimum total weight, with that weight.
 
-    Follows the decomposition tree: leaves keep everything, a common lhs
-    attribute unions per-value minima, a consensus attribute takes the
-    cheapest value. Ties break toward the lexicographically smallest id
-    set. Weights are the dataset's own by default, else ints or Fractions,
-    possibly zero or negative (the forbidden-repair and 1-NN reductions
-    rely on it). The fold sums the ints of their ``Column`` and divides by
-    its scale once at the end.
+    Evaluated in ``build_tree``'s partition pass over (weight, ids) pairs:
+    leaves keep everything, a common lhs attribute unions per-value minima,
+    a consensus attribute takes the cheapest value, and ``min`` breaks ties
+    toward the lexicographically smallest id set. Weights are the dataset's
+    own by default, else ints or Fractions, possibly zero or negative (the
+    forbidden-repair and 1-NN reductions rely on it). The pass sums the ints
+    of their ``Column`` and divides by its scale once at the end.
     Raises NotChainError when the schema has no lhs-chain equivalent.
     """
     ids = list(dataset.ids()) if ids is None else sorted(ids)
@@ -37,19 +37,14 @@ def min_rep(
         raise InputError(f"{len(scaled)} weights for {dataset.size} rows")
     if scaled.scale is None:
         raise InputError("weights must be ints or Fractions")
-    tree = build_tree(dataset.cells, ids, list(dataset.schema.fds), dataset.schema)
-    repair, weight = _min_rep(tree, scaled.data)
-    return tuple(repair), Fraction(weight, scaled.scale)
+    ints = scaled.data
+    weight, repair = build_tree(
+        dataset.cells, ids, list(dataset.schema.fds), dataset.schema,
+        lambda leaf: (sum(ints[t] for t in leaf), leaf), lambda attr, parts: min(parts), _union)
+    return repair, Fraction(weight, scaled.scale)
 
 
-def _min_rep(tree: Node, weights: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    # The fold's values are (weight, ids) pairs, so ``min`` picks the
-    # cheapest repair and breaks ties toward the smallest id set.
-    weight, repair = fold(tree, lambda ids: (sum(weights[t] for t in ids), ids), min, _union)
-    return repair, weight
-
-
-def _union(parts: list) -> tuple[int, tuple[int, ...]]:
+def _union(attr: str, parts: tuple) -> tuple[int, tuple[int, ...]]:
     merged: list[int] = []
     for _, ids in parts:
         merged.extend(ids)
@@ -84,7 +79,7 @@ def certify_1nn_via_forbidden(dataset: LabeledDataset, ordering: Ordering) -> Ce
     and 0 elsewhere, such a repair exists iff the minimum weight is
     negative, and that minimum-weight repair is the witness. A ``Sweep``
     counting the closer tuples answers the test as ``pinned(t) == 0``, so
-    the tree is folded only for the witness.
+    ``min_rep`` runs only for the witness.
     """
     tree = build_tree(dataset.cells, list(dataset.ids()), list(dataset.schema.fds), dataset.schema)
     return challenge(
@@ -93,7 +88,7 @@ def certify_1nn_via_forbidden(dataset: LabeledDataset, ordering: Ordering) -> Ce
     )
 
 
-def _nearest_first(dataset: LabeledDataset, ordering: Ordering, tree: Node, ell2: str):
+def _nearest_first(dataset: LabeledDataset, ordering: Ordering, tree, ell2: str):
     """A repair whose nearest tuple is labeled ``ell2``, or None."""
     # Tables count admitted (closer) tuples: the fewest over a consensus node.
     sweep = Sweep(tree, dataset.size, TableOps(0, lambda c, tid: c + 1, min, operator.add))
@@ -104,7 +99,7 @@ def _nearest_first(dataset: LabeledDataset, ordering: Ordering, tree: Node, ell2
             for t in closer:
                 weights[t] = 1
             weights[tid] = -1
-            repair, _ = _min_rep(tree, weights)
+            repair, _ = min_rep(dataset, weights=weights)
             assert set(closer).isdisjoint(repair), "1-NN witness keeps a closer tuple"
             return repair
         sweep.admit(tid)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import knncert as kc
 from knncert import certify_dp, counting, fastscan, hardgen, models, oracle
-from knncert.decompose import Sweep, build_tree, fold
+from knncert.decompose import ConsensusNode, Leaf, Sweep, build_tree
 
 ATTR_POOL = ("A", "B", "C", "D", "E", "F")
 
@@ -167,20 +167,32 @@ def check_semirings_agree(ds, ordering, k, label, taus=None):
     return compared
 
 
+def walk(node, leaf, consensus, common):
+    """Evaluate a built node tree bottom up, the reference for the algebra
+    ``build_tree`` evaluates in its partition pass: a leaf's value is
+    ``leaf(ids)``, an inner node's ``consensus(attr, values)`` or
+    ``common(attr, values)`` over the tuple of its children's values."""
+    if isinstance(node, Leaf):
+        return leaf(node.ids)
+    values = tuple(walk(child, leaf, consensus, common) for child in node.children)
+    return (consensus if isinstance(node, ConsensusNode) else common)(node.attr, values)
+
+
 def fraction_min_rep(ds, weights, ids=None):
-    """``minrepair.min_rep``'s (repair, weight) by a fold in Fractions over
-    the tuples view: the cheapest repair, ties toward the smallest id set."""
+    """``minrepair.min_rep``'s (repair, weight) by a walk in Fractions over
+    the node tree of the tuples view: the cheapest repair, ties toward the
+    smallest id set."""
     ids = list(ds.ids()) if ids is None else sorted(ids)
     tree = build_tree(ds.tuples, ids, list(ds.schema.fds), ds.schema)
 
-    def union(parts):
+    def union(attr, parts):
         merged = sorted(t for _, repair in parts for t in repair)
         return sum((weight for weight, _ in parts), Fraction(0)), tuple(merged)
 
     def leaf(leaf_ids):
         return sum((Fraction(weights[t]) for t in leaf_ids), Fraction(0)), leaf_ids
 
-    weight, repair = fold(tree, leaf, min, union)
+    weight, repair = walk(tree, leaf, lambda attr, parts: min(parts), union)
     return tuple(repair), weight
 
 

@@ -440,6 +440,18 @@ def test_broken_pipe_exits_without_traceback(tmp_path):
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 
+def test_an_unbounded_p_is_refused_before_any_power(tmp_path):
+    # 5**(2**63) has about 2**64 bits: without the refusal the child would
+    # run for hours, so the timeout is the test.
+    files = keyed_files(tmp_path, "K,X,label\na,5,0\nb,0,1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "knncert.cli", "certify", *files, "--k", "1", "--p", str(2**63)],
+        capture_output=True, text=True, env=child_env(), timeout=20,
+    )
+    assert proc.returncode == cli.EXIT_INPUT
+    assert json.loads(proc.stdout)["error"].startswith(f"p = {2**63} is too large")
+
+
 # The CLI in a child limited to 1 GiB of address space, so a table sized by
 # k fails at once instead of filling the machine.
 LIMITED_CLI = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
@@ -475,10 +487,12 @@ class TestCount:
             assert payload == {"label": label, "count": want, "total_repairs": "4"}
 
     def test_builds_the_tree_once(self, example_files, capsys, monkeypatch):
+        # One partition pass builds the node tree that count_label sweeps;
+        # count_repairs's pass evaluates (1, sum, product) and builds none.
         calls = []
 
         def counted(*args):
-            calls.append(args)
+            calls.append("nodes" if len(args) == 4 else "algebra")
             return build_tree(*args)
 
         build_tree = counting.build_tree
@@ -488,7 +502,7 @@ class TestCount:
             capsys, ["count", "--schema", schema, "--data", data, "--label", "0"] + CERT_ARGS
         )
         assert (code, payload["count"], payload["total_repairs"]) == (0, "4", "4")
-        assert len(calls) == 1
+        assert sorted(calls) == ["algebra", "nodes"]
 
 
 class TestMinRepairAndForbidden:

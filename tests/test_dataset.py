@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import knncert as kc
 from knncert import InputError, fastscan, oracle
-from knncert.dataset import Column
+from knncert.dataset import Column, _check_power_cost
 
 import helpers
 
@@ -257,6 +257,30 @@ class TestOrderingMatchesRationalSurrogate:
             assert str(got.value) == str(exc)
         else:
             assert kc.order_by_distance(ds, x, p).ranked == want
+
+
+class TestPowerBudget:
+    """``order_by_distance`` refuses a p whose powers would take too long
+    to form, before it forms any of them."""
+
+    def test_a_cell_five_away_refuses_p_two_to_the_63(self):
+        ds = simple_dataset([(5,), (0,)], ["0", "1"])
+        with pytest.raises(InputError, match=f"^p = {2**63} is too large"):
+            kc.order_by_distance(ds, kc.TestPoint((0,)), 2**63)
+
+    def test_cells_within_one_take_any_p(self):
+        ds = simple_dataset([(1,), (0,), (-1,), (1,)], ["0"] * 4)
+        assert kc.order_by_distance(ds, kc.TestPoint((0,)), 2**200).ranked == (1, 0, 2, 3)
+        empty = kc.make_dataset(kc.FdSchema.of(("A",), []), [], features=("A",), labels=("0",))
+        assert kc.order_by_distance(empty, kc.TestPoint((0,)), 2**200).ranked == ()
+
+    def test_the_budget_counts_rows_and_the_widest_column(self):
+        # 3**(2**20) has at least 2**20 + 1 bits: (2**20)**1.6 = 2**32 per row.
+        _check_power_cost(1, 2**20, [0, 3])
+        _check_power_cost(2**5, 2**20, [3, 1])
+        with pytest.raises(InputError, match="^p = 1048576 is too large: 128 distances"):
+            _check_power_cost(2**7, 2**20, [1, 3])
+        _check_power_cost(10**9, 2**1000, [0, 1])
 
 
 class TestInt64Ranking:

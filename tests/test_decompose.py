@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import knncert as kc
 from knncert import InputError, NotChainError, counting, ingest, minrepair, oracle
-from knncert.decompose import CommonNode, ConsensusNode, Leaf, build_tree, fold, size_tables
+from knncert.decompose import CommonNode, ConsensusNode, Leaf, build_tree, size_tables
 
 import helpers
 
@@ -158,23 +158,34 @@ class TestCellsSplitLikeValues:
                 ds.tuples, chosen, fds, schema)
 
 
-def shape(node):
-    """The tree as nested (kind, children) pairs over leaf id tuples."""
-    if isinstance(node, Leaf):
-        return node.ids
-    return (type(node), [shape(child) for child in node.children])
+class TestOnePass:
+    def test_each_node_gets_its_attr_and_childrens_values_in_order(self):
+        # Recording callbacks: the pass must hand every node what a walk
+        # over the default node tree hands it.
+        def algebra(kind):
+            return lambda attr, values: (kind, attr, values)
 
-
-class TestFold:
-    def test_each_node_gets_all_its_childrens_values_in_order(self):
+        record = (lambda leaf_ids: leaf_ids, algebra(ConsensusNode), algebra(CommonNode))
         rng = random.Random(73)
         for _ in range(100):
             ds, fds, ids = random_case(rng)
-            tree = build_tree(ds.tuples, ids, fds, ds.schema)
-            got = fold(tree, lambda leaf_ids: leaf_ids,
-                       lambda values: (ConsensusNode, values),
-                       lambda values: (CommonNode, values))
-            assert got == shape(tree)
+            shuffled = rng.sample(ids, len(ids))
+            for order in (ids, shuffled):
+                tree = build_tree(ds.tuples, order, fds, ds.schema)
+                got = build_tree(ds.tuples, order, fds, ds.schema, *record)
+                assert got == helpers.walk(tree, *record)
+            # Leaves keep the given order and children come in order of first
+            # appearance, so every node's first ids keep the shuffled order.
+            position = {tid: i for i, tid in enumerate(shuffled)}
+
+            def in_order(tids):
+                assert [position[t] for t in tids] == sorted(position[t] for t in tids)
+                return tids[0]
+
+            if shuffled:
+                build_tree(ds.tuples, shuffled, fds, ds.schema, in_order,
+                           lambda attr, firsts: in_order(firsts),
+                           lambda attr, firsts: in_order(firsts))
 
 
 class TestNonChainRejected:

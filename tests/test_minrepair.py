@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knncert as kc
-from knncert import InputError, NotChainError, certify_dp, counting, minrepair, oracle
-from knncert.decompose import fold
+from knncert import InputError, NotChainError, certify_dp, minrepair, oracle
+from knncert.decompose import build_tree
 
 import helpers
 
@@ -140,6 +140,10 @@ class TestForbiddenRepair:
                 assert got in oracle.enumerate_repairs(ds)
 
 
+def node_count(attr, counts):
+    return 1 + sum(counts)
+
+
 class TestCertify1nn:
     def test_example_not_robust_at_k1(self, example1):
         ds, _, ordering = example1
@@ -170,7 +174,8 @@ class TestCertify1nn:
         # every challenger's tuple and no 1-NN witness may keep it.
         ds, _, ordering = example1
         monkeypatch.setattr(
-            minrepair, "_min_rep", lambda tree, weights: (ordering.ranked[:1], Fraction(-1))
+            minrepair, "min_rep",
+            lambda dataset, ids=None, weights=None: (ordering.ranked[:1], Fraction(-1)),
         )
         with pytest.raises(AssertionError, match="closer tuple"):
             minrepair.certify_1nn_via_forbidden(ds, ordering)
@@ -184,12 +189,12 @@ class TestCertify1nn:
     def test_folds_the_tree_only_for_the_witness(self, monkeypatch, rows, robust, folds):
         calls = []
 
-        def counted(tree, weights):
+        def counted(dataset, ids=None, weights=None):
             calls.append(weights)
-            return min_rep(tree, weights)
+            return min_rep(dataset, ids=ids, weights=weights)
 
-        min_rep = minrepair._min_rep
-        monkeypatch.setattr(minrepair, "_min_rep", counted)
+        min_rep = minrepair.min_rep
+        monkeypatch.setattr(minrepair, "min_rep", counted)
         schema = kc.FdSchema.of(("A", "B"), [(["A"], ["B"])])
         ds = kc.make_dataset(schema, rows, features=("A",))
         res = minrepair.certify_1nn_via_forbidden(ds, kc.Ordering((0, 1, 2)))
@@ -213,8 +218,8 @@ class TestCertify1nn:
         sizes = []
         for _ in range(18):
             ds, ordering = helpers.random_chain_instance(rng, n_max=300, n_min=100)
-            tree = counting.repair_tree(ds)
-            sizes.append(fold(tree, lambda ids: 1, lambda v: 1 + sum(v), lambda v: 1 + sum(v)))
+            tree = build_tree(ds.cells, list(ds.ids()), list(ds.schema.fds), ds.schema)
+            sizes.append(helpers.walk(tree, lambda ids: 1, node_count, node_count))
             got = minrepair.certify_1nn_via_forbidden(ds, ordering)
             dp = certify_dp.certify(ds, ordering, 1)
             assert got.robust == dp.robust

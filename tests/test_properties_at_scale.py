@@ -6,11 +6,13 @@ follow: the key scan against the DP on keyed data, counting against
 certification on chain data, in verdicts and table by table, the weighted
 chain routines against the same weights times one factor, every repair the
 chain routines return against a linear consistency-and-maximality check,
-and the three
+the one-pass evaluations of the decomposition against a walk over its node
+tree, and the three
 uncertainty models against plain prediction, against their own budget or
 widening, and against an independent DP.
 """
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -185,6 +187,49 @@ class TestOutputsAreRepairs:
         assert helpers.repair_problems(ds, (0,)) == ["tuple 2 could be added"]
         assert helpers.repair_problems(ds, (0, 1, 2)) == ["tuple 1 conflicts inside the repair"]
         assert helpers.repair_problems(ds, (0,), ids=[0, 1]) == []
+
+
+@st.composite
+def weighted_chain_instances(draw):
+    """Chain data of 1,000 to 5,000 rows on a random lhs-chain schema,
+    consensus FDs included, with weights from a few negative, zero and
+    positive values, so that equal-weight repairs are common."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1000, 5000))
+    spread = draw(st.sampled_from((4, 32, 256)))
+    rng = random.Random(seed)
+    schema = helpers.random_chain_schema(rng, rng.randint(2, 4))
+    domain = max(2, n // spread)
+    rows = [(tuple(rng.randint(0, domain) for _ in range(schema.arity)), rng.choice("01"))
+            for _ in range(n)]
+    ds = kc.make_dataset(schema, rows, features=(), labels=("0", "1"))
+    weights = [rng.choice((-2, -1, 0, 0, Fraction(1, 2), 1, 3)) for _ in range(n)]
+    return ds, weights, seed
+
+
+class TestOnePassAgreesWithTheNodeWalk:
+    @settings(AT_SCALE, max_examples=6)
+    @given(weighted_chain_instances())
+    def test_min_rep_forbidden_repair_and_count_repairs(self, inst):
+        ds, weights, seed = inst
+        rng = random.Random(seed)
+        fds = list(ds.schema.fds)
+        for ids in (None, rng.sample(range(ds.size), ds.size // 2)):
+            pool = list(ds.ids()) if ids is None else sorted(ids)
+            assert minrepair.min_rep(ds, ids=ids, weights=weights) == helpers.fraction_min_rep(
+                ds, weights, ids=ids)
+
+            for size in (1, 5, 50):
+                forbidden = rng.sample(pool, size)
+                flags = [int(t in forbidden) for t in ds.ids()]
+                repair, weight = helpers.fraction_min_rep(ds, flags, ids=ids)
+                assert minrepair.forbidden_repair(ds, forbidden, ids=ids) == (
+                    repair if weight == 0 else None)
+
+            tree = build_tree(ds.tuples, pool, fds, ds.schema)
+            total = helpers.walk(tree, lambda leaf: 1, lambda attr, counts: sum(counts),
+                                 lambda attr, counts: math.prod(counts))
+            assert counting.count_repairs(ds, ids=ids) == total
 
 
 @st.composite
