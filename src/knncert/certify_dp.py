@@ -12,7 +12,8 @@ falsifies robustness, and a witness is traced back through the tables.
 
 The threshold sweep is incremental: raising tau by one admits one tuple,
 and ``decompose.Sweep`` updates only that tuple's leaf and its ancestors,
-each through a segment tree over the node's children. For L challenger
+each through a segment tree over the node's children; the tree is laid
+out once per call and each challenger starts afresh. For L challenger
 labels, n tuples, fan-out f and tree depth, certification costs
 O(L * n * depth * log f * k^2), against O(L * n * |tree| * k^2) for
 re-evaluating the tree at every tau.
@@ -25,7 +26,7 @@ from typing import Optional
 
 from .certresult import CertResult, challenge
 from .dataset import LabeledDataset, Ordering, greedy_repair
-from .decompose import ConsensusNode, Leaf, Sweep, TableOps, build_tree, size_tables
+from .decompose import Sweep, TableOps, build_tree, size_tables
 from .errors import InputError
 
 
@@ -41,12 +42,11 @@ def _row_ops(dataset: LabeledDataset, label: str, ref_label: str, k: int,
 
 def _trace(sweep: Sweep, v: int, i: int) -> list[int]:
     """Reconstruct a repair attaining node v's stored table value at index i."""
-    node = sweep.nodes[v]
-    if isinstance(node, Leaf):
-        return list(node.ids)
     kids = sweep.kids[v]
+    if not kids:
+        return list(sweep.ids[v])
     rows = [sweep.tables[c] for c in kids]
-    if isinstance(node, ConsensusNode):
+    if sweep.chooses[v]:
         best = None
         pick = None
         for c, row in zip(kids, rows):
@@ -71,19 +71,19 @@ def _trace(sweep: Sweep, v: int, i: int) -> list[int]:
     return chosen
 
 
-def _challenge(dataset, ordering, tree, ell, ell1, k, weighted) -> Optional[tuple[int, ...]]:
+def _challenge(dataset, ordering, sweep, ell, ell1, k, weighted) -> Optional[tuple[int, ...]]:
     """Sweep tau for challenger ``ell``; return the traced repair at the
     first hit whose best (ell minus ell1) difference is non-negative."""
     n = dataset.size
     k = min(k, n + 1)  # no repair holds more than n tuples
-    sweep = Sweep(tree, n, _row_ops(dataset, ell, ell1, k, weighted))
+    sweep.start(_row_ops(dataset, ell, ell1, k, weighted))
     for tau, tid in enumerate(ordering.ranked, start=1):
         sweep.admit(tid)
         row = sweep.root
         hits = [k] if tau < n else [k] + list(range(1, k))
         for i in hits:
             if row[i] is not None and row[i] >= 0:
-                return tuple(sorted(_trace(sweep, 0, i)))
+                return tuple(sorted(_trace(sweep, len(sweep.kids) - 1, i)))
     return None
 
 
@@ -104,9 +104,11 @@ def certify(
     """
     if k < 1:
         raise InputError("k must be >= 1")
-    tree = build_tree(dataset.cells, list(dataset.ids()), list(dataset.schema.fds), dataset.schema)
+    sweep = Sweep(dataset.size)
+    build_tree(dataset.cells, list(dataset.ids()), list(dataset.schema.fds), dataset.schema,
+               sweep.leaf, sweep.consensus, sweep.common)
     return challenge(
         dataset, ordering, k, greedy_repair(dataset, ordering),
-        lambda ell, ell1: _challenge(dataset, ordering, tree, ell, ell1, k, weighted),
+        lambda ell, ell1: _challenge(dataset, ordering, sweep, ell, ell1, k, weighted),
         weighted,
     )

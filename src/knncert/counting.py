@@ -81,12 +81,14 @@ def count_label(dataset: LabeledDataset, ordering: Ordering, k: int, label: str)
         raise InputError(f"unknown label {label!r}")
     if k < 1:
         raise InputError("k must be >= 1")
-    tree = build_tree(dataset.cells, list(dataset.ids()), list(dataset.schema.fds), dataset.schema)
+    sweep = Sweep(dataset.size)
+    build_tree(dataset.cells, list(dataset.ids()), list(dataset.schema.fds), dataset.schema,
+               sweep.leaf, sweep.consensus, sweep.common)
     n = dataset.size
     if n == 0:
         return 0
     k = min(k, n + 1)  # no repair holds more than n tuples
-    sweep = Sweep(tree, n, _cell_ops(dataset, label, _others(dataset, label), k))
+    sweep.start(_cell_ops(dataset, label, _others(dataset, label), k))
     total = 0
 
     # Repairs with at least k tuples, pinned to their k-th nearest member:

@@ -8,48 +8,22 @@ Which attribute each level of the tree splits on depends on the FDs only:
 ``build_tree`` follows the steps of ``fdschema.decide_lhs_chain``, computed
 once per call, and partitions the rows one level at a time by cells that
 compare like the values they stand for (``LabeledDataset.cells``). That one
-partition pass evaluates whatever algebra it is given at each node: by
-default the node tree that the certification and counting DPs sweep, and
-with other callbacks the repair count (1, sum, product) or the
-minimum-weight repair (min, union), without a tree. ``Sweep`` keeps every
-node's table while tuples are admitted in rank order, for certification and
-counting alike; ``TableOps`` says how tables are built and merged, and
-``size_tables`` builds the one table layout both use, over their semirings.
+partition pass evaluates whatever algebra it is given at each node: the
+flat layout of a ``Sweep``, the repair count (1, sum, product), the
+minimum-weight repair (min, union) or, by default, a tree of records.
+``Sweep`` keeps every node's table while tuples are admitted in rank order,
+for certification, counting and the 1-NN route alike; ``TableOps`` says how
+tables are built and merged, and ``size_tables`` builds the one table
+layout all three use, over their semirings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Sequence, Union
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import InputError, NotChainError
 from .fdschema import Fd, FdSchema, _chain_steps
-
-
-@dataclass(frozen=True)
-class Leaf:
-    """No FDs remain: the only repair of this subinstance is itself."""
-
-    ids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ConsensusNode:
-    """A repair picks exactly one child (one value of ``attr``)."""
-
-    attr: str
-    children: tuple["Node", ...]
-
-
-@dataclass(frozen=True)
-class CommonNode:
-    """A repair is a disjoint union of one repair per child."""
-
-    attr: str
-    children: tuple["Node", ...]
-
-
-Node = Union[Leaf, ConsensusNode, CommonNode]
 
 
 def build_tree(
@@ -57,9 +31,9 @@ def build_tree(
     ids: Sequence[int],
     fds: Sequence[Fd],
     schema: FdSchema,
-    leaf: Callable = Leaf,
-    consensus: Callable = ConsensusNode,
-    common: Callable = CommonNode,
+    leaf: Callable = lambda ids: SimpleNamespace(ids=ids),
+    consensus: Callable = lambda a, kids: SimpleNamespace(kind="consensus", attr=a, children=kids),
+    common: Callable = lambda a, kids: SimpleNamespace(kind="common", attr=a, children=kids),
 ):
     """Partition ``ids`` under ``fds`` and evaluate the partition tree
     bottom up in the same pass; ``tuples[tid]`` is row tid's cells, equal
@@ -70,7 +44,8 @@ def build_tree(
     inner node splitting on ``attr`` is ``consensus(attr, values)`` or
     ``common(attr, values)`` of the tuple of its children's values, one per
     value of ``attr`` in order of first appearance. The defaults return the
-    ``Node`` tree.
+    tree as records: a leaf has ``ids``, an inner node ``kind``
+    ("consensus" or "common"), ``attr`` and ``children``.
 
     The simplification steps of ``fdschema.decide_lhs_chain`` run once:
     depth d splits on the d-th consensus or common-lhs step's attribute,
@@ -135,7 +110,8 @@ def size_tables(k: int, one, plus: Callable, times: Callable, step: Callable) ->
     product of their ``step(tid)``; ``one`` is the unit, None the zero. A
     leaf's one entry sits at its admitted count until that passes k and the
     leaf is dead. Consensus adds entrywise; common multiplies, truncated at
-    k. Certification takes (max, +), counting polynomials (sum, product).
+    k. Certification takes (max, +), counting polynomials (sum, product),
+    the 1-NN route (or, and) at k = 0.
     """
     dead = [None] * (k + 1)
 
@@ -171,57 +147,70 @@ def size_tables(k: int, one, plus: Callable, times: Callable, step: Callable) ->
 class Sweep:
     """The table of every tree node while the distance threshold grows.
 
-    Nodes are numbered in preorder, so the root is node 0, and per-node
-    state lives in flat lists indexed by that number. Tuples are admitted
-    one at a time in rank order. Admitting a tuple updates its leaf's table
-    and then only the leaf's ancestors: an internal node with f children
-    keeps their tables in a segment tree, a list of 2f slots with child j at
-    slot f + j, slot p merging slots 2p and 2p + 1, and the node's own
-    table at slot 1.
+    ``build_tree(..., sweep.leaf, sweep.consensus, sweep.common)`` lays the
+    tree out in flat lists: each callback numbers its node next, so children
+    come before their parent and the root is last. ``start(ops)`` fills
+    every table with nothing admitted, and may run again with other ops.
+    Tuples are admitted one at a time in rank order. Admitting a tuple
+    updates its leaf's table and then only the leaf's ancestors: an
+    internal node with f children keeps their tables in a segment tree, a
+    list of 2f slots with child j at slot f + j, slot p merging slots 2p
+    and 2p + 1, and the node's own table at slot 1.
     One admission thus costs O(depth * log f) merges, and it stops early at
     the first slot whose value does not change.
     """
 
-    def __init__(self, tree: Node, n: int, ops: TableOps) -> None:
-        self.ops = ops
-        self.nodes: list[Node] = []
+    def __init__(self, n: int) -> None:
         self.kids: list[tuple[int, ...]] = []
+        self.ids: list[tuple[int, ...]] = []  # a leaf's tuples
+        self.chooses: list[bool] = []  # a repair picks one child: consensus
         self.parent: list[int] = []
         self.slot: list[int] = []
         self.leaf_of = [-1] * n
-        self._number(tree, -1, 0)
-        size = len(self.nodes)
+
+    def leaf(self, ids: tuple[int, ...]) -> int:
+        for tid in ids:
+            self.leaf_of[tid] = len(self.kids)
+        return self._add((), ids, False)
+
+    def consensus(self, attr: str, kids: tuple[int, ...]) -> int:
+        return self._add(kids, (), True)
+
+    def common(self, attr: str, kids: tuple[int, ...]) -> int:
+        return self._add(kids, (), False)
+
+    def _add(self, kids: tuple[int, ...], ids: tuple[int, ...], chooses: bool) -> int:
+        v = len(self.kids)
+        self.kids.append(kids)
+        self.ids.append(ids)
+        self.chooses.append(chooses)
+        self.parent.append(-1)
+        self.slot.append(0)
+        for j, c in enumerate(kids):
+            self.parent[c], self.slot[c] = v, j
+        return v
+
+    def start(self, ops: TableOps) -> None:
+        """Every node's table with no tuple admitted, under ``ops``."""
+        self.ops = ops
+        size = len(self.kids)
         self.tables: list = [None] * size
         self.segs: list = [None] * size
         self.merge: list = [None] * size
-        for v in range(size - 1, -1, -1):  # children before parents
-            kids = self.kids[v]
+        for v, kids in enumerate(self.kids):  # children before parents
             if not kids:
                 self.tables[v] = ops.blank
                 continue
-            merge = ops.choose if isinstance(self.nodes[v], ConsensusNode) else ops.combine
+            merge = ops.choose if self.chooses[v] else ops.combine
             f = len(kids)
             seg = [None] * f + [self.tables[c] for c in kids]
             for p in range(f - 1, 0, -1):
                 seg[p] = merge(seg[2 * p], seg[2 * p + 1])
             self.segs[v], self.merge[v], self.tables[v] = seg, merge, seg[1]
 
-    def _number(self, node: Node, parent: int, slot: int) -> int:
-        v = len(self.nodes)
-        self.nodes.append(node)
-        self.kids.append(())
-        self.parent.append(parent)
-        self.slot.append(slot)
-        if isinstance(node, Leaf):
-            for tid in node.ids:
-                self.leaf_of[tid] = v
-        else:
-            self.kids[v] = tuple(self._number(c, v, j) for j, c in enumerate(node.children))
-        return v
-
     @property
     def root(self):
-        return self.tables[0]
+        return self.tables[-1]
 
     def admit(self, tid: int) -> None:
         """Add ``tid`` to the prefix; a tuple outside the tree is skipped."""
@@ -257,7 +246,7 @@ class Sweep:
         v = self.leaf_of[tid]
         table = self.tables[v]
         while (u := self.parent[v]) >= 0:
-            if isinstance(self.nodes[u], CommonNode):
+            if not self.chooses[u]:
                 seg, merge = self.segs[u], self.merge[u]
                 p = len(seg) // 2 + self.slot[v]
                 while p > 1:

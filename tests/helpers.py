@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import knncert as kc
 from knncert import certify_dp, counting, fastscan, hardgen, models, oracle
-from knncert.decompose import ConsensusNode, Leaf, Sweep, build_tree
+from knncert.decompose import Sweep, build_tree
 
 ATTR_POOL = ("A", "B", "C", "D", "E", "F")
 
@@ -135,8 +135,8 @@ def root_table(ds, ids, ops, tau, ordering):
     by prefix size, with ``ops`` from ``certify_dp._row_ops`` (max-plus
     entries) or ``counting._cell_ops`` (dicts from difference vector to
     count). Non-chain schemas raise from ``build_tree``."""
-    tree = build_tree(ds.tuples, sorted(ids), list(ds.schema.fds), ds.schema)
-    sweep = Sweep(tree, ds.size, ops)
+    sweep = laid_out(ds, sorted(ids))
+    sweep.start(ops)
     for tid in ordering.ranked[:tau]:
         sweep.admit(tid)
     return sweep.root
@@ -150,10 +150,12 @@ def check_semirings_agree(ds, ordering, k, label, taus=None):
     the largest component j among the vectors of the count table's entry
     (None where the entry is empty). Returns the number of rows compared."""
     others = counting._others(ds, label)
-    tree = build_tree(ds.cells, list(ds.ids()), list(ds.schema.fds), ds.schema)
-    counts = Sweep(tree, ds.size, counting._cell_ops(ds, label, others, k))
-    rows = [Sweep(tree, ds.size, certify_dp._row_ops(ds, other, label, k, False))
-            for other in others]
+    counts = laid_out(ds)
+    counts.start(counting._cell_ops(ds, label, others, k))
+    rows = []
+    for other in others:
+        rows.append(laid_out(ds))
+        rows[-1].start(certify_dp._row_ops(ds, other, label, k, False))
     compared = 0
     for tau, tid in enumerate(ordering.ranked, start=1):
         for sweep in [counts, *rows]:
@@ -167,20 +169,29 @@ def check_semirings_agree(ds, ordering, k, label, taus=None):
     return compared
 
 
+def laid_out(ds, ids=None):
+    """A ``decompose.Sweep`` laid out by ``build_tree`` over ``ids`` (every
+    row by default), not yet started."""
+    sweep = Sweep(ds.size)
+    build_tree(ds.cells, list(ds.ids()) if ids is None else list(ids), list(ds.schema.fds),
+               ds.schema, sweep.leaf, sweep.consensus, sweep.common)
+    return sweep
+
+
 def walk(node, leaf, consensus, common):
-    """Evaluate a built node tree bottom up, the reference for the algebra
-    ``build_tree`` evaluates in its partition pass: a leaf's value is
+    """Evaluate the default tree of ``build_tree`` bottom up, the reference
+    for the algebra it evaluates in its partition pass: a leaf's value is
     ``leaf(ids)``, an inner node's ``consensus(attr, values)`` or
     ``common(attr, values)`` over the tuple of its children's values."""
-    if isinstance(node, Leaf):
+    if not hasattr(node, "children"):
         return leaf(node.ids)
     values = tuple(walk(child, leaf, consensus, common) for child in node.children)
-    return (consensus if isinstance(node, ConsensusNode) else common)(node.attr, values)
+    return (consensus if node.kind == "consensus" else common)(node.attr, values)
 
 
 def fraction_min_rep(ds, weights, ids=None):
     """``minrepair.min_rep``'s (repair, weight) by a walk in Fractions over
-    the node tree of the tuples view: the cheapest repair, ties toward the
+    the default tree of the tuples view: the cheapest repair, ties toward the
     smallest id set."""
     ids = list(ds.ids()) if ids is None else sorted(ids)
     tree = build_tree(ds.tuples, ids, list(ds.schema.fds), ds.schema)

@@ -211,7 +211,6 @@ class TestCertify:
         # and the traceback over the stored tables must rebuild a repair
         # attaining each finite entry: right prefix size, exact difference.
         from knncert.certify_dp import _row_ops, _trace
-        from knncert.decompose import Sweep, build_tree
 
         for _ in range(25):
             ds, ordering = helpers.random_chain_instance(rng, n_max=8, weighted=weighted)
@@ -219,8 +218,8 @@ class TestCertify:
                 continue
             ell, ell1 = rng.sample(ds.labels, 2)
             k = rng.choice((2, 3))
-            tree = build_tree(ds.tuples, list(ds.ids()), list(ds.schema.fds), ds.schema)
-            sweep = Sweep(tree, ds.size, _row_ops(ds, ell, ell1, k, weighted))
+            sweep = helpers.laid_out(ds)
+            sweep.start(_row_ops(ds, ell, ell1, k, weighted))
             repairs = set(oracle.enumerate_repairs(ds))
             # Weighted entries are in the ints of the weight column: the
             # brute-force Fractions times its scale.
@@ -235,7 +234,7 @@ class TestCertify:
                 for i, value in enumerate(row):
                     if value is None:
                         continue
-                    repair = tuple(sorted(_trace(sweep, 0, i)))
+                    repair = tuple(sorted(_trace(sweep, len(sweep.kids) - 1, i)))
                     assert repair in repairs
                     prefix = [t for t in repair if ordering.rank_of[t] <= tau]
                     assert len(prefix) == i

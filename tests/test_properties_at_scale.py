@@ -6,13 +6,15 @@ follow: the key scan against the DP on keyed data, counting against
 certification on chain data, in verdicts and table by table, the weighted
 chain routines against the same weights times one factor, every repair the
 chain routines return against a linear consistency-and-maximality check,
-the one-pass evaluations of the decomposition against a walk over its node
-tree, and the three
+the one-pass evaluations of the decomposition and the flat layout a sweep
+reads, with its tables, against a walk over the default tree, and the three
 uncertainty models against plain prediction, against their own budget or
 widening, and against an independent DP.
 """
 
+import functools
 import math
+import operator
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 import knncert as kc
 from knncert import certify_dp, counting, fastscan, minrepair, models
 from knncert.dataset import Column
-from knncert.decompose import Sweep, build_tree
+from knncert.decompose import build_tree, size_tables
 from knncert.models import CoddCell, OrSetCell
 
 import helpers
@@ -147,8 +149,8 @@ class TestWeightedPathsIgnoreTheScale:
         repair, weight = minrepair.min_rep(base)
         assert minrepair.min_rep(scaled) == (repair, weight * Fraction(7, 3))
 
-        tree = build_tree(scaled.cells, list(scaled.ids()), list(scaled.schema.fds), scaled.schema)
-        sweep = Sweep(tree, scaled.size, certify_dp._row_ops(scaled, "1", "0", k, True))
+        sweep = helpers.laid_out(scaled)
+        sweep.start(certify_dp._row_ops(scaled, "1", "0", k, True))
         for tid in ordering.ranked:
             sweep.admit(tid)
         assert {type(v) for table in sweep.tables for v in table} <= {int, type(None)}
@@ -230,6 +232,114 @@ class TestOnePassAgreesWithTheNodeWalk:
             total = helpers.walk(tree, lambda leaf: 1, lambda attr, counts: sum(counts),
                                  lambda attr, counts: math.prod(counts))
             assert counting.count_repairs(ds, ids=ids) == total
+
+
+@st.composite
+def labeled_chain_instances(draw):
+    """Chain data of 1,000 to 5,000 rows on a random lhs-chain schema,
+    consensus FDs included, with three or four labels, positive weights and
+    a random rank order."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1000, 5000))
+    spread = draw(st.sampled_from((4, 32, 256)))
+    k = draw(st.sampled_from((1, 2, 3)))
+    rng = random.Random(seed)
+    schema = helpers.random_chain_schema(rng, rng.randint(2, 4))
+    labels = ("0", "1", "2", "3")[:rng.randint(3, 4)]
+    domain = max(2, n // spread)
+    rows = [(tuple(rng.randint(0, domain) for _ in range(schema.arity)), rng.choice(labels),
+             Fraction(rng.randint(1, 6), rng.choice((1, 2, 3)))) for _ in range(n)]
+    ds = kc.make_dataset(schema, rows, features=(), labels=labels)
+    return ds, _ordering(rng, ds, 0), k
+
+
+def _table_ops(ds, k):
+    """Every table layout a sweep runs, by name: the max-plus rows of each
+    challenger, weighted and not, the count tables of each label, and the
+    1-NN tables of ``minrepair._nearest_first``."""
+    ops = {"1-NN": size_tables(0, True, operator.or_, operator.and_, lambda tid: True)}
+    for label in ds.labels:
+        ops[f"count {label}"] = counting._cell_ops(ds, label, counting._others(ds, label), k)
+        for other in counting._others(ds, label):
+            for weighted in (False, True):
+                ops[f"rows {other} {label} {weighted}"] = certify_dp._row_ops(
+                    ds, other, label, k, weighted)
+    return ops
+
+
+def _walked_root(tree, ops, admitted, rank_of):
+    """The root table of the default tree, evaluated bottom up by
+    ``helpers.walk`` with ``admitted`` added to their leaves in rank order."""
+    def leaf(ids):
+        table = ops.blank
+        for tid in sorted(admitted.intersection(ids), key=rank_of.__getitem__):
+            table = ops.admit(table, tid)
+        return table
+
+    return helpers.walk(tree, leaf, lambda attr, tables: functools.reduce(ops.choose, tables),
+                        lambda attr, tables: functools.reduce(ops.combine, tables))
+
+
+class TestFlatLayoutAgreesWithTheTree:
+    @settings(AT_SCALE, max_examples=4)
+    @given(labeled_chain_instances())
+    def test_layout_is_the_default_tree_numbered_children_first(self, inst):
+        ds, _, _ = inst
+        sweep = helpers.laid_out(ds)
+        tree = build_tree(ds.cells, list(ds.ids()), list(ds.schema.fds), ds.schema)
+        nodes = []  # (children, leaf ids, consensus) in the walk's bottom-up order
+
+        def number(kids, ids, chooses):
+            nodes.append((kids, ids, chooses))
+            return len(nodes) - 1
+
+        root = helpers.walk(tree, lambda ids: number((), ids, False),
+                            lambda attr, kids: number(kids, (), True),
+                            lambda attr, kids: number(kids, (), False))
+        assert root == len(nodes) - 1
+        assert list(zip(sweep.kids, sweep.ids, sweep.chooses)) == nodes
+        parent, slot, leaf_of = [-1] * len(nodes), [0] * len(nodes), [-1] * ds.size
+        for v, (kids, ids, _) in enumerate(nodes):
+            assert all(c < v for c in kids)
+            for j, c in enumerate(kids):
+                parent[c], slot[c] = v, j
+            for tid in ids:
+                leaf_of[tid] = v
+        assert (sweep.parent, sweep.slot, sweep.leaf_of) == (parent, slot, leaf_of)
+
+    @settings(AT_SCALE, max_examples=3)
+    @given(labeled_chain_instances())
+    def test_root_tables_match_a_walk_of_the_tree(self, inst):
+        ds, ordering, k = inst
+        tree = build_tree(ds.cells, list(ds.ids()), list(ds.schema.fds), ds.schema)
+        taus = {1, 7, ds.size // 3, ds.size}
+        rank_of = ordering.rank_of
+        for name, ops in _table_ops(ds, k).items():
+            sweep = helpers.laid_out(ds)
+            sweep.start(ops)
+            for tau, tid in enumerate(ordering.ranked, start=1):
+                sweep.admit(tid)
+                if tau in taus:
+                    admitted = set(ordering.ranked[:tau])
+                    assert sweep.root == _walked_root(tree, ops, admitted, rank_of), (name, tau)
+
+    @settings(AT_SCALE, max_examples=3)
+    @given(labeled_chain_instances())
+    def test_one_layout_restarted_equals_fresh_layouts(self, inst):
+        # The challengers of one certify call share a layout and restart it.
+        ds, ordering, k = inst
+        shared = helpers.laid_out(ds)
+        taus = {1, 50, ds.size // 2, ds.size}
+        for name, ops in _table_ops(ds, k).items():
+            fresh = helpers.laid_out(ds)
+            for sweep in (shared, fresh):
+                sweep.start(ops)
+            for tau, tid in enumerate(ordering.ranked, start=1):
+                shared.admit(tid)
+                fresh.admit(tid)
+                if tau in taus:
+                    assert shared.root == fresh.root, (name, tau)
+            assert shared.tables == fresh.tables, name
 
 
 @st.composite
