@@ -83,7 +83,7 @@ def _challenge(dataset, ordering, sweep, ell, ell1, k, weighted) -> Optional[tup
         hits = [k] if tau < n else [k] + list(range(1, k))
         for i in hits:
             if row[i] is not None and row[i] >= 0:
-                return tuple(sorted(_trace(sweep, len(sweep.kids) - 1, i)))
+                return tuple(sorted(_trace(sweep, sweep.top, i)))
     return None
 
 

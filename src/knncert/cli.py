@@ -12,11 +12,10 @@ pointer at the ``oracle`` subcommands, whose exponential enumeration is
 opt-in and capped. The JSON is written by ``_dumps``, byte for byte what
 ``json.dumps(payload, sort_keys=True, indent=2)`` writes.
 
-A call loads only the code its subcommand runs, and its parser gives only
-that subcommand its arguments: ``models``, ``hardgen`` and ``oracle`` are
-imported inside their handlers, and ``fastscan`` loads numpy only when the
-scan runs, so the chain subcommands and ``check-schema`` start without
-numpy. ``main`` sets
+A call loads only the code its subcommand runs: ``models``, ``hardgen``
+and ``oracle`` are imported inside their handlers, and ``fastscan`` loads
+numpy only when the scan runs, so the chain subcommands and
+``check-schema`` start without numpy. ``main`` sets
 ``OPENBLAS_NUM_THREADS`` to 1 unless it is set: numpy's OpenBLAS would
 start worker threads that no subcommand uses. ``run``, the console entry
 point, freezes the import-time heap before it calls ``main``. The
@@ -326,69 +325,54 @@ def _add_table_flags(sub) -> None:
     sub.add_argument("--k", type=int, required=True)
 
 
-class _Unread:
-    """Stands in for the parser of a subcommand that the call does not run:
-    every method takes its arguments and does nothing."""
-
-    def __getattr__(self, name):
-        return lambda *args, **kwargs: self
-
-
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """Every subcommand with its help. When ``command`` names one, only that
-    one gets its arguments, the only ones a call of it parses; any other
-    value gives every subcommand its arguments."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="knncert")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name: str, **kwargs):
-        sub = commands.add_parser(name, **kwargs)
-        return sub if command in (None, name) else _Unread()
-
-    sub = add_parser("check-schema", help="report the lhs-chain decision")
+    sub = commands.add_parser("check-schema", help="report the lhs-chain decision")
     sub.add_argument("--schema", required=True)
     sub.set_defaults(handler=_cmd_check_schema)
 
-    sub = add_parser("certify", help="certify k-NN robustness under subset repairs")
+    sub = commands.add_parser("certify", help="certify k-NN robustness under subset repairs")
     _add_instance_flags(sub)
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--weighted", action="store_true", help="weighted majority vote")
     sub.add_argument("--force-dp", action="store_true", help="skip the primary-key fast path")
     sub.set_defaults(handler=_cmd_certify)
 
-    sub = add_parser("count", help="count repairs predicting a label")
+    sub = commands.add_parser("count", help="count repairs predicting a label")
     _add_instance_flags(sub)
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--label", required=True)
     sub.set_defaults(handler=_cmd_count)
 
-    sub = add_parser("min-repair", help="minimum total-weight repair")
+    sub = commands.add_parser("min-repair", help="minimum total-weight repair")
     sub.add_argument("--schema", required=True)
     sub.add_argument("--data", required=True)
     sub.set_defaults(handler=_cmd_min_repair)
 
-    sub = add_parser("forbidden", help="repair avoiding the given tuple ids")
+    sub = commands.add_parser("forbidden", help="repair avoiding the given tuple ids")
     sub.add_argument("--schema", required=True)
     sub.add_argument("--data", required=True)
     sub.add_argument("--ids", required=True, help="comma-separated tuple ids to avoid")
     sub.set_defaults(handler=_cmd_forbidden)
 
-    sub = add_parser("poison-certify", help="certify against budgeted deletions")
+    sub = commands.add_parser("poison-certify", help="certify against budgeted deletions")
     _add_instance_flags(sub)
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--budget", type=int, required=True)
     sub.set_defaults(handler=_cmd_poison)
 
-    sub = add_parser("codd-certify", help="certify a table with interval cells")
+    sub = commands.add_parser("codd-certify", help="certify a table with interval cells")
     _add_table_flags(sub)
     sub.set_defaults(handler=_cmd_codd)
 
-    sub = add_parser("orset-certify", help="certify a table with or-set cells")
+    sub = commands.add_parser("orset-certify", help="certify a table with or-set cells")
     _add_table_flags(sub)
     sub.add_argument("--cap", type=int, default=100_000, help="expansion size cap")
     sub.set_defaults(handler=_cmd_orset)
 
-    sub = add_parser("gen-hard", help="generate a hard instance from a formula")
+    sub = commands.add_parser("gen-hard", help="generate a hard instance from a formula")
     sub.add_argument("--formula", required=True)
     sub.add_argument("--schema", required=True, help="target (non-chain) schema JSON")
     sub.add_argument("--k", type=int, default=1)
@@ -397,13 +381,13 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     sub.add_argument("--point-out", required=True, help="output test point JSON")
     sub.set_defaults(handler=_cmd_gen_hard)
 
-    sub = add_parser("gen-formula", help="random occurrence-disciplined formula")
+    sub = commands.add_parser("gen-formula", help="random occurrence-disciplined formula")
     sub.add_argument("--vars", type=int, required=True)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", required=True)
     sub.set_defaults(handler=_cmd_gen_formula)
 
-    sub = add_parser("oracle", help="capped brute-force ground truth")
+    sub = commands.add_parser("oracle", help="capped brute-force ground truth")
     oracle_cmds = sub.add_subparsers(dest="oracle_cmd", required=True)
     for name in ("certify", "count", "min-repair"):
         osub = oracle_cmds.add_parser(name)
@@ -414,7 +398,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         if name == "count":
             osub.add_argument("--label", required=True)
         osub.set_defaults(handler=_cmd_oracle)
-    return parser if command in (None, *commands.choices) else build_parser()
+    return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -427,7 +411,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] == "--point" and re.match(r"-[0-9.]", argv[i]):
             argv[i - 1:i + 1] = [f"--point={argv[i]}"]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = _run(args)
         sys.stdout.flush()

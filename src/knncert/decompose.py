@@ -13,8 +13,8 @@ flat layout of a ``Sweep``, the repair count (1, sum, product), the
 minimum-weight repair (min, union) or, by default, a tree of records.
 ``Sweep`` keeps every node's table while tuples are admitted in rank order,
 for certification, counting and the 1-NN route alike; ``TableOps`` says how
-tables are built and merged, and ``size_tables`` builds the one table
-layout all three use, over their semirings.
+tables are built and merged, and ``size_tables`` builds the table layout
+of certification and counting, over their semirings.
 """
 
 from __future__ import annotations
@@ -110,8 +110,7 @@ def size_tables(k: int, one, plus: Callable, times: Callable, step: Callable) ->
     product of their ``step(tid)``; ``one`` is the unit, None the zero. A
     leaf's one entry sits at its admitted count until that passes k and the
     leaf is dead. Consensus adds entrywise; common multiplies, truncated at
-    k. Certification takes (max, +), counting polynomials (sum, product),
-    the 1-NN route (or, and) at k = 0.
+    k. Certification takes (max, +), counting polynomials (sum, product).
     """
     dead = [None] * (k + 1)
 
@@ -209,8 +208,13 @@ class Sweep:
             self.segs[v], self.merge[v], self.tables[v] = seg, merge, seg[1]
 
     @property
+    def top(self) -> int:
+        """The root's number: children are numbered first, so it is last."""
+        return len(self.kids) - 1
+
+    @property
     def root(self):
-        return self.tables[-1]
+        return self.tables[self.top]
 
     def admit(self, tid: int) -> None:
         """Add ``tid`` to the prefix; a tuple outside the tree is skipped."""

@@ -11,7 +11,7 @@ from typing import Iterable, Optional, Sequence
 
 from .certresult import CertResult, challenge
 from .dataset import Column, LabeledDataset, Ordering, greedy_repair
-from .decompose import Sweep, build_tree, size_tables
+from .decompose import Sweep, TableOps, build_tree
 from .errors import InputError
 
 
@@ -78,8 +78,7 @@ def certify_1nn_via_forbidden(dataset: LabeledDataset, ordering: Ordering) -> Ce
     but avoids everything closer: weight 1 on every closer tuple, -1 on t
     and 0 elsewhere, such a repair exists iff the minimum weight is
     negative, and that minimum-weight repair is the witness. A ``Sweep``
-    over size tables with k = 0 answers the test: entry 0 of ``pinned(t)``
-    is set iff some repair keeping t holds no admitted (closer) tuple, so
+    counting the closer tuples answers the test as ``pinned(t) == 0``, so
     ``min_rep`` runs only for the witness.
     """
     sweep = Sweep(dataset.size)
@@ -93,9 +92,10 @@ def certify_1nn_via_forbidden(dataset: LabeledDataset, ordering: Ordering) -> Ce
 
 def _nearest_first(dataset: LabeledDataset, ordering: Ordering, sweep: Sweep, ell2: str):
     """A repair whose nearest tuple is labeled ``ell2``, or None."""
-    sweep.start(size_tables(0, True, operator.or_, operator.and_, lambda tid: True))
+    # Tables count admitted (closer) tuples: the fewest over a consensus node.
+    sweep.start(TableOps(0, lambda c, tid: c + 1, min, operator.add))
     for position, tid in enumerate(ordering.ranked):
-        if dataset.row_labels[tid] == ell2 and sweep.pinned(tid)[0] is not None:
+        if dataset.row_labels[tid] == ell2 and sweep.pinned(tid) == 0:
             closer = ordering.ranked[:position]
             weights = [0] * dataset.size
             for t in closer:

@@ -234,7 +234,7 @@ class TestCertify:
                 for i, value in enumerate(row):
                     if value is None:
                         continue
-                    repair = tuple(sorted(_trace(sweep, len(sweep.kids) - 1, i)))
+                    repair = tuple(sorted(_trace(sweep, sweep.top, i)))
                     assert repair in repairs
                     prefix = [t for t in repair if ordering.rank_of[t] <= tau]
                     assert len(prefix) == i

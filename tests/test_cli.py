@@ -134,62 +134,6 @@ class TestEmit:
         assert out.getvalue() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-# Each subcommand, with the arguments it requires.
-REQUIRED = {
-    "check-schema": ["--schema", "s"],
-    "certify": ["--data", "d", "--k", "1"],
-    "count": ["--data", "d", "--k", "1", "--label", "0"],
-    "min-repair": ["--schema", "s", "--data", "d"],
-    "forbidden": ["--schema", "s", "--data", "d", "--ids", "0"],
-    "poison-certify": ["--data", "d", "--k", "1", "--budget", "0"],
-    "codd-certify": ["--data", "d", "--k", "1"],
-    "orset-certify": ["--data", "d", "--k", "1"],
-    "gen-hard": ["--formula", "f", "--schema", "s", "--out", "o", "--point-out", "q"],
-    "gen-formula": ["--vars", "3", "--out", "o"],
-    "oracle certify": ["--data", "d", "--k", "1"],
-    "oracle count": ["--data", "d", "--k", "1", "--label", "0"],
-    "oracle min-repair": ["--data", "d"],
-}
-PARSER_CASES = [["-h"], ["nope"], ["--no-such-option"], [], ["--", "count"], ["oracle"],
-                ["oracle", "nope"]] + [
-    command.split() + tail
-    for command, required in REQUIRED.items()
-    for tail in (["-h"], [], required + ["--no-such-option"])
-]
-
-
-def parser_exit(parse, argv, capsys):
-    with pytest.raises(SystemExit) as stop:
-        parse(argv)
-    out = capsys.readouterr()
-    return stop.value.code, out.out, out.err
-
-
-class TestNarrowedParser:
-    # ``main`` gives arguments only to the subcommand that argv[0] names.
-    # Help, a missing required option and an unknown option must read as
-    # they do from the parser that gives every subcommand its arguments.
-    @pytest.mark.parametrize("argv", PARSER_CASES)
-    def test_main_prints_what_the_full_parser_prints(self, argv, capsys):
-        want = parser_exit(lambda a: cli.build_parser().parse_args(a), argv, capsys)
-        assert parser_exit(cli.main, argv, capsys) == want
-        if argv[-1:] == ["-h"]:
-            assert want[0] == 0 and want[1].startswith("usage: knncert")
-        else:
-            assert want[0] == 2 and "error: " in want[2]
-
-    def test_every_subcommand_is_covered(self, capsys):
-        _, usage, _ = parser_exit(cli.main, ["-h"], capsys)
-        listed = usage.split("{", 1)[1].split("}", 1)[0].split(",")
-        assert sorted(listed) == sorted({command.split()[0] for command in REQUIRED})
-
-    def test_a_narrowed_parser_parses_its_command_alike(self):
-        for command, required in REQUIRED.items():
-            argv = command.split() + required
-            assert vars(cli.build_parser(argv[0]).parse_args(argv)) == vars(
-                cli.build_parser().parse_args(argv))
-
-
 # Reports OPENBLAS_NUM_THREADS after a key-schema certify in a fresh
 # interpreter, and whether the certify loaded numpy.
 BLAS_RUNNER = """

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import knncert as kc
 from knncert import certify_dp, counting, fastscan, minrepair, models
 from knncert.dataset import Column
-from knncert.decompose import build_tree, size_tables
+from knncert.decompose import TableOps, build_tree
 from knncert.models import CoddCell, OrSetCell
 
 import helpers
@@ -257,7 +257,7 @@ def _table_ops(ds, k):
     """Every table layout a sweep runs, by name: the max-plus rows of each
     challenger, weighted and not, the count tables of each label, and the
     1-NN tables of ``minrepair._nearest_first``."""
-    ops = {"1-NN": size_tables(0, True, operator.or_, operator.and_, lambda tid: True)}
+    ops = {"1-NN": TableOps(0, lambda c, tid: c + 1, min, operator.add)}
     for label in ds.labels:
         ops[f"count {label}"] = counting._cell_ops(ds, label, counting._others(ds, label), k)
         for other in counting._others(ds, label):
