@@ -18,7 +18,8 @@ numpy only when the scan runs, so the chain subcommands and
 ``check-schema`` start without numpy. ``main`` sets
 ``OPENBLAS_NUM_THREADS`` to 1 unless it is set: numpy's OpenBLAS would
 start worker threads that no subcommand uses. ``run``, the console entry
-point, freezes the import-time heap before it calls ``main``. The
+point, freezes the import-time heap and switches the cyclic collector off
+before it calls ``main``. The
 primary-key calls rank through ``fastscan.rank_by_distance`` (int64 when
 the distances fit), every other call through ``dataset.order_by_distance``.
 """
@@ -438,9 +439,10 @@ def _run(args) -> int:
 
 def run() -> None:
     """``main`` on ``sys.argv`` as the process's one call: the objects made
-    by the imports are frozen first, so neither the collections during the
-    call nor the one at exit traverse them."""
+    by the imports are frozen and the cyclic collector is switched off, as
+    the process ends with the call, so no collection traverses them."""
     gc.freeze()
+    gc.disable()
     sys.exit(main())
 
 

@@ -256,13 +256,15 @@ def _prune_mask(keys: np.ndarray, labels: np.ndarray, pos: np.ndarray, last: np.
     return ~(doomed_ref | behind_target)
 
 
-def _scan_arrays(keys: np.ndarray, labels: np.ndarray, ell2: int, ell1: int, k: int) -> Optional[ScanTrigger]:
+def _scan_arrays(keys: np.ndarray, labels: np.ndarray, ell2: int, ell1: int, k: int,
+                 stats: tuple) -> Optional[ScanTrigger]:
+    """The scan of pruned codes; ``stats`` is ``_block_stats(keys)``."""
     import numpy as np
 
     n = keys.shape[0]
     if n == 0:
         return None
-    pos, first, last = _block_stats(keys)
+    pos, first, last = stats
     blocks_seen = np.cumsum(first[keys] == pos, dtype=pos.dtype)
     blocks_closed = np.cumsum(last[keys] == pos, dtype=pos.dtype)
     target_seen = np.cumsum(labels == ell2, dtype=pos.dtype)
@@ -314,7 +316,8 @@ def fastscan(
         pos_of = {int(t): i for i, t in enumerate(ranked)}
         sel = np.asarray(sorted(pos_of[t] for t in kept), dtype=np.int64)
         keys, labels = keys[sel], labels[sel]
-    return _scan_arrays(keys, labels, ds.labels.index(ell2), ds.labels.index(ell1), k)
+    return _scan_arrays(keys, labels, ds.labels.index(ell2), ds.labels.index(ell1), k,
+                        _block_stats(keys))
 
 
 def _build_witness(
@@ -333,7 +336,7 @@ def _build_witness(
     import numpy as np
 
     kept, trigger, num_blocks = verdict.kept, verdict.trigger, verdict.greedy.shape[0]
-    _, first, last = _block_stats(keys[kept])
+    first, last = verdict.blocks
     # Pruning never erases a block, so every block has a pick.
     assert last.shape[0] == num_blocks and (last >= 0).all()
     boundary = trigger.index  # the prefix is the pruned positions < boundary
@@ -393,7 +396,9 @@ class ArrayVerdict:
     ``_NARROW_BELOW`` rows), the first witness of a verdict that is not
     robust; a robust verdict holds None, so it keeps no array of the size
     of the input alive. When a challenger fired, ``kept`` holds the int64
-    positions that survived its pruning and ``trigger`` the scan state.
+    positions that survived its pruning, ``trigger`` the scan state and
+    ``blocks`` the first and last of those positions in each block, as
+    ``_block_stats(keys[kept])`` gives them.
     """
 
     robust: bool
@@ -402,6 +407,7 @@ class ArrayVerdict:
     challenger: Optional[int] = None
     trigger: Optional[ScanTrigger] = None
     kept: Optional[np.ndarray] = None
+    blocks: Optional[tuple] = None
 
 
 def certify_pk_arrays(keys: np.ndarray, labels: np.ndarray, k: int) -> ArrayVerdict:
@@ -431,7 +437,9 @@ def certify_pk_arrays(keys: np.ndarray, labels: np.ndarray, k: int) -> ArrayVerd
         if ell2 == ell1:
             continue
         mask = _prune_mask(keys, labels, pos, last, ell2, ell1)
-        trigger = _scan_arrays(keys[mask], labels[mask], ell2, ell1, k_eff)
+        survivors = keys[mask]
+        stats = _block_stats(survivors)
+        trigger = _scan_arrays(survivors, labels[mask], ell2, ell1, k_eff, stats)
         if trigger is not None:
-            return ArrayVerdict(False, ell1, greedy, ell2, trigger, np.flatnonzero(mask))
+            return ArrayVerdict(False, ell1, greedy, ell2, trigger, np.flatnonzero(mask), stats[1:])
     return ArrayVerdict(True, ell1, None)

@@ -10,10 +10,11 @@ or-set cells ``<a|b|c>`` and interval cells ``[lo,hi]``.
 
 One reader, ``_read_table``, reads every table in batches, a column at a
 time: the reserved columns' checks name the first failing row, and one
-builder per attribute takes the cells. ``load_dataset``'s turns plain
-decimals into fixed-point ints over the column's largest number of places
-(one regex and ``map(int, ...)`` per batch), so no ``Fraction`` and no
-per-row record is built (see ``dataset.Column``); weights become ints too.
+builder per attribute takes the cells. ``load_dataset``'s turns a column of
+plain decimals into fixed-point ints over its largest number of places, a
+batch at a time at any mix of places (``_plain_run``: one regex, and one
+``map(int, ...)`` when the places agree), so no ``Fraction`` and no per-row
+record is built (see ``dataset.Column``); weights become ints too.
 ``load_uncertain_table``'s reads each cell with ``parse_cell`` and refuses
 the columns it would not read. It stays pure Python: the chain
 subcommands, which never load numpy, share it.
@@ -29,7 +30,7 @@ import os
 import re
 from array import array
 from fractions import Fraction
-from itertools import islice, takewhile
+from itertools import islice, repeat
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
 
 from .dataset import Column, LabeledDataset, Ordering, TestPoint
@@ -63,42 +64,16 @@ def load_schema(path: str) -> FdSchema:
         raise InputError(f"malformed schema {path}: {exc}") from None
 
 
-_PLAIN_DECIMAL = re.compile(r"\s*([+-]?[0-9]+)(?:\.([0-9]+))?\s*")
-
-
-def _plain_decimal(text: str) -> Optional[tuple[int, int]]:
-    """``(digits, places)`` when ``text`` is a plain ASCII decimal
-    ``[+-]d+[.d+]``, padding allowed: its value is digits / 10**places.
-
-    None for every other form, and for digit runs longer than ``int()``
-    converts, which ``Fraction(text)`` reads group by group instead.
-    """
-    plain = _PLAIN_DECIMAL.fullmatch(text)
-    if plain is None:
-        return None
-    whole, frac = plain.groups()
-    try:
-        return (int(whole + frac), len(frac)) if frac else (int(whole), 0)
-    except ValueError:
-        return None
-
-
 def parse_scalar(text: str):
     """The cell's value as ``Fraction(text)`` reads it, an int when whole,
     or the stripped text itself when that is not a number.
 
     Fraction's grammar needs a sign, a dot or a decimal digit first, so any
-    other first character is a symbol at once. Plain ASCII integers and
-    decimals ``[+-]d+[.d+]`` are built from ints; every other form goes
-    through ``Fraction(text)``.
+    other first character is a symbol at once.
     """
     text = text.strip()
     if not text or not (text[0] in "+-." or text[0].isdecimal()):
         return text
-    plain = _plain_decimal(text)
-    if plain is not None:
-        num, scale = plain[0], 10 ** plain[1]
-        return num // scale if num % scale == 0 else Fraction(num, scale)
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -176,14 +151,13 @@ def _attributes(header: Sequence[str], schema: Optional[FdSchema]) -> tuple[str,
 class _ColumnBuilder:
     """One attribute's cells as the batches stream in.
 
-    A plain ASCII decimal ``[+-]d+[.d+]``, padding allowed, is kept as its
-    digit integer over the largest number of places seen so far, so the
-    column ends numeric over 10**places; a batch of unpadded ones with one
-    number of places is read whole (``_plain_run``), any other cell by
-    cell. The first cell of any other form switches the column to
-    ``parse_scalar`` values, each distinct text read once per batch and a
-    batch of unpadded symbols taken as it is, and ``Column.of`` makes them
-    numeric when all are numbers.
+    While every batch is a run of plain ASCII decimals ``[+-]d+[.d+]``
+    (``_plain_run``, offered the stripped cells when a cell is padded), the
+    column is kept as digit integers over the largest number of places seen
+    so far, so it ends numeric over 10**places. The first batch of any other
+    form switches the column to ``parse_scalar`` values, each distinct text
+    read once per batch and a batch of unpadded symbols taken as it is, and
+    ``Column.of`` makes them numeric when all are numbers.
     """
 
     __slots__ = ("nums", "places", "values")
@@ -196,21 +170,16 @@ class _ColumnBuilder:
     def extend(self, texts: Sequence[str]) -> None:
         """Take the column's next cells."""
         if self.values is None:
-            run = _plain_run(texts)
-            if run is None:  # cell by cell, up to _plain_decimal's first None
-                plain = list(takewhile(bool, map(_plain_decimal, texts)))
-                top = max([places for _, places in plain], default=0)
-                run = [num * 10 ** (top - places) for num, places in plain], top
-            nums, places = run
-            top = max(places, self.places)
-            if top > self.places:
-                self.nums = [v * 10 ** (top - self.places) for v in self.nums]
-            self.nums += nums if places == top else [v * 10 ** (top - places) for v in nums]
-            self.places = top
-            if len(nums) == len(texts):
+            run = _plain_run(texts) or _plain_run([text.strip() for text in texts])
+            if run is not None:
+                nums, places = run
+                top = max(places, self.places)
+                if top > self.places:
+                    self.nums = [v * 10 ** (top - self.places) for v in self.nums]
+                self.nums += nums if places == top else [v * 10 ** (top - places) for v in nums]
+                self.places = top
                 return
-            self.values, self.nums = Column(self.nums, 10**top).values(), []
-            texts = texts[len(nums):]
+            self.values, self.nums = Column(self.nums, 10**self.places).values(), []
         if _SYMBOL_RUN.fullmatch("\n".join(texts)):
             self.values.extend(texts)
         else:  # each distinct text read once per batch
@@ -226,21 +195,32 @@ class _ColumnBuilder:
 # Cells joined by line breaks that parse_scalar keeps as they are: unpadded,
 # first character no sign, dot or digit (\s, \d: str.isspace, isdecimal).
 _SYMBOL_RUN = re.compile(r"[^\s\d+\-.](?:.*\S)?(?:\n[^\s\d+\-.](?:.*\S)?)*")
+# Unpadded plain ASCII decimals joined by line breaks, at any numbers of places.
+_PLAIN_CELLS = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+)?(?:\n[+-]?[0-9]+(?:\.[0-9]+)?)*")
 
 
 def _plain_run(texts: Sequence[str]) -> Optional[tuple[list[int], int]]:
-    """``(digit ints, places)`` when every cell is an unpadded plain ASCII
-    decimal with as many places as the first, each int as ``_plain_decimal``
-    reads it; None otherwise."""
+    """``(ints, places)`` when every cell is an unpadded plain ASCII decimal
+    ``[+-]d+[.d+]``, cell i being ``ints[i] / 10**places``; None for any
+    other cell, or a digit run longer than ``int()`` converts, which
+    ``Fraction(text)`` reads group by group. One ``map(int)`` reads a batch
+    whose cells all have the first cell's places; any other mix is scaled
+    cell by cell to the most places a cell has."""
     places = len(texts[0].partition(".")[2])
     cell = r"[+-]?[0-9]+" + (rf"\.[0-9]{{{places}}}" if places else "")
     joined = "\n".join(texts)
     digits = joined.replace(".", "").split("\n")
-    if len(digits) != len(texts) or not re.fullmatch(rf"{cell}(?:\n{cell})*", joined):
-        return None  # another form, or a cell holding a line break
+    if len(digits) != len(texts):
+        return None  # a cell holding a line break
     try:
-        return list(map(int, digits)), places
-    except ValueError:  # a digit run longer than int() converts
+        if re.fullmatch(rf"{cell}(?:\n{cell})*", joined):
+            return list(map(int, digits)), places
+        if not _PLAIN_CELLS.fullmatch(joined):
+            return None
+        shifts = [len(text.partition(".")[2]) for text in texts]
+        top = max(shifts)
+        return [int(d) * 10 ** (top - s) for d, s in zip(digits, shifts)], top
+    except ValueError:
         return None
 
 
@@ -288,8 +268,11 @@ def _read_table(path: str, schema: Optional[FdSchema], builder: Callable[[], Any
         if "" in labels:
             faults.append((labels.index(""), 0, f"row {start + labels.index('')}: empty label"))
         if weight_col is not None:  # each distinct cell text read once per batch
-            texts = cells[weight_col]
-            read = {text: parse_scalar(text) if text.strip() else 1 for text in set(texts)}
+            texts, distinct = cells[weight_col], list(set(cells[weight_col]))
+            stripped = [text.strip() or "1" for text in distinct]  # a blank weight is 1
+            run = _plain_run(stripped)
+            read = dict(zip(distinct, map(Fraction, run[0], repeat(10 ** run[1])) if run
+                            else map(parse_scalar, stripped)))
             if bad := [t for t, w in read.items() if isinstance(w, str) or w <= 0]:
                 i = min(map(texts.index, bad))
                 fault = (f"expected a number, got {texts[i]!r}" if isinstance(read[texts[i]], str)

@@ -1,8 +1,9 @@
 """The console entry point against ``python -m knncert.cli``.
 
-``[project.scripts]`` names ``cli.run``, which freezes the import-time heap
-and exits with ``main``'s code; ``main`` itself leaves the collector alone,
-so callers inside a process see no change.
+``[project.scripts]`` names ``cli.run``, which freezes the import-time heap,
+switches the cyclic collector off and exits with ``main``'s code; ``main``
+itself leaves the collector alone, so callers inside a process see no
+change.
 """
 
 import gc
@@ -64,9 +65,9 @@ def test_the_script_and_python_m_print_the_same(tmp_path):
 def test_main_in_process_leaves_the_freeze_count(tmp_path, capsys):
     schema = tmp_path / "schema.json"
     schema.write_text(json.dumps(SCHEMA))
-    before = gc.get_freeze_count()
+    before, enabled = gc.get_freeze_count(), gc.isenabled()
     assert cli.main(["check-schema", "--schema", str(schema)]) == 0
-    assert gc.get_freeze_count() == before
+    assert (gc.get_freeze_count(), gc.isenabled()) == (before, enabled)
     assert json.loads(capsys.readouterr().out)["lhs_chain"]
 
 
@@ -75,7 +76,8 @@ def test_run_freezes_then_exits_with_mains_code(tmp_path, monkeypatch, capsys):
     schema.write_text(json.dumps(SCHEMA))
     calls = []
     monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(gc, "disable", lambda: calls.append("disable"))
     monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
     with pytest.raises(SystemExit) as stop:
         cli.run()
-    assert (calls, stop.value.code) == (["freeze", "main"], 3)
+    assert (calls, stop.value.code) == (["freeze", "disable", "main"], 3)

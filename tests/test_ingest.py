@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knncert as kc
-from knncert import InputError, NotPrimaryKeyError, fastscan, ingest, models
+from knncert import InputError, NotPrimaryKeyError, dataset, fastscan, ingest, models
 
 
 class TestScalars:
@@ -295,7 +295,7 @@ class TestColumnarIngest:
             for i, text in enumerate(column):
                 got, want = ds.tuples[i][j], ingest.parse_scalar(text)
                 assert type(got) is type(want) and got == want, (i, j, text)
-            plain = [ingest._plain_decimal(text) for text in column]
+            plain = [ingest._plain_run([text.strip()]) for text in column]
             if None not in plain:
                 assert ds.columns[j].scale == 10 ** max(places for _, places in plain)
 
@@ -335,6 +335,12 @@ class TestColumnarIngest:
         assert column.scale == 1000 and list(column.data) == [1500, -2000, 125, 3100]
         assert ds.tuples[3] == (Fraction(31, 10),)
 
+    def test_padded_decimals_keep_the_places_scale(self, tmp_path):
+        path = write_columns(tmp_path / "d.csv", [[" 0.5", "1.25 ", "\t2"]])
+        ds, _, _ = ingest.load_dataset(path, None, [])
+        (column,) = ds.columns
+        assert column.scale == 100 and list(column.data) == [50, 125, 200]
+
     def test_symbol_after_decimals_keeps_values(self, tmp_path):
         path = write_columns(tmp_path / "d.csv", [["1.50", "2", "abc", "1/4"]])
         ds, _, _ = ingest.load_dataset(path, None, [])
@@ -359,6 +365,59 @@ class TestColumnarIngest:
         ds, _, _ = ingest.load_dataset(path, schema, [])
         with pytest.raises(NotPrimaryKeyError, match=r"^block \('c',\) holds identical rows$"):
             fastscan.as_keyed(ds)
+
+
+def plain_decimal(places):
+    """Unsigned plain decimals with ``places`` places."""
+    return st.integers(0, 10**7).map(
+        lambda v: f"{v // 10**places}.{v % 10**places:0{places}d}" if places else str(v))
+
+
+WEIGHT_CELL = st.one_of(
+    st.integers(0, 5).flatmap(plain_decimal),
+    st.sampled_from(["", "  ", " 2.5 ", "\t7", "1/3", "0", "-1", "-0.25", "w"]),
+)
+
+
+def reference_weights(texts):
+    """The weight column by the rule the plain-decimal reading replaced: each
+    text through parse_scalar, a blank one read as 1; (data, scale), or the
+    error text of the first failing row."""
+    values = []
+    for i, text in enumerate(texts):
+        value = ingest.parse_scalar(text) if text.strip() else 1
+        if isinstance(value, str):
+            return f"row {i}: expected a number, got {text!r}"
+        if value <= 0:
+            return f"row {i}: weight must be positive"
+        values.append(value)
+    column = dataset.Column.of(values)
+    return list(column.data), column.scale
+
+
+class TestPlainRun:
+    def test_mixed_places_scale_to_the_most(self):
+        assert ingest._plain_run(["1.5", "-2", "0.125"]) == ([1500, -2000, 125], 3)
+
+    @pytest.mark.parametrize("texts", [[" 1.5"], ["1.5", "2."], ["1.5", ".5"], ["1", "1e3"],
+                                       ["1.5\n2"], ["\u0663"], ["1" * 5000]])
+    def test_other_forms(self, texts):
+        assert ingest._plain_run(texts) is None
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(st.sampled_from([0, ingest._BATCH_ROWS - 3]),
+           st.lists(WEIGHT_CELL, min_size=1, max_size=30))
+    def test_weights_read_as_parse_scalar_reads_them(self, cells_path, offset, cells):
+        # Distinct four-place weights first, so the drawn cells may sit in
+        # the second batch, after weights over another scale.
+        texts = [f"{i + 1}.{i % 9999 + 1:04d}" for i in range(offset)] + cells
+        path = write_columns(cells_path, [["1"] * len(texts), texts], ["A", "weight"])
+        try:
+            ds, _, _ = ingest.load_dataset(path, None, [])
+            got = list(ds.weights.data), ds.weights.scale
+        except InputError as exc:
+            got = str(exc)
+        assert got == reference_weights(texts)
 
 
 # One fault per kind, as the cells of one row of "A,label,weight,rank", with
