@@ -2,12 +2,16 @@
 
 Exit codes: 0 robust (or plain success), 1 not robust, 2 input error,
 3 schema outside the tractable class, 4 enumeration cap exceeded, 141 the
-reader of stdout closed it early (as a process killed by SIGPIPE). Results
-are JSON on stdout with sorted keys, so identical inputs produce identical
-bytes. ``certify`` dispatches by schema shape, decided once from the FDs
-alone (``fdschema.decide_lhs_chain``): a primary-key equivalent goes to
-the linear scan, unless a block holds identical rows, and that or any
-other lhs-chain equivalent goes to the DP; anything else is refused with a
+reader of stdout closed it early (as a process killed by SIGPIPE). Each
+``_cmd_*`` handler returns its payload and prints nothing. ``_run`` alone
+writes it, or ``{"error": ...}`` for a refusal the handler raised, and
+derives the exit code: 1 when the payload's ``robust`` is false, else 0,
+and a refusal's code from ``_EXIT_CODES``. Results are JSON on stdout with
+sorted keys, so identical inputs produce identical bytes. ``certify``
+dispatches by schema shape, decided once from the FDs alone
+(``fdschema.decide_lhs_chain``): a primary-key equivalent goes to the
+linear scan, unless a block holds identical rows, and that or any other
+lhs-chain equivalent goes to the DP; anything else is refused with a
 pointer at the ``oracle`` subcommands, whose exponential enumeration is
 opt-in and capped. The JSON is written by ``_dumps``, byte for byte what
 ``json.dumps(payload, sort_keys=True, indent=2)`` writes.
@@ -19,9 +23,9 @@ numpy only when the scan runs, so the chain subcommands and
 ``OPENBLAS_NUM_THREADS`` to 1 unless it is set: numpy's OpenBLAS would
 start worker threads that no subcommand uses. ``run``, the console entry
 point, freezes the import-time heap and switches the cyclic collector off
-before it calls ``main``. The
-primary-key calls rank through ``fastscan.rank_by_distance`` (int64 when
-the distances fit), every other call through ``dataset.order_by_distance``.
+before it calls ``main``. The primary-key calls rank through
+``fastscan.rank_by_distance`` (int64 when the distances fit), every other
+call through ``dataset.order_by_distance``.
 """
 
 from __future__ import annotations
@@ -94,55 +98,54 @@ def _result_json(result: CertResult, dataset: LabeledDataset, ordering: Ordering
     }
 
 
-def _load_data(args, need_schema: bool = True):
-    """The dataset, the order of its rank column (None without one) and
-    its uncertain ids."""
+def _load_instance(args, need_schema: bool = True, ordered: bool = True):
+    """The dataset, its order and its uncertain ids. The order is the rank
+    column's with ``--use-rank``, else by distance to the point; unordered,
+    the rank column's order as read (None without one) stands in for it."""
     schema = ingest.load_schema(args.schema) if args.schema else None
     if need_schema and schema is None:
         raise InputError("--schema is required for this command")
     features = [f for f in (args.features or "").split(",") if f]
-    return ingest.load_dataset(args.data, schema, features)
-
-
-def _rank(args, dataset: LabeledDataset, ranks) -> Ordering:
-    """The order of the rank column with ``--use-rank``, else by distance
-    to the point."""
+    dataset, ranks, uncertain = ingest.load_dataset(args.data, schema, features)
+    if not ordered:
+        return dataset, ranks, uncertain
     if args.use_rank:
-        return ingest.ordering_from_ranks(ranks)
+        return dataset, ingest.ordering_from_ranks(ranks), uncertain
     point = ingest.parse_point(args.point or "", len(dataset.features))
-    return order_by_distance(dataset, point, args.p)
+    return dataset, order_by_distance(dataset, point, args.p), uncertain
 
 
-def _load_instance(args, need_schema: bool = True):
-    dataset, ranks, uncertain = _load_data(args, need_schema)
-    return dataset, _rank(args, dataset, ranks), uncertain
+def _chain(dataset: LabeledDataset, what: str) -> None:
+    """Refuse a dataset whose schema has no lhs-chain equivalent."""
+    if not decide_lhs_chain(dataset.schema).is_chain_equivalent:
+        raise NotChainError(f"{what} requires an lhs-chain-equivalent schema")
 
 
-def _cmd_check_schema(args) -> int:
-    schema = ingest.load_schema(args.schema)
-    decision = decide_lhs_chain(schema)
-    _emit({"lhs_chain": decision.is_chain_equivalent, "trace": list(decision.trace)})
-    return EXIT_OK
+def _cmd_check_schema(args) -> dict:
+    decision = decide_lhs_chain(ingest.load_schema(args.schema))
+    return {"lhs_chain": decision.is_chain_equivalent, "trace": list(decision.trace)}
 
 
-def _cmd_certify(args) -> int:
-    dataset, ranks, _ = _load_data(args)
+def _cmd_certify(args) -> dict:
+    dataset, ranks, _ = _load_instance(args, ordered=False)
     decision = decide_lhs_chain(dataset.schema)
     scan = not (args.weighted or args.force_dp) and decision.key is not None
-    if scan and not args.use_rank:
-        point = ingest.parse_point(args.point or "", len(dataset.features))
-        ordering, ranked = fastscan.rank_by_distance(dataset, point, args.p)
+    ranked = None
+    if args.use_rank:
+        ordering = ingest.ordering_from_ranks(ranks)
     else:
-        ordering, ranked = _rank(args, dataset, ranks), None
-    method: Optional[str] = None
-    result: Optional[CertResult] = None
+        point = ingest.parse_point(args.point or "", len(dataset.features))
+        if scan:
+            ordering, ranked = fastscan.rank_by_distance(dataset, point, args.p)
+        else:
+            ordering = order_by_distance(dataset, point, args.p)
     if scan:
         try:
             result = fastscan.certify_pk(dataset, ordering, args.k, ranked)
             method = "fastscan"
         except NotPrimaryKeyError:
-            result = None
-    if result is None:
+            scan = False
+    if not scan:
         if not decision.is_chain_equivalent:
             raise NotChainError(
                 "schema has no lhs-chain equivalent; certification is intractable "
@@ -150,50 +153,37 @@ def _cmd_certify(args) -> int:
             )
         result = certify_dp.certify(dataset, ordering, args.k, weighted=args.weighted)
         method = "dp"
-    payload = _result_json(result, dataset, ordering, args.k, weighted=args.weighted)
-    payload["method"] = method
-    _emit(payload)
-    return EXIT_OK if result.robust else EXIT_NOT_ROBUST
+    return {**_result_json(result, dataset, ordering, args.k, weighted=args.weighted),
+            "method": method}
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args) -> dict:
     dataset, ordering, _ = _load_instance(args)
-    if not decide_lhs_chain(dataset.schema).is_chain_equivalent:
-        raise NotChainError("counting requires an lhs-chain-equivalent schema")
+    _chain(dataset, "counting")
     count = counting.count_label(dataset, ordering, args.k, args.label)
     total = counting.count_repairs(dataset)
-    _emit({"label": args.label, "count": str(count), "total_repairs": str(total)})
-    return EXIT_OK
+    return {"label": args.label, "count": str(count), "total_repairs": str(total)}
 
 
-def _cmd_min_repair(args) -> int:
+def _cmd_min_repair(args) -> dict:
     dataset, _, _ = ingest.load_dataset(args.data, ingest.load_schema(args.schema), [])
-    if not decide_lhs_chain(dataset.schema).is_chain_equivalent:
-        raise NotChainError("min-repair requires an lhs-chain-equivalent schema")
+    _chain(dataset, "min-repair")
     repair, weight = minrepair.min_rep(dataset)
-    _emit({"repair_ids": sorted(repair), "weight": str(weight)})
-    return EXIT_OK
+    return {"repair_ids": sorted(repair), "weight": str(weight)}
 
 
-def _cmd_forbidden(args) -> int:
+def _cmd_forbidden(args) -> dict:
     dataset, _, _ = ingest.load_dataset(args.data, ingest.load_schema(args.schema), [])
-    if not decide_lhs_chain(dataset.schema).is_chain_equivalent:
-        raise NotChainError("forbidden-repair requires an lhs-chain-equivalent schema")
+    _chain(dataset, "forbidden-repair")
     try:
         forbidden = [int(t) for t in args.ids.split(",") if t.strip() != ""]
     except ValueError:
         raise InputError(f"--ids must be comma-separated integers, got {args.ids!r}") from None
     repair = minrepair.forbidden_repair(dataset, forbidden)
-    _emit(
-        {
-            "exists": repair is not None,
-            "repair_ids": sorted(repair) if repair is not None else None,
-        }
-    )
-    return EXIT_OK
+    return {"exists": repair is not None, "repair_ids": None if repair is None else sorted(repair)}
 
 
-def _cmd_poison(args) -> int:
+def _cmd_poison(args) -> dict:
     from . import models
 
     dataset, ordering, uncertain = _load_instance(args, need_schema=False)
@@ -201,109 +191,87 @@ def _cmd_poison(args) -> int:
         uncertain = frozenset(dataset.ids())
     q = models.QSetInstance(dataset, frozenset(uncertain), args.budget)
     result = models.qset_certify(q, ordering, args.k)
-    payload = _result_json(result, dataset, ordering, args.k)
-    payload["budget"] = args.budget
-    payload["uncertain_count"] = len(uncertain)
-    _emit(payload)
-    return EXIT_OK if result.robust else EXIT_NOT_ROBUST
+    return {**_result_json(result, dataset, ordering, args.k), "budget": args.budget,
+            "uncertain_count": len(uncertain)}
 
 
-def _load_table(args):
-    """The uncertain table, the features and the point of a table command."""
+def _certify_table(args, expand) -> tuple[dict, object]:
+    """(payload, extra): the table and point of ``args`` loaded, expanded by
+    ``expand(attrs, rows, point, features)`` into (keyed instance, extra),
+    and the instance certified by the primary-key scan."""
     attrs, rows = ingest.load_uncertain_table(args.data)
     features = [f for f in (args.features or "").split(",") if f]
-    return attrs, rows, features, ingest.parse_point(args.point or "", len(features))
-
-
-def _cmd_codd(args) -> int:
-    from . import models
-
-    attrs, rows, features, point = _load_table(args)
-    keyed, roles = models.codd_extremal_instance(attrs, rows, point, features)
+    point = ingest.parse_point(args.point or "", len(features))
+    keyed, extra = expand(attrs, rows, point, features)
     ordering, ranked = fastscan.rank_by_distance(keyed.dataset, point, args.p)
     result = fastscan.certify_pk(keyed, ordering, args.k, ranked)
-    payload = _result_json(result, keyed.dataset, ordering, args.k)
+    return _result_json(result, keyed.dataset, ordering, args.k), extra
+
+
+def _cmd_codd(args) -> dict:
+    from . import models
+
+    payload, roles = _certify_table(args, models.codd_extremal_instance)
     for witness in payload["witnesses"]:
         witness["completions"] = [
             {"row": roles[t][0], "completion": roles[t][1]} for t in witness.pop("repair_ids")
         ]
-    _emit(payload)
-    return EXIT_OK if result.robust else EXIT_NOT_ROBUST
+    return payload
 
 
-def _cmd_orset(args) -> int:
+def _cmd_orset(args) -> dict:
     from . import models
 
-    attrs, rows, features, point = _load_table(args)
-    keyed = models.orset_expand(attrs, rows, features, cap=args.cap)
-    ordering, ranked = fastscan.rank_by_distance(keyed.dataset, point, args.p)
-    result = fastscan.certify_pk(keyed, ordering, args.k, ranked)
-    payload = _result_json(result, keyed.dataset, ordering, args.k)
-    payload["expanded_tuples"] = keyed.dataset.size
-    _emit(payload)
-    return EXIT_OK if result.robust else EXIT_NOT_ROBUST
+    def expand(attrs, rows, point, features):
+        keyed = models.orset_expand(attrs, rows, features, cap=args.cap)
+        return keyed, keyed.dataset.size
+
+    payload, size = _certify_table(args, expand)
+    return {**payload, "expanded_tuples": size}
 
 
-def _cmd_gen_hard(args) -> int:
+def _cmd_gen_hard(args) -> dict:
     from . import hardgen
 
     phi = ingest.load_formula(args.formula)
     target = ingest.load_schema(args.schema)
     inst = hardgen.generate(phi, target, k=args.k, p=args.p)
-    point_doc = {
-        "point": [str(c) for c in inst.test_point.coords],
-        "features": list(inst.dataset.features),
-        "k": args.k,
-        "p": args.p,
-    }
+    point_doc = {"point": [str(c) for c in inst.test_point.coords],
+                 "features": list(inst.dataset.features), "k": args.k, "p": args.p}
     ingest.write_all({
         args.out: ingest.dataset_csv(inst.dataset),
         args.point_out: _dumps(point_doc) + "\n",
     })
-    _emit(
-        {
-            "tuples": inst.dataset.size,
-            "alpha": inst.alpha,
-            "scale": inst.scale,
-            "clauses": len(phi.clauses),
-            "vars": phi.num_vars,
-            "out": args.out,
-            "point_out": args.point_out,
-        }
-    )
-    return EXIT_OK
+    return {"tuples": inst.dataset.size, "alpha": inst.alpha, "scale": inst.scale,
+            "clauses": len(phi.clauses), "vars": phi.num_vars, "out": args.out,
+            "point_out": args.point_out}
 
 
-def _cmd_gen_formula(args) -> int:
+def _cmd_gen_formula(args) -> dict:
     import random
 
     from . import hardgen
 
-    rng = random.Random(args.seed)
-    phi = hardgen.random_formula(rng, args.vars)
+    phi = hardgen.random_formula(random.Random(args.seed), args.vars)
     ingest.write_formula(args.out, phi)
-    _emit({"vars": phi.num_vars, "clauses": len(phi.clauses), "out": args.out})
-    return EXIT_OK
+    return {"vars": phi.num_vars, "clauses": len(phi.clauses), "out": args.out}
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> dict:
     from . import oracle
 
+    if args.oracle_cmd == "min-repair":  # reads no order
+        dataset, _, _ = _load_instance(args, ordered=False)
+        repair, weight = oracle.brute_min_repair(dataset, cap=args.cap)
+        return {"repair_ids": sorted(repair), "weight": str(weight)}
     dataset, ordering, _ = _load_instance(args)
-    if args.oracle_cmd == "certify":
-        result = oracle.brute_certify(dataset, ordering, args.k, cap=args.cap)
-        payload = _result_json(result, dataset, ordering, args.k)
-        payload["repairs"] = len(oracle.enumerate_repairs(dataset, cap=args.cap))
-        _emit(payload)
-        return EXIT_OK if result.robust else EXIT_NOT_ROBUST
     if args.oracle_cmd == "count":
         count = oracle.brute_count(dataset, ordering, args.k, args.label, cap=args.cap)
         total = len(oracle.enumerate_repairs(dataset, cap=args.cap))
-        _emit({"label": args.label, "count": str(count), "total_repairs": str(total)})
-        return EXIT_OK
-    repair, weight = oracle.brute_min_repair(dataset, cap=args.cap)
-    _emit({"repair_ids": sorted(repair), "weight": str(weight)})
-    return EXIT_OK
+        return {"label": args.label, "count": str(count), "total_repairs": str(total)}
+    result = oracle.brute_certify(dataset, ordering, args.k, cap=args.cap)
+    return {**_result_json(result, dataset, ordering, args.k),
+            "repairs": len(oracle.enumerate_repairs(dataset, cap=args.cap))}
 
 
 def _add_instance_flags(sub) -> None:
@@ -430,11 +398,15 @@ _EXIT_CODES = {InputError: EXIT_INPUT, NotChainError: EXIT_NOT_CHAIN,
 
 
 def _run(args) -> int:
+    """Call the handler and write its payload, or the refusal it raised."""
     try:
-        return args.handler(args)
+        payload = args.handler(args)
+        code = EXIT_OK if payload.get("robust", True) else EXIT_NOT_ROBUST
     except tuple(_EXIT_CODES) as exc:
-        _emit({"error": str(exc)})
-        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+        payload = {"error": str(exc)}
+        code = next(value for kind, value in _EXIT_CODES.items() if isinstance(exc, kind))
+    _emit(payload)
+    return code
 
 
 def run() -> None:

@@ -33,7 +33,7 @@ class Sat3R:
 
 def validate_sat3r(phi: Sat3R) -> tuple[str, ...]:
     """All occurrence-discipline violations, empty when the formula is valid."""
-    issues = []
+    issues = [] if phi.num_vars else ["need at least one variable"]
     positive = {j: 0 for j in range(1, phi.num_vars + 1)}
     negative = {j: 0 for j in range(1, phi.num_vars + 1)}
     for ci, clause in enumerate(phi.clauses, start=1):

@@ -358,9 +358,15 @@ def parse_cell(text: str):
 
 class _CellList(list):
     """An uncertain table's attribute column: each cell as ``parse_cell``
-    reads it."""
+    reads it. A batch that ``_plain_run`` reads skips ``parse_cell``: each
+    cell is then the int or the ``Fraction`` that ``parse_scalar`` gives."""
 
     def extend(self, texts: Sequence[str]) -> Optional[tuple[int, str]]:
+        run = _plain_run(texts)
+        if run is not None:
+            d = 10 ** run[1]
+            super().extend([v // d if v % d == 0 else Fraction(v, d) for v in run[0]])
+            return None
         start = len(self)
         try:
             super().extend(map(parse_cell, texts))  # keeps the cells before a failure

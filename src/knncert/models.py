@@ -164,6 +164,8 @@ def orset_expand(
     an OrSetCell. All realizations of a row share its id, so the expanded
     schema is a primary key on id and worlds become block repairs.
     """
+    if cap < 0:
+        raise InputError("cap must be >= 0")
     total = 0
 
     def realizations(cells: tuple) -> list[tuple]:

@@ -43,6 +43,8 @@ def enumerate_repairs(
     ids = list(dataset.ids()) if ids is None else sorted(ids)
     check_ids(ids, dataset.size)
     cap = DEFAULT_CAP if cap is None else cap
+    if cap < 0:
+        raise InputError("cap must be >= 0")
     if len(ids) > cap:
         raise CapExceededError(f"enumeration over {len(ids)} tuples exceeds cap {cap}")
     if not ids:

@@ -937,6 +937,17 @@ class TestGenHard:
         assert hardgen.validate_sat3r(phi) == ()
 
 
+    @pytest.mark.parametrize("k", ["1", "2"])
+    @pytest.mark.parametrize("formula", ["", "c no clause\n", "0\n"])
+    def test_a_formula_without_variables_exits_two(self, tmp_path, capsys, formula, k):
+        (tmp_path / "phi.cnf3r").write_text(formula)
+        (tmp_path / "target.json").write_text(json.dumps(HARD_TARGET))
+        argv = GEN_HARD + ["--k", k, "--out", "{dir}/d.csv", "--point-out", "{dir}/p.json"]
+        code, payload = run(capsys, [a.format(dir=tmp_path) for a in argv])
+        assert (code, payload) == (cli.EXIT_INPUT, {"error": "need at least one variable"})
+        assert not (tmp_path / "d.csv").exists() and not (tmp_path / "p.json").exists()
+
+
 class TestOracleCommands:
     def test_default_cap_is_twenty_whatever_the_environment(self, tmp_path, capsys,
                                                            monkeypatch):
@@ -979,3 +990,91 @@ class TestOracleCommands:
             ["oracle", "min-repair", "--schema", schema, "--data", data],
         )
         assert code == 0 and payload["repair_ids"] == [0, 2, 4, 5]
+
+    @pytest.mark.parametrize("extra", [["--features", "A,B"], ["--use-rank"],
+                                       ["--features", "C", "--point", "x", "--p", "0"]])
+    def test_oracle_min_repair_reads_no_order(self, example_files, capsys, extra):
+        # No point, no rank column and a symbol feature: nothing is ordered.
+        schema, data = example_files
+        argv = ["oracle", "min-repair", "--schema", schema, "--data", data]
+        want = (0, {"repair_ids": [0, 2, 4, 5], "weight": "4"})
+        assert run(capsys, argv + extra) == run(capsys, argv) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["orset-certify", "--data", "{dir}/orset.csv", "--features", "X", "--point", "0", "--k", "1"],
+    ["oracle", "certify", "--schema", "{dir}/chain.json", "--data", "{dir}/chain.csv",
+     *CERT_ARGS],
+    ["oracle", "count", "--schema", "{dir}/chain.json", "--data", "{dir}/chain.csv",
+     *CERT_ARGS, "--label", "0"],
+    ["oracle", "min-repair", "--schema", "{dir}/chain.json", "--data", "{dir}/chain.csv"],
+], ids=["orset-certify", "oracle certify", "oracle count", "oracle min-repair"])
+def test_a_negative_cap_is_an_input_error(tmp_path, capsys, argv):
+    contract_files(tmp_path)
+    argv = [a.format(dir=tmp_path) for a in argv]
+    assert run(capsys, argv + ["--cap", "-1"]) == (cli.EXIT_INPUT, {"error": "cap must be >= 0"})
+    code, payload = run(capsys, argv + ["--cap", "0"])  # 0 still caps every expansion
+    assert code == cli.EXIT_CAP and "exceeds cap 0" in payload["error"]
+
+
+def contract_files(tmp_path):
+    """A chain table, a key table with an uncertain column, a Codd and an
+    or-set table over X, a formula, a gen-hard target and a non-chain
+    schema over the chain table's attributes."""
+    (tmp_path / "chain.json").write_text(json.dumps(EXAMPLE_SCHEMA))
+    (tmp_path / "chain.csv").write_text(EXAMPLE_CSV)
+    (tmp_path / "key.json").write_text(
+        json.dumps({"attributes": ["K", "X"], "fds": [{"lhs": ["K"], "rhs": ["X"]}]}))
+    (tmp_path / "key.csv").write_text("K,X,label,uncertain\na,1,0,1\na,2,1,1\nb,3,0,0\nc,9,1,0\n")
+    (tmp_path / "codd.csv").write_text('X,label\n"[1,2]",0\n"[0,5]",1\n3,0\n9,1\n')
+    (tmp_path / "orset.csv").write_text("X,label\n<1|2>,0\n<0|5>,1\n3,0\n9,1\n")
+    (tmp_path / "phi.cnf3r").write_text("1 2 0\n1 2 0\n-1 -2 0\n")
+    (tmp_path / "target.json").write_text(json.dumps(HARD_TARGET))
+    (tmp_path / "nonchain.json").write_text(json.dumps(NONCHAIN_SCHEMA))
+
+
+CHAIN = ["--schema", "{dir}/chain.json", "--data", "{dir}/chain.csv"]
+CHAIN_K3 = CHAIN + ["--features", "A,B", "--p", "1", "--k", "3"]
+KEY_K1 = ["--schema", "{dir}/key.json", "--data", "{dir}/key.csv", "--features", "X", "--k", "1"]
+CODD_K1 = ["codd-certify", "--data", "{dir}/codd.csv", "--features", "X", "--k", "1"]
+ORSET_K1 = ["orset-certify", "--data", "{dir}/orset.csv", "--features", "X", "--k", "1"]
+# Every subcommand shape on contract_files, with the exit code it must give:
+# each certifying shape at a robust and at a flagged point, plus refusals.
+CONTRACT = {
+    "check-schema": (["check-schema", "--schema", "{dir}/chain.json"], 0),
+    "certify robust": (["certify", *CHAIN_K3, "--point", "0,0"], 0),
+    "certify flagged": (["certify", *CHAIN_K3, "--point", "4,2"], 1),
+    "certify key flagged": (["certify", *KEY_K1, "--point", "0"], 1),
+    "certify bad point": (["certify", *CHAIN_K3, "--point", "0"], 2),
+    "count": (["count", *CHAIN_K3, "--point", "0,0", "--label", "0"], 0),
+    "count non-chain": (["count", "--schema", "{dir}/nonchain.json", "--data", "{dir}/chain.csv",
+                         "--features", "A,B", "--point", "0,0", "--k", "1", "--label", "0"], 3),
+    "min-repair": (["min-repair", *CHAIN], 0),
+    "forbidden": (["forbidden", *CHAIN, "--ids", "0"], 0),
+    "poison-certify robust": (["poison-certify", *KEY_K1, "--point", "9", "--budget", "1"], 0),
+    "poison-certify flagged": (["poison-certify", *KEY_K1, "--point", "0", "--budget", "1"], 1),
+    "codd-certify robust": ([*CODD_K1, "--point", "9"], 0),
+    "codd-certify flagged": ([*CODD_K1, "--point", "0"], 1),
+    "orset-certify robust": ([*ORSET_K1, "--point", "9"], 0),
+    "orset-certify flagged": ([*ORSET_K1, "--point", "0"], 1),
+    "orset-certify capped": ([*ORSET_K1, "--point", "0", "--cap", "1"], 4),
+    "gen-hard": (["gen-hard", "--formula", "{dir}/phi.cnf3r", "--schema", "{dir}/target.json",
+                  "--out", "{dir}/h.csv", "--point-out", "{dir}/p.json"], 0),
+    "gen-formula": (["gen-formula", "--vars", "2", "--out", "{dir}/g.cnf"], 0),
+    "oracle certify robust": (["oracle", "certify", *CHAIN_K3, "--point", "0,0"], 0),
+    "oracle certify flagged": (["oracle", "certify", *CHAIN_K3, "--point", "4,2"], 1),
+    "oracle count": (["oracle", "count", *CHAIN_K3, "--point", "0,0", "--label", "0"], 0),
+    "oracle min-repair": (["oracle", "min-repair", *CHAIN], 0),
+}
+
+
+@pytest.mark.parametrize("call", CONTRACT)
+def test_main_writes_one_document_and_exits_one_exactly_when_not_robust(tmp_path, capsys, call):
+    contract_files(tmp_path)
+    argv, want = CONTRACT[call]
+    code = cli.main([a.format(dir=tmp_path) for a in argv])
+    captured = capsys.readouterr()
+    payload, end = json.JSONDecoder().raw_decode(captured.out)
+    assert (captured.out[end:], captured.err, code) == ("\n", "", want)
+    assert (code == cli.EXIT_NOT_ROBUST) == (payload.get("robust") is False)
+    assert code < cli.EXIT_INPUT or list(payload) == ["error"]

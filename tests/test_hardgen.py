@@ -25,6 +25,10 @@ class TestValidate:
         phi = hardgen.Sat3R(4, ((1, 2, 3, 4),) + tuple((j,) for j in (1, 2, 3, 4)) + tuple((-j,) for j in (1, 2, 3, 4)))
         assert any("at most 3" in msg for msg in hardgen.validate_sat3r(phi))
 
+    @pytest.mark.parametrize("clauses", [(), ((),)])
+    def test_a_formula_without_variables_is_refused(self, clauses):
+        assert hardgen.validate_sat3r(hardgen.Sat3R(0, clauses)) == ("need at least one variable",)
+
     def test_random_formulas_validate(self):
         rng = random.Random(11)
         for _ in range(50):

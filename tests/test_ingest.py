@@ -97,6 +97,18 @@ class TestCells:
         with pytest.raises(InputError, match=f"^row 1: {error}$"):
             ingest.load_uncertain_table(str(path))
 
+    def test_plain_batches_read_as_parse_cell_reads_them(self, tmp_path):
+        # Whole values come back as ints, others as Fractions, in a batch
+        # of plain decimals as in a batch that holds an or-set cell.
+        texts = ["2.000", "-0.50", "7", "+3.25", "-0", "0.125", "10.10"]
+        path = tmp_path / "d.csv"
+        path.write_text("A,B,label\n" + "".join(f"{t},<{t}|1>,0\n" for t in texts))
+        _, rows = ingest.load_uncertain_table(str(path))
+        plain = [cells[0] for cells, _ in rows]
+        assert [(type(c), c) for c in plain] == [(type(v), v) for v in map(ingest.parse_cell, texts)]
+        assert [cells[1].choices[0] for cells, _ in rows] == plain
+        assert [type(c) for c in plain] == [int, Fraction, int, Fraction, int, Fraction, Fraction]
+
     def test_cell_faults_come_first_in_their_row(self, tmp_path):
         # Cells in attribute order, then the label; an earlier row first.
         path = tmp_path / "d.csv"
