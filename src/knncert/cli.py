@@ -265,13 +265,14 @@ def _cmd_oracle(args) -> dict:
         repair, weight = oracle.brute_min_repair(dataset, cap=args.cap)
         return {"repair_ids": sorted(repair), "weight": str(weight)}
     dataset, ordering, _ = _load_instance(args)
-    if args.oracle_cmd == "count":
-        count = oracle.brute_count(dataset, ordering, args.k, args.label, cap=args.cap)
-        total = len(oracle.enumerate_repairs(dataset, cap=args.cap))
-        return {"label": args.label, "count": str(count), "total_repairs": str(total)}
-    result = oracle.brute_certify(dataset, ordering, args.k, cap=args.cap)
-    return {**_result_json(result, dataset, ordering, args.k),
-            "repairs": len(oracle.enumerate_repairs(dataset, cap=args.cap))}
+    if args.oracle_cmd == "count":  # an unknown label is refused before the enumeration
+        known = args.label in dataset.labels
+        repairs = oracle.enumerate_repairs(dataset, cap=args.cap) if known else ()
+        count = oracle.brute_count(dataset, ordering, args.k, args.label, repairs=repairs)
+        return {"label": args.label, "count": str(count), "total_repairs": str(len(repairs))}
+    repairs = oracle.enumerate_repairs(dataset, cap=args.cap)
+    result = oracle.brute_certify(dataset, ordering, args.k, repairs=repairs)
+    return {**_result_json(result, dataset, ordering, args.k), "repairs": len(repairs)}
 
 
 def _add_instance_flags(sub) -> None:

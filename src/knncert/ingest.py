@@ -10,14 +10,16 @@ or-set cells ``<a|b|c>`` and interval cells ``[lo,hi]``.
 
 One reader, ``_read_table``, reads every table in batches, a column at a
 time: the reserved columns' checks name the first failing row, and one
-builder per attribute takes the cells. ``load_dataset``'s turns a column of
+``_ColumnBuilder`` per attribute takes the cells. It turns a column of
 plain decimals into fixed-point ints over its largest number of places, a
 batch at a time at any mix of places (``_plain_run``: one regex, and one
 ``map(int, ...)`` when the places agree), so no ``Fraction`` and no per-row
-record is built (see ``dataset.Column``); weights become ints too.
-``load_uncertain_table``'s reads each cell with ``parse_cell`` and refuses
-the columns it would not read. It stays pure Python: the chain
-subcommands, which never load numpy, share it.
+record is built (see ``dataset.Column``); weights become ints too. Other
+cells are read by ``parse_scalar`` for ``load_dataset`` and by
+``parse_cell`` for ``load_uncertain_table``, so a table with no or-set or
+interval cell loads alike through both; the latter refuses the reserved
+columns it would not read. It stays pure Python: the chain subcommands,
+which never load numpy, share it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from fractions import Fraction
 from itertools import islice, repeat
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
 
-from .dataset import Column, LabeledDataset, Ordering, TestPoint
+from .dataset import Column, LabeledDataset, Ordering, TestPoint, _rational
 from .errors import InputError
 from .fdschema import FdSchema
 
@@ -149,26 +151,27 @@ def _attributes(header: Sequence[str], schema: Optional[FdSchema]) -> tuple[str,
 
 
 class _ColumnBuilder:
-    """One attribute's cells as the batches stream in.
-
-    While every batch is a run of plain ASCII decimals ``[+-]d+[.d+]``
-    (``_plain_run``, offered the stripped cells when a cell is padded), the
-    column is kept as digit integers over the largest number of places seen
-    so far, so it ends numeric over 10**places. The first batch of any other
-    form switches the column to ``parse_scalar`` values, each distinct text
-    read once per batch and a batch of unpadded symbols taken as it is, and
-    ``Column.of`` makes them numeric when all are numbers.
+    """One attribute's cells as ``read`` (``parse_scalar`` or ``parse_cell``)
+    reads them, a batch at a time. While every batch is a run of plain ASCII
+    decimals (``_plain_run``, offered the stripped cells when a cell is
+    padded), the column is digit integers over the most places seen so far.
+    The first batch of any other form switches it to values: then a batch of
+    unpadded symbols not opening with ``<`` or ``[`` is taken as it is, one of
+    plain decimals as ``parse_scalar``'s numbers, and any other by reading
+    each distinct text once. ``Column.of`` makes all-number values numeric.
     """
 
-    __slots__ = ("nums", "places", "values")
+    __slots__ = ("read", "nums", "places", "values")
 
-    def __init__(self) -> None:
+    def __init__(self, read: Callable[[str], Any] = parse_scalar) -> None:
+        self.read = read
         self.nums: list = []
         self.places = 0
         self.values: Optional[list] = None
 
-    def extend(self, texts: Sequence[str]) -> None:
-        """Take the column's next cells."""
+    def extend(self, texts: Sequence[str]) -> Optional[tuple[int, str]]:
+        """Take the column's next cells: None, or (row in batch, message)
+        for the first cell that ``read`` refuses."""
         if self.values is None:
             run = _plain_run(texts) or _plain_run([text.strip() for text in texts])
             if run is not None:
@@ -178,13 +181,21 @@ class _ColumnBuilder:
                     self.nums = [v * 10 ** (top - self.places) for v in self.nums]
                 self.nums += nums if places == top else [v * 10 ** (top - places) for v in nums]
                 self.places = top
-                return
+                return None
             self.values, self.nums = Column(self.nums, 10**self.places).values(), []
         if _SYMBOL_RUN.fullmatch("\n".join(texts)):
             self.values.extend(texts)
-        else:  # each distinct text read once per batch
-            read = {text: parse_scalar(text) for text in set(texts)}
+        elif run := _plain_run(texts):
+            self.values += map(_rational, run[0], repeat(10 ** run[1]))
+        else:  # each distinct text once, by first appearance: the first refused is the first row
+            read = {}
+            for text in dict.fromkeys(texts):
+                try:
+                    read[text] = self.read(text)
+                except InputError as exc:
+                    return texts.index(text), str(exc)
             self.values.extend(map(read.__getitem__, texts))
+        return None
 
     def column(self) -> Column:
         if self.values is None:
@@ -192,9 +203,10 @@ class _ColumnBuilder:
         return Column.of(self.values)
 
 
-# Cells joined by line breaks that parse_scalar keeps as they are: unpadded,
-# first character no sign, dot or digit (\s, \d: str.isspace, isdecimal).
-_SYMBOL_RUN = re.compile(r"[^\s\d+\-.](?:.*\S)?(?:\n[^\s\d+\-.](?:.*\S)?)*")
+# Cells joined by line breaks that parse_scalar and parse_cell keep as they
+# are: unpadded, first character no sign, dot, digit, "<" or "[" (\s, \d:
+# str.isspace, isdecimal).
+_SYMBOL_RUN = re.compile(r"[^\s\d+\-.<\[](?:.*\S)?(?:\n[^\s\d+\-.<\[](?:.*\S)?)*")
 # Unpadded plain ASCII decimals joined by line breaks, at any numbers of places.
 _PLAIN_CELLS = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+)?(?:\n[+-]?[0-9]+(?:\.[0-9]+)?)*")
 
@@ -339,46 +351,33 @@ def ordering_from_ranks(rank_order: Optional[tuple[int, ...]]) -> Ordering:
 
 
 def parse_cell(text: str):
-    """Scalar, or-set ``<a|b|c>``, or interval ``[lo,hi]``."""
+    """Scalar, or-set ``<a|b|c>``, or interval ``[lo,hi]``; only the last
+    two import ``models``."""
+    text = text.strip()
+    ends = text[:1] + text[-1:]
+    if ends not in ("<>", "[]"):
+        return parse_scalar(text)
     from .models import CoddCell, OrSetCell
 
-    text = text.strip()
-    if text.startswith("<") and text.endswith(">"):
+    if ends == "<>":
         parts = [parse_scalar(p) for p in text[1:-1].split("|")]
         if "" in parts:
             raise InputError(f"or-set cell has an empty alternative: {text!r}")
         return OrSetCell(tuple(parts))
-    if text.startswith("[") and text.endswith("]"):
-        parts = text[1:-1].split(",")
-        if len(parts) != 2:
-            raise InputError(f"interval cell needs two endpoints: {text!r}")
-        return CoddCell(parse_number(parts[0]), parse_number(parts[1]))
-    return parse_scalar(text)
-
-
-class _CellList(list):
-    """An uncertain table's attribute column: each cell as ``parse_cell``
-    reads it. A batch that ``_plain_run`` reads skips ``parse_cell``: each
-    cell is then the int or the ``Fraction`` that ``parse_scalar`` gives."""
-
-    def extend(self, texts: Sequence[str]) -> Optional[tuple[int, str]]:
-        run = _plain_run(texts)
-        if run is not None:
-            d = 10 ** run[1]
-            super().extend([v // d if v % d == 0 else Fraction(v, d) for v in run[0]])
-            return None
-        start = len(self)
-        try:
-            super().extend(map(parse_cell, texts))  # keeps the cells before a failure
-        except InputError as exc:
-            return len(self) - start, str(exc)
+    parts = text[1:-1].split(",")
+    if len(parts) != 2:
+        raise InputError(f"interval cell needs two endpoints: {text!r}")
+    return CoddCell(parse_number(parts[0]), parse_number(parts[1]))
 
 
 def load_uncertain_table(path: str) -> tuple[tuple[str, ...], list[tuple]]:
-    """Load rows whose cells may be or-sets or intervals: (attributes, rows),
-    each row a (cells, label) pair, read and checked by ``_read_table``."""
-    columns, labels = _read_table(path, None, _CellList, reserved=("label",))[:2]
-    return tuple(columns), list(zip(zip(*columns.values()), labels))
+    """(attributes, rows), each row a (cells, label) pair, the cells read by
+    ``_ColumnBuilder(parse_cell)``: without ``<...>`` or ``[...]`` cells a
+    table loads as in ``load_dataset``."""
+    builders, labels = _read_table(path, None, lambda: _ColumnBuilder(parse_cell),
+                                   reserved=("label",))[:2]
+    cells = zip(*[b.column().values() for b in builders.values()])
+    return tuple(builders), list(zip(cells, labels))
 
 
 def open_for_writing(path: str, mode: str = "w", **kwargs):

@@ -88,9 +88,12 @@ def brute_certify(
     k: int,
     weighted: bool = False,
     cap: Optional[int] = None,
+    repairs: Optional[Sequence[tuple[int, ...]]] = None,
 ) -> CertResult:
-    """Evaluate the classifier on every repair and compare outcomes."""
-    repairs = enumerate_repairs(dataset, cap=cap)
+    """Evaluate the classifier on every repair and compare outcomes;
+    ``repairs``, when given, is ``enumerate_repairs(dataset, cap=cap)``."""
+    if repairs is None:
+        repairs = enumerate_repairs(dataset, cap=cap)
     outcomes = [predict(dataset, r, ordering, k, weighted=weighted) for r in repairs]
     possible = tuple(sorted({o.label for o in outcomes if o.kind == "label"}))
     first = outcomes[0]
@@ -110,11 +113,14 @@ def brute_count(
     k: int,
     label: str,
     cap: Optional[int] = None,
+    repairs: Optional[Sequence[tuple[int, ...]]] = None,
 ) -> int:
-    """Number of repairs whose prediction is exactly ``label``."""
+    """Number of repairs whose prediction is exactly ``label``; ``repairs``
+    as in ``brute_certify``, read only once the label is known."""
     if label not in dataset.labels:
         raise InputError(f"unknown label {label!r}")
-    repairs = enumerate_repairs(dataset, cap=cap)
+    if repairs is None:
+        repairs = enumerate_repairs(dataset, cap=cap)
     want = PredictOutcome.of_label(label)
     return sum(1 for r in repairs if predict(dataset, r, ordering, k) == want)
 

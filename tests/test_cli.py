@@ -991,6 +991,25 @@ class TestOracleCommands:
         )
         assert code == 0 and payload["repair_ids"] == [0, 2, 4, 5]
 
+    @pytest.mark.parametrize("cmd, extra, total", [("certify", [], "repairs"),
+                                                   ("count", ["--label", "0"], "total_repairs")])
+    def test_enumerates_the_repairs_once(self, example_files, capsys, monkeypatch,
+                                         cmd, extra, total):
+        from knncert import oracle
+
+        calls = []
+        enumerate_repairs = oracle.enumerate_repairs
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return enumerate_repairs(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "enumerate_repairs", counted)
+        schema, data = example_files
+        code, payload = run(capsys, ["oracle", cmd, "--schema", schema, "--data", data]
+                            + CERT_ARGS + extra)
+        assert code == 0 and int(payload[total]) == 4 and len(calls) == 1
+
     @pytest.mark.parametrize("extra", [["--features", "A,B"], ["--use-rank"],
                                        ["--features", "C", "--point", "x", "--p", "0"]])
     def test_oracle_min_repair_reads_no_order(self, example_files, capsys, extra):

@@ -1,4 +1,5 @@
 import csv
+import re
 from fractions import Fraction
 
 import pytest
@@ -377,6 +378,97 @@ class TestColumnarIngest:
         ds, _, _ = ingest.load_dataset(path, schema, [])
         with pytest.raises(NotPrimaryKeyError, match=r"^block \('c',\) holds identical rows$"):
             fastscan.as_keyed(ds)
+
+
+# Cells that parse_cell reads as or-sets or intervals, or refuses.
+UNCERTAIN_CELL = st.sampled_from([
+    "<1|2>", "<a|1.5>", " <0.25|-3> ", "<x>", "<1|>", "<>", "[1,2]", "[-0.5,1/2]", " [2,3] ",
+    "[2,1]", "[x,1]", "[1]", "<1|2", "[1,2", "a>", "[<1|2>]",
+])
+
+
+def first_cell_error(columns):
+    """``row i: message`` for the first cell, rows first, that parse_cell
+    refuses; None when it reads them all."""
+    for i, cells in enumerate(zip(*columns)):
+        for text in cells:
+            try:
+                ingest.parse_cell(text)
+            except InputError as exc:
+                return f"row {i}: {exc}"
+    return None
+
+
+class TestUncertainColumns:
+    """An uncertain table's columns, read by ``_ColumnBuilder(parse_cell)``,
+    hold what parse_cell reads, and a refusal names the first row."""
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(
+        st.sampled_from(["decimals", "symbols"]),
+        st.integers(ingest._BATCH_ROWS - 6, ingest._BATCH_ROWS + 2),
+        st.lists(st.one_of(CELL, UNCERTAIN_CELL), min_size=1, max_size=12),
+    )
+    def test_cells_match_parse_cell_across_batches(self, cells_path, filler, offset, cells):
+        # As for load_dataset above, and then a third batch of filler, read
+        # after the column holds values.
+        fill = filler_cells(filler, offset)
+        tail = filler_cells(filler, ingest._BATCH_ROWS + 3)
+        columns = [fill + cells + tail] + [fill + [cell] + tail[:len(cells) - 1] + tail
+                                           for cell in cells]
+        path = write_columns(cells_path, columns)
+        error = first_cell_error(columns)
+        if error is not None:
+            with pytest.raises(InputError, match=f"^{re.escape(error)}$"):
+                ingest.load_uncertain_table(path)
+            return
+        _, rows = ingest.load_uncertain_table(path)
+        for j, column in enumerate(columns):
+            for i, text in enumerate(column):
+                got, want = rows[i][0][j], ingest.parse_cell(text)
+                assert type(got) is type(want) and got == want, (i, j, text)
+
+    def test_plain_batches_after_an_orset_batch(self, tmp_path):
+        # The first batch switches the column to values; later plain batches
+        # are read as their numbers, with parse_cell's types.
+        rows = 3 * ingest._BATCH_ROWS
+        texts = ["<1|2.5>"] + [f"{i}.{i % 4 * 25}" if i % 3 else str(-i) for i in range(1, rows)]
+        path = write_columns(tmp_path / "d.csv", [texts])
+        _, got = ingest.load_uncertain_table(path)
+        want = list(map(ingest.parse_cell, texts))
+        assert [(type(cells[0]), cells[0]) for cells, _ in got] == [(type(v), v) for v in want]
+        assert {type(v) for v in want} == {models.OrSetCell, int, Fraction}
+
+    @pytest.mark.parametrize("bad", [["[4,x]", "[4,x]"], ["[4,x]", "<1|>"]],
+                             ids=["repeated", "two-texts"])
+    def test_a_refused_cell_names_its_first_row(self, tmp_path, bad):
+        # In the second batch, after good cells, the first refused cell is
+        # the first reported, however often its text repeats.
+        texts = [str(i) for i in range(ingest._BATCH_ROWS)] + ["5", "<1|2>", bad[0], "6", bad[1]]
+        path = write_columns(tmp_path / "d.csv", [texts])
+        message = str(pytest.raises(InputError, ingest.parse_cell, bad[0]).value)
+        with pytest.raises(InputError) as err:
+            ingest.load_uncertain_table(path)
+        assert str(err.value) == f"row {ingest._BATCH_ROWS + 2}: {message}"
+
+    def test_a_symbol_key_column_loads_as_symbols(self, tmp_path):
+        rows = 2 * ingest._BATCH_ROWS + 7
+        keys = [f"k{i}" for i in range(rows)]
+        values = [f"<{i}|{i + 1}>" if i % 500 == 0 else str(i) for i in range(rows)]
+        path = write_columns(tmp_path / "d.csv", [keys, values], ["K", "X"])
+        attrs, got = ingest.load_uncertain_table(path)
+        assert attrs == ("K", "X")
+        assert [cells[0] for cells, _ in got] == keys
+        assert {type(cells[0]) for cells, _ in got} == {str}
+
+    def test_orset_and_interval_texts_stay_symbols_in_a_dataset(self, tmp_path):
+        # load_dataset reads with parse_scalar: "<a|b>" and "[x]" are symbols,
+        # in a batch of symbols and in a batch of numbers alike.
+        texts = ["a", "<a|b>", "[x]", "b"]
+        path = write_columns(tmp_path / "d.csv", [texts, ["1", "<a|b>", "[x]", "2.5"]])
+        ds, _, _ = ingest.load_dataset(path, None, [])
+        assert [t[0] for t in ds.tuples] == texts
+        assert [t[1] for t in ds.tuples] == [1, "<a|b>", "[x]", Fraction(5, 2)]
 
 
 def plain_decimal(places):

@@ -9,21 +9,27 @@ chain routines return against a linear consistency-and-maximality check,
 the one-pass evaluations of the decomposition and the flat layout a sweep
 reads, with its tables, against a walk over the default tree, and the three
 uncertainty models against plain prediction, against their own budget or
-widening, and against an independent DP.
+widening, and against an independent DP. Last, the CLI's bytes are tied to
+themselves: scaling or shifting every feature and the point leaves them as
+they are, through both rankers and the dataset and uncertain-table readers.
 """
 
+import contextlib
+import csv
 import functools
+import io
 import math
 import operator
 import random
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import knncert as kc
-from knncert import certify_dp, counting, fastscan, minrepair, models
+from knncert import certify_dp, cli, counting, fastscan, ingest, minrepair, models
 from knncert.dataset import Column
 from knncert.decompose import TableOps, build_tree
 from knncert.models import CoddCell, OrSetCell
@@ -489,3 +495,126 @@ class TestOrSetAndCoddAtScale:
         robust = [robust for robust, _ in verdicts]
         assert robust == sorted(robust, reverse=True)
         assert len({label for robust, label in verdicts if robust}) <= 1
+
+
+def _tenths(n):
+    """n / 10 as a one-place decimal."""
+    return f"{'-' if n < 0 else ''}{abs(n) // 10}.{abs(n) % 10}"
+
+
+# Each edit writes feature value n / 10 on axis 0 or 1. An exact symmetry of
+# the surrogate distance keeps every ranking, tie-break by id included, so
+# the CLI's stdout must not change. Scaled by 7/3 the cells are fractions,
+# which the readers take in their values mode; scaled by 2^40 the distances
+# pass the int64 bound, so the primary-key path ranks in Python ints.
+SHIFT = (-1234567, 987654)
+EDITS = {
+    "times-7/3": lambda axis, n: f"{7 * n}/30",
+    "times-2^40": lambda axis, n: _tenths(n << 40),
+    "shift": lambda axis, n: _tenths(n + SHIFT[axis]),
+}
+
+
+def _unedited(axis, n):
+    return _tenths(n)
+
+
+def _text(cell, axis, edit):
+    """A feature cell: n, ("or", values) or ("interval", (low, high))."""
+    if isinstance(cell, int):
+        return edit(axis, cell)
+    kind, values = cell
+    texts = [edit(axis, v) for v in values]
+    return f"<{'|'.join(texts)}>" if kind == "or" else f"[{','.join(texts)}]"
+
+
+def _write_table(path, rows, edit):
+    """``rows`` (key, x, y, label) as a CSV, the cells written through ``edit``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["K", "X", "Y", "label"])
+        writer.writerows([key, _text(x, 0, edit), _text(y, 1, edit), label]
+                         for key, x, y, label in rows)
+    return str(path)
+
+
+def _cli_bytes(tmp_path, rows, argv, point, edit):
+    """(exit code, stdout) of ``argv`` on ``rows`` and ``point``, both
+    written through ``edit``."""
+    path = _write_table(tmp_path / "d.csv", rows, edit)
+    at = ",".join(edit(axis, n) for axis, n in enumerate(point))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([*argv, "--data", path, "--features", "X,Y", f"--point={at}", "--k", "3"])
+    return code, out.getvalue()
+
+
+def _scattered_rows(rng, n, block, cell):
+    """Two label-0 rows near (0, 0), then rows on a 301 x 301 grid of tenths
+    around (25, 25), ``block()`` rows to a key, with skewed labels and
+    ``cell`` for each coordinate. Small coordinates give many tied
+    distances, so a tie-break by anything but id shows."""
+    rows = [("p0", 1, 2, "0"), ("p1", 2, 1, "0")]
+    key = 0
+    while len(rows) < n:
+        cells = rng.sample(range(301 * 301), block())  # distinct within a key
+        rows += [(f"k{key}", cell(rng, 100 + c // 301), cell(rng, 100 + c % 301),
+                  rng.choice("0012")) for c in cells]
+        key += 1
+    return rows
+
+
+def _uncertain(kind):
+    def cell(rng, n):
+        if rng.random() >= 0.05:
+            return n
+        return (kind, (n, n + rng.randint(-9, 9)) if kind == "or" else (n, n + rng.randint(0, 9)))
+    return cell
+
+
+ROBUST, FLAGGED = (0, 0), (250, 250)
+
+
+@functools.cache
+def _table_rows(kind):
+    """A 10^4-row key table, blocks of one to three rows, or a 3,000-row
+    table with 5 % ``kind`` cells ("or" or "interval") and, last, two
+    label-1 rows at FLAGGED or far from it and two label-2 rows between."""
+    rng = random.Random(f"{kind}0")
+    if kind == "key":
+        return _scattered_rows(rng, 10_000, lambda: rng.choice((1, 2, 2, 3)), lambda rng, n: n)
+    near_or_far = (kind, (250, 400))
+    return _scattered_rows(rng, 3_000, lambda: 1, _uncertain(kind)) + [
+        ("f0", 250, 252, "2"), ("f1", 252, 250, "2"),
+        ("u0", near_or_far, 250, "1"), ("u1", near_or_far, 251, "1")]
+
+
+class TestCliBytesUnderExactSymmetries:
+    """Metamorphic: no oracle, only the base call's bytes."""
+
+    @pytest.mark.parametrize("point, code", [(ROBUST, 0), (FLAGGED, 1)], ids=["robust", "flagged"])
+    @pytest.mark.parametrize("argv, kind", [
+        (["certify", "--schema", "{dir}/s.json"], "key"),
+        (["certify", "--schema", "{dir}/s.json", "--force-dp"], "key"),
+        (["orset-certify"], "or"),
+        (["codd-certify"], "interval"),
+    ], ids=["certify", "certify-force-dp", "orset-certify", "codd-certify"])
+    def test_same_bytes(self, tmp_path, argv, kind, point, code):
+        (tmp_path / "s.json").write_text(
+            '{"attributes": ["K", "X", "Y"], "fds": [{"lhs": ["K"], "rhs": ["X", "Y"]}]}')
+        argv, rows = [a.format(dir=tmp_path) for a in argv], _table_rows(kind)
+        base = _cli_bytes(tmp_path, rows, argv, point, _unedited)
+        assert base[0] == code
+        if argv[0] == "certify":
+            assert f'"method": "{"dp" if "--force-dp" in argv else "fastscan"}"' in base[1]
+        for name, edit in EDITS.items():
+            assert _cli_bytes(tmp_path, rows, argv, point, edit) == base, name
+
+    def test_times_two_to_the_forty_ranks_in_python_ints(self, tmp_path):
+        x = kc.TestPoint((Fraction(0), Fraction(0)))
+        ranked = []
+        for edit in (_unedited, EDITS["times-2^40"]):
+            path = _write_table(tmp_path / "d.csv", _table_rows("key"), edit)
+            ds, _, _ = ingest.load_dataset(path, None, ["X", "Y"])
+            ranked.append(fastscan._int64_distances(ds, x, 2) is not None)
+        assert ranked == [True, False]
