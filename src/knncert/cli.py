@@ -25,7 +25,7 @@ start worker threads that no subcommand uses. ``run``, the console entry
 point, freezes the import-time heap and switches the cyclic collector off
 before it calls ``main``. The primary-key calls rank through
 ``fastscan.rank_by_distance`` (int64 when the distances fit), every other
-call through ``dataset.order_by_distance``.
+call through ``dataset.order_by_distance``, to the same ``Ordering``.
 """
 
 from __future__ import annotations
@@ -130,18 +130,15 @@ def _cmd_certify(args) -> dict:
     dataset, ranks, _ = _load_instance(args, ordered=False)
     decision = decide_lhs_chain(dataset.schema)
     scan = not (args.weighted or args.force_dp) and decision.key is not None
-    ranked = None
     if args.use_rank:
         ordering = ingest.ordering_from_ranks(ranks)
     else:
         point = ingest.parse_point(args.point or "", len(dataset.features))
-        if scan:
-            ordering, ranked = fastscan.rank_by_distance(dataset, point, args.p)
-        else:
-            ordering = order_by_distance(dataset, point, args.p)
+        rank = fastscan.rank_by_distance if scan else order_by_distance
+        ordering = rank(dataset, point, args.p)
     if scan:
         try:
-            result = fastscan.certify_pk(dataset, ordering, args.k, ranked)
+            result = fastscan.certify_pk(dataset, ordering, args.k)
             method = "fastscan"
         except NotPrimaryKeyError:
             scan = False
@@ -203,8 +200,8 @@ def _certify_table(args, expand) -> tuple[dict, object]:
     features = [f for f in (args.features or "").split(",") if f]
     point = ingest.parse_point(args.point or "", len(features))
     keyed, extra = expand(attrs, rows, point, features)
-    ordering, ranked = fastscan.rank_by_distance(keyed.dataset, point, args.p)
-    result = fastscan.certify_pk(keyed, ordering, args.k, ranked)
+    ordering = fastscan.rank_by_distance(keyed.dataset, point, args.p)
+    result = fastscan.certify_pk(keyed, ordering, args.k)
     return _result_json(result, keyed.dataset, ordering, args.k), extra
 
 

@@ -15,12 +15,12 @@ Everything distance-related uses the exact surrogate sum(|dx|^p): it is
 order-equivalent to the p-norm (the 1/p root is never taken), so orderings
 and tie-breaks are reproducible bit for bit. ``surrogate_distance`` states
 it in rational arithmetic for one row. ``order_by_distance`` ranks a whole
-dataset in exact Python integers instead: it scales every coordinate by the
-common denominator of all of them, which multiplies each distance by the
-same positive constant and so leaves the order unchanged. The
-primary-key path ranks through ``fastscan.rank_by_distance``, the same
-distances in int64 when a bound shows they fit; this module stays free of
-numpy, which the chain paths never load.
+dataset in exact Python integers instead: ``_scaled_features`` checks the
+input and scales every coordinate by the common denominator of all of them,
+which multiplies each distance by the same positive constant and so leaves
+the order unchanged. ``fastscan.rank_by_distance``, a drop-in for it on the
+primary-key path, sums the same checked ints in int64 when a bound shows
+they fit; this module stays free of numpy, which the chain paths never load.
 """
 
 from __future__ import annotations
@@ -250,21 +250,16 @@ def _first_non_numeric(column: Sequence) -> int:
     return len(column)
 
 
-def order_by_distance(dataset: LabeledDataset, x: TestPoint, p: int) -> Ordering:
-    """Rank all tuples by surrogate distance ascending, ties by ascending id.
-
-    Feature columns are read as their ints. Those and the coordinates are
-    scaled to D, the lcm of the column scales and the coordinates'
-    denominators, so sum(|dx*D|^p) is a Python int, exact and free of
-    overflow, equal to D^p times the rational surrogate. The stable sort
-    keeps tied tuples in ascending id order.
-    """
+def _scaled_features(dataset: LabeledDataset, x: TestPoint, p: int) -> list[tuple]:
+    """Per feature, (ints, factor, at): ints[i] * factor and at are cell i
+    and the coordinate times D, the lcm of the column scales and the
+    coordinates' denominators. Checks, in order, the point's arity, p, the
+    coordinates and the columns; a non-numeric value is reported at the
+    lowest id whose distance needs it, id 0 for a coordinate."""
     if len(x.coords) != len(dataset.features):
         raise InputError("test point arity must match the feature list")
     if not isinstance(p, int) or p < 1:
         raise InputError("p must be an integer >= 1")
-    # The error names the lowest id whose distance needs a non-numeric value;
-    # a non-numeric coordinate spoils every distance, the first at id 0.
     if any(_non_numeric(c) for c in x.coords):
         raise InputError("non-numeric feature value in tuple 0")
     n = dataset.size
@@ -273,17 +268,28 @@ def order_by_distance(dataset: LabeledDataset, x: TestPoint, p: int) -> Ordering
     if bad < n:
         raise InputError(f"non-numeric feature value in tuple {bad}")
     scale = math.lcm(*[c.scale for c in columns], *[c.denominator for c in x.coords])
-    ats = [coord.numerator * (scale // coord.denominator) for coord in x.coords]
-    factors = [scale // col.scale for col in columns]
+    return [(col.data, scale // col.scale, coord.numerator * (scale // coord.denominator))
+            for col, coord in zip(columns, x.coords)]
+
+
+def order_by_distance(dataset: LabeledDataset, x: TestPoint, p: int) -> Ordering:
+    """Rank all tuples by surrogate distance ascending, ties by ascending id.
+
+    Over ``_scaled_features``' common scale D, sum(|v*factor - at|^p) is a
+    Python int, exact and free of overflow, equal to D^p times the rational
+    surrogate. The stable sort keeps tied tuples in ascending id order.
+    """
+    features = _scaled_features(dataset, x, p)
+    n = dataset.size
     if n:
-        _check_power_cost(n, p, [max(abs(min(col.data) * f - at), abs(max(col.data) * f - at))
-                                 for col, f, at in zip(columns, factors, ats)])
+        _check_power_cost(n, p, [max(abs(min(ints) * f - at), abs(max(ints) * f - at))
+                                 for ints, f, at in features])
     dist = [0] * n
-    for at, factor, col in zip(ats, factors, columns):
+    for ints, factor, at in features:
         if factor == 1:
-            dist = [d + abs(v - at) ** p for d, v in zip(dist, col.data)]
+            dist = [d + abs(v - at) ** p for d, v in zip(dist, ints)]
         else:
-            dist = [d + abs(v * factor - at) ** p for d, v in zip(dist, col.data)]
+            dist = [d + abs(v * factor - at) ** p for d, v in zip(dist, ints)]
     return Ordering(tuple(sorted(range(n), key=dist.__getitem__)))
 
 

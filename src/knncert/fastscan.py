@@ -19,14 +19,14 @@ here). ``as_keyed`` factorises the key cells into block codes and looks
 for identical rows among the block codes and the other columns' int64
 codes (the fixed-point ints themselves for numeric columns), and the label
 codes come from the row labels, so no per-row record is built.
-``rank_by_distance`` ranks the tuples as ``dataset.order_by_distance``
-does, in int64 when a bound shows the distances fit, and hands the ranked
-ids on as an array. ``certify_pk`` puts both codes
-in rank order once per call and hands them to ``certify_pk_arrays``, the
-core that bulk workloads call directly: the greedy repair is the first
-tuple of each block, its vote names the incumbent, and one prune and scan
-per challenger, in alphabetical order, looks for a repair that ties or
-beats it. Ids become Python objects only for the witness, which
+``rank_by_distance`` returns ``dataset.order_by_distance``'s ``Ordering``,
+from the same checked common scale, summed in int64 when a bound shows the
+distances fit. ``certify_pk`` takes any ``Ordering``, puts both codes in
+rank order once per call and hands them to ``certify_pk_arrays``, the core
+that bulk workloads call directly: the greedy repair is the first tuple of
+each block, its vote names the incumbent, and one prune and scan per
+challenger, in alphabetical order, looks for a repair that ties or beats
+it. Ids become Python objects only for the witness, which
 ``certresult.refuted`` re-verifies as on every other path.
 
 numpy is imported inside the functions that run array code, not at the
@@ -36,14 +36,13 @@ reaches the scan should not pay for numpy.
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .certresult import CertResult, refuted
-from .dataset import LabeledDataset, Ordering, PredictOutcome, TestPoint, order_by_distance
+from .dataset import (LabeledDataset, Ordering, PredictOutcome, TestPoint, _scaled_features,
+                      order_by_distance)
 from .errors import InputError, NotPrimaryKeyError
 from .fdschema import decide_lhs_chain
 
@@ -143,31 +142,25 @@ _INT64_LIMIT = 2**63  # every value the int64 distances hold stays below it
 
 def _int64_distances(dataset: LabeledDataset, x: TestPoint, p: int) -> Optional[np.ndarray]:
     """Each row's sum(|v*factor - at|^p) in int64: the ints that
-    ``order_by_distance`` sums, over the same common scale.
+    ``order_by_distance`` sums, over the triples of ``_scaled_features``,
+    which raises the same refusals.
 
-    None when they might not fit, and for the inputs ``order_by_distance``
-    refuses: a feature column not packed in ``array('q')``, a coordinate
-    that is not a number, a bad p or arity. The bounds come from each
-    column's minimum and maximum and the point: p and each factor, which
-    numpy takes as int64 operands, |v*factor|, |at|, |v*factor - at|^p and
-    their sum over the features must all be below 2^63, so no step of the
-    numpy arithmetic overflows or wraps.
+    None when they might not fit: p (numpy takes it as an int64) or a
+    bound at 2^63 or above, or a feature column not in ``array('q')``. The
+    bounds come from each column's minimum and maximum and the point: each
+    factor, |v*factor|, |at|, |v*factor - at|^p and their sum over the
+    features must all be below 2^63, so no numpy step overflows or wraps.
     """
     import numpy as np
 
-    columns = [dataset.columns[i] for i in dataset.feature_indices]
-    if not (len(x.coords) == len(columns) and isinstance(p, int) and 1 <= p < _INT64_LIMIT
-            and all(isinstance(c.data, array) for c in columns)
-            and all(isinstance(c, (int, Fraction)) for c in x.coords)):
+    features = _scaled_features(dataset, x, p)
+    if p >= _INT64_LIMIT or not all(isinstance(ints, array) for ints, _, _ in features):
         return None
-    scale = math.lcm(*[c.scale for c in columns], *[c.denominator for c in x.coords])
     total, bound = np.zeros(dataset.size, np.int64), 0
     if dataset.size == 0:
         return total
-    for coord, col in zip(x.coords, columns):
-        at = coord.numerator * (scale // coord.denominator)
-        factor = scale // col.scale
-        v = np.frombuffer(col.data, np.int64)
+    for ints, factor, at in features:
+        v = np.frombuffer(ints, np.int64)
         lo, hi = int(v.min()) * factor, int(v.max()) * factor
         reach = max(abs(lo - at), abs(hi - at))  # the largest |v*factor - at|
         # reach^p >= 2^63 once (bit length - 1) * p >= 63; test that before
@@ -184,34 +177,30 @@ def _int64_distances(dataset: LabeledDataset, x: TestPoint, p: int) -> Optional[
     return total
 
 
-def rank_by_distance(dataset: LabeledDataset, x: TestPoint, p: int) -> tuple[Ordering, np.ndarray]:
-    """``order_by_distance(dataset, x, p)``, and its ids as an int64 array.
+def rank_by_distance(dataset: LabeledDataset, x: TestPoint, p: int) -> Ordering:
+    """``order_by_distance(dataset, x, p)``: the same ``Ordering`` and refusals.
 
     The distances are summed in int64 when ``_int64_distances`` bounds
     them below 2^63, and ranked by a stable argsort, which keeps tied ids
     ascending as the Python sort does. Otherwise ``order_by_distance``
-    ranks in exact Python ints, and raises its errors.
+    ranks in exact Python ints.
     """
     import numpy as np
 
     dist = _int64_distances(dataset, x, p)
     if dist is None:
-        ordering = order_by_distance(dataset, x, p)
-        return ordering, np.fromiter(ordering.ranked, np.int64, len(ordering.ranked))
-    ranked = np.argsort(dist, kind="stable")
-    return Ordering(tuple(ranked.tolist())), ranked
+        return order_by_distance(dataset, x, p)
+    return Ordering(tuple(np.argsort(dist, kind="stable").tolist()))
 
 
-def _codes(keyed: KeyedDataset, ordering: Ordering, ranked: Optional[np.ndarray] = None):
-    """Key and label codes at rank positions, plus the ranked id array:
-    ``ranked`` when given, else built from ``ordering``."""
+def _codes(keyed: KeyedDataset, ordering: Ordering):
+    """Key and label codes at rank positions, and ``ordering``'s ids as an int64 array."""
     import numpy as np
 
     ds = keyed.dataset
     if len(ordering.ranked) != ds.size:
         raise InputError("ordering must rank every tuple of the dataset")
-    if ranked is None:
-        ranked = np.fromiter(ordering.ranked, np.int64, ds.size)
+    ranked = np.fromiter(ordering.ranked, np.int64, ds.size)
     lab_code = {lab: i for i, lab in enumerate(ds.labels)}
     label_of = np.fromiter(map(lab_code.__getitem__, ds.row_labels), np.int64, ds.size)
     return keyed.block_of[ranked], label_of[ranked], ranked
@@ -351,21 +340,17 @@ def _build_witness(
     return kept[pick]
 
 
-def certify_pk(
-    source: Union[LabeledDataset, KeyedDataset],
-    ordering: Ordering,
-    k: int,
-    ranked: Optional[np.ndarray] = None,
-) -> CertResult:
+def certify_pk(source: Union[LabeledDataset, KeyedDataset], ordering: Ordering,
+               k: int) -> CertResult:
     """Certify robustness through the prune-and-scan path.
 
-    The key and label codes are built once, in the order of ``ranked``
-    (``ordering.ranked`` as an int64 array, as ``rank_by_distance`` returns
-    it; built here when None), and go through ``certify_pk_arrays``. Votes
-    are unweighted here; weighted certification goes through the DP. k
-    larger than the number of blocks is clamped: every repair holds one
-    tuple per block, so the neighborhood is then the whole repair.
-    ``certresult.refuted`` re-verifies the witness.
+    The key and label codes are built once, in the order of ``ordering``
+    (``rank_by_distance``'s or any other), and go through
+    ``certify_pk_arrays``. Votes are unweighted here; weighted
+    certification goes through the DP. k larger than the number of blocks
+    is clamped: every repair holds one tuple per block, so the neighborhood
+    is then the whole repair. ``certresult.refuted`` re-verifies the
+    witness.
     """
     import numpy as np
 
@@ -373,7 +358,7 @@ def certify_pk(
         raise InputError("k must be >= 1")
     keyed = source if isinstance(source, KeyedDataset) else as_keyed(source)
     ds = keyed.dataset
-    keys, labels, ranked = _codes(keyed, ordering, ranked)
+    keys, labels, ranked = _codes(keyed, ordering)
     verdict = certify_pk_arrays(keys, labels, k)
     if verdict.robust:
         ell1 = ds.labels[verdict.incumbent]

@@ -10,14 +10,17 @@ the one-pass evaluations of the decomposition and the flat layout a sweep
 reads, with its tables, against a walk over the default tree, and the three
 uncertainty models against plain prediction, against their own budget or
 widening, and against an independent DP. Last, the CLI's bytes are tied to
-themselves: scaling or shifting every feature and the point leaves them as
-they are, through both rankers and the dataset and uncertain-table readers.
+themselves: scaling or shifting every feature and the point, or permuting
+the features with the point's coordinates and the CSV's columns, leaves
+them as they are, through both rankers, the dataset and uncertain-table
+readers, ``count`` and ``poison-certify``.
 """
 
 import contextlib
 import csv
 import functools
 import io
+import json
 import math
 import operator
 import random
@@ -519,6 +522,18 @@ def _unedited(axis, n):
     return _tenths(n)
 
 
+# The columns a row (key, x, y, label[, uncertain]) fills, in the order the
+# schemas and the unpermuted calls list X and Y. The permuted layout writes
+# the columns in another order and lists the features and the point's
+# coordinates as Y, X. It is shifted as well: the points are on the
+# diagonal, where a coordinate paired with the other feature's column would
+# give the same distances.
+HEADER = ("K", "X", "Y", "label", "uncertain")
+PERMUTED = ("uncertain", "X", "label", "K", "Y")
+EDITED = [(name, edit, False) for name, edit in EDITS.items()] + [
+    ("permuted-shift", EDITS["shift"], True)]
+
+
 def _text(cell, axis, edit):
     """A feature cell: n, ("or", values) or ("interval", (low, high))."""
     if isinstance(cell, int):
@@ -528,24 +543,30 @@ def _text(cell, axis, edit):
     return f"<{'|'.join(texts)}>" if kind == "or" else f"[{','.join(texts)}]"
 
 
-def _write_table(path, rows, edit):
-    """``rows`` (key, x, y, label) as a CSV, the cells written through ``edit``."""
+def _write_table(path, rows, edit, order=HEADER):
+    """``rows`` (key, x, y, label[, uncertain]) as a CSV, the columns they
+    fill in ``order`` and the feature cells written through ``edit``."""
+    names = [name for name in order if name in HEADER[:len(rows[0])]]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["K", "X", "Y", "label"])
-        writer.writerows([key, _text(x, 0, edit), _text(y, 1, edit), label]
-                         for key, x, y, label in rows)
+        writer.writerow(names)
+        for key, x, y, *rest in rows:
+            cells = dict(zip(HEADER, [key, _text(x, 0, edit), _text(y, 1, edit), *rest]))
+            writer.writerow([cells[name] for name in names])
     return str(path)
 
 
-def _cli_bytes(tmp_path, rows, argv, point, edit):
+def _cli_bytes(tmp_path, rows, argv, point, edit, permuted=False):
     """(exit code, stdout) of ``argv`` on ``rows`` and ``point``, both
-    written through ``edit``."""
-    path = _write_table(tmp_path / "d.csv", rows, edit)
-    at = ",".join(edit(axis, n) for axis, n in enumerate(point))
+    written through ``edit``, in the permuted layout when ``permuted``."""
+    axes = (1, 0) if permuted else (0, 1)
+    path = _write_table(tmp_path / "d.csv", rows, edit, PERMUTED if permuted else HEADER)
+    features = ",".join("XY"[axis] for axis in axes)
+    at = ",".join(edit(axis, point[axis]) for axis in axes)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main([*argv, "--data", path, "--features", "X,Y", f"--point={at}", "--k", "3"])
+        code = cli.main([*argv, "--data", path, "--features", features, f"--point={at}",
+                         "--k", "3"])
     return code, out.getvalue()
 
 
@@ -573,16 +594,23 @@ def _uncertain(kind):
 
 
 ROBUST, FLAGGED = (0, 0), (250, 250)
+VERDICTS = {ROBUST: 0, FLAGGED: 1}  # the exit codes of the certifying calls
 
 
 @functools.cache
 def _table_rows(kind):
-    """A 10^4-row key table, blocks of one to three rows, or a 3,000-row
-    table with 5 % ``kind`` cells ("or" or "interval") and, last, two
-    label-1 rows at FLAGGED or far from it and two label-2 rows between."""
+    """A 10^4-row key table, blocks of one to three rows; a 300-row chain
+    table of such blocks; 1,000 rows with every third row marked, on
+    average, in an ``uncertain`` column; or a 3,000-row table with 5 %
+    ``kind`` cells ("or" or "interval") and, last, two label-1 rows at
+    FLAGGED or far from it and two label-2 rows between."""
     rng = random.Random(f"{kind}0")
-    if kind == "key":
-        return _scattered_rows(rng, 10_000, lambda: rng.choice((1, 2, 2, 3)), lambda rng, n: n)
+    if kind in ("key", "chain"):
+        n = 10_000 if kind == "key" else 300
+        return _scattered_rows(rng, n, lambda: rng.choice((1, 2, 2, 3)), lambda rng, n: n)
+    if kind == "poison":
+        return [row + (rng.choice("100"),)
+                for row in _scattered_rows(rng, 1_000, lambda: 1, lambda rng, n: n)]
     near_or_far = (kind, (250, 400))
     return _scattered_rows(rng, 3_000, lambda: 1, _uncertain(kind)) + [
         ("f0", 250, 252, "2"), ("f1", 252, 250, "2"),
@@ -592,23 +620,29 @@ def _table_rows(kind):
 class TestCliBytesUnderExactSymmetries:
     """Metamorphic: no oracle, only the base call's bytes."""
 
-    @pytest.mark.parametrize("point, code", [(ROBUST, 0), (FLAGGED, 1)], ids=["robust", "flagged"])
-    @pytest.mark.parametrize("argv, kind", [
-        (["certify", "--schema", "{dir}/s.json"], "key"),
-        (["certify", "--schema", "{dir}/s.json", "--force-dp"], "key"),
-        (["orset-certify"], "or"),
-        (["codd-certify"], "interval"),
-    ], ids=["certify", "certify-force-dp", "orset-certify", "codd-certify"])
-    def test_same_bytes(self, tmp_path, argv, kind, point, code):
-        (tmp_path / "s.json").write_text(
-            '{"attributes": ["K", "X", "Y"], "fds": [{"lhs": ["K"], "rhs": ["X", "Y"]}]}')
+    @pytest.mark.parametrize("point", [ROBUST, FLAGGED], ids=["robust", "flagged"])
+    @pytest.mark.parametrize("argv, kind, codes", [
+        (["certify", "--schema", "{dir}/key.json"], "key", VERDICTS),
+        (["certify", "--schema", "{dir}/key.json", "--force-dp"], "key", VERDICTS),
+        (["orset-certify"], "or", VERDICTS),
+        (["codd-certify"], "interval", VERDICTS),
+        # The chain schema K -> X is no key; count exits 0 at both points.
+        (["count", "--schema", "{dir}/chain.json", "--label", "0"], "chain",
+         {ROBUST: 0, FLAGGED: 0}),
+        (["poison-certify", "--budget", "1"], "poison", VERDICTS),
+    ], ids=["certify", "certify-force-dp", "orset-certify", "codd-certify", "count",
+            "poison-certify"])
+    def test_same_bytes(self, tmp_path, argv, kind, codes, point):
+        for name, rhs in [("key", ["X", "Y"]), ("chain", ["X"])]:
+            schema = {"attributes": ["K", "X", "Y"], "fds": [{"lhs": ["K"], "rhs": rhs}]}
+            (tmp_path / f"{name}.json").write_text(json.dumps(schema))
         argv, rows = [a.format(dir=tmp_path) for a in argv], _table_rows(kind)
         base = _cli_bytes(tmp_path, rows, argv, point, _unedited)
-        assert base[0] == code
+        assert base[0] == codes[point]
         if argv[0] == "certify":
             assert f'"method": "{"dp" if "--force-dp" in argv else "fastscan"}"' in base[1]
-        for name, edit in EDITS.items():
-            assert _cli_bytes(tmp_path, rows, argv, point, edit) == base, name
+        for name, edit, permuted in EDITED:
+            assert _cli_bytes(tmp_path, rows, argv, point, edit, permuted) == base, name
 
     def test_times_two_to_the_forty_ranks_in_python_ints(self, tmp_path):
         x = kc.TestPoint((Fraction(0), Fraction(0)))
