@@ -26,6 +26,7 @@ they fit; this module stays free of numpy, which the chain paths never load.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -183,12 +184,15 @@ class Ordering:
     def __post_init__(self) -> None:
         ranked, n = self.ranked, len(self.ranked)
         # n distinct ints within [0, n) are a permutation: one set and the
-        # bounds. Anything else that hashes like an int (True, numpy ints)
-        # is compared with the set of ids itself.
+        # bounds. Any other id must be an integer (True, numpy ints), which
+        # ``operator.index`` admits and a float or Fraction it refuses.
         if set(map(type, ranked)) <= {int}:
             ok = len(set(ranked)) == n and (n == 0 or (min(ranked) >= 0 and max(ranked) < n))
         else:
-            ok = set(ranked) == set(range(n))
+            try:
+                ok = set(map(operator.index, ranked)) == set(range(n))
+            except TypeError:
+                ok = False
         if not ok:
             raise InputError("ordering must be a permutation of 0..n-1")
 

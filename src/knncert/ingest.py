@@ -10,16 +10,18 @@ or-set cells ``<a|b|c>`` and interval cells ``[lo,hi]``.
 
 One reader, ``_read_table``, reads every table in batches, a column at a
 time: the reserved columns' checks name the first failing row, and one
-``_ColumnBuilder`` per attribute takes the cells. It turns a column of
-plain decimals into fixed-point ints over its largest number of places, a
-batch at a time at any mix of places (``_plain_run``: one regex, and one
-``map(int, ...)`` when the places agree), so no ``Fraction`` and no per-row
-record is built (see ``dataset.Column``); weights become ints too. Other
-cells are read by ``parse_scalar`` for ``load_dataset`` and by
-``parse_cell`` for ``load_uncertain_table``, so a table with no or-set or
-interval cell loads alike through both; the latter refuses the reserved
-columns it would not read. It stays pure Python: the chain subcommands,
-which never load numpy, share it.
+``_ColumnBuilder`` per attribute keeps each batch's cells as read. A batch
+of plain decimals is kept as digit ints and its number of places
+(``_plain_run``: one regex, and one ``map(int, ...)`` when the places
+agree), so no ``Fraction`` and no per-row record is built. Each column is
+settled once, after the last batch: fixed-point ints over its largest
+number of places when every batch was plain decimals, else ``Column.of``
+its values (see ``dataset.Column``); the weights become ``Column.of`` the
+values read. Other cells are read by ``parse_scalar`` for ``load_dataset``
+and by ``parse_cell`` for ``load_uncertain_table``, so a table with no
+or-set or interval cell loads alike through both; the latter refuses the
+reserved columns it would not read. It stays pure Python: the chain
+subcommands, which never load numpy, share it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import re
 from array import array
@@ -152,41 +153,27 @@ def _attributes(header: Sequence[str], schema: Optional[FdSchema]) -> tuple[str,
 
 class _ColumnBuilder:
     """One attribute's cells as ``read`` (``parse_scalar`` or ``parse_cell``)
-    reads them, a batch at a time. While every batch is a run of plain ASCII
+    reads them, kept a batch at a time as read: a run of unpadded symbols
+    not opening with ``<`` or ``[`` as its texts, a run of plain ASCII
     decimals (``_plain_run``, offered the stripped cells when a cell is
-    padded), the column is digit integers over the most places seen so far.
-    The first batch of any other form switches it to values: then a batch of
-    unpadded symbols not opening with ``<`` or ``[`` is taken as it is, one of
-    plain decimals as ``parse_scalar``'s numbers, and any other by reading
-    each distinct text once. ``Column.of`` makes all-number values numeric.
+    padded) as its ``(ints, places)``, and any other batch as ``read``'s
+    value for each distinct text, each read once. ``column`` settles the
+    scale once, so where a batch ends never matters.
     """
 
-    __slots__ = ("read", "nums", "places", "values")
+    __slots__ = ("read", "batches")
 
-    def __init__(self, read: Callable[[str], Any] = parse_scalar) -> None:
+    def __init__(self, read: Callable[[str], Any]) -> None:
         self.read = read
-        self.nums: list = []
-        self.places = 0
-        self.values: Optional[list] = None
+        self.batches: list[tuple[Sequence, Optional[int]]] = []  # (values, None) or (ints, places)
 
     def extend(self, texts: Sequence[str]) -> Optional[tuple[int, str]]:
         """Take the column's next cells: None, or (row in batch, message)
         for the first cell that ``read`` refuses."""
-        if self.values is None:
-            run = _plain_run(texts) or _plain_run([text.strip() for text in texts])
-            if run is not None:
-                nums, places = run
-                top = max(places, self.places)
-                if top > self.places:
-                    self.nums = [v * 10 ** (top - self.places) for v in self.nums]
-                self.nums += nums if places == top else [v * 10 ** (top - places) for v in nums]
-                self.places = top
-                return None
-            self.values, self.nums = Column(self.nums, 10**self.places).values(), []
         if _SYMBOL_RUN.fullmatch("\n".join(texts)):
-            self.values.extend(texts)
-        elif run := _plain_run(texts):
-            self.values += map(_rational, run[0], repeat(10 ** run[1]))
+            self.batches.append((texts, None))
+        elif run := _plain_run(texts) or _plain_run([text.strip() for text in texts]):
+            self.batches.append(run)
         else:  # each distinct text once, by first appearance: the first refused is the first row
             read = {}
             for text in dict.fromkeys(texts):
@@ -194,13 +181,22 @@ class _ColumnBuilder:
                     read[text] = self.read(text)
                 except InputError as exc:
                     return texts.index(text), str(exc)
-            self.values.extend(map(read.__getitem__, texts))
+            self.batches.append((list(map(read.__getitem__, texts)), None))
         return None
 
     def column(self) -> Column:
-        if self.values is None:
-            return Column.numeric(self.nums, 10**self.places)
-        return Column.of(self.values)
+        """Digit integers over the most places when every batch was plain
+        decimals, else ``Column.of`` the values."""
+        places = [p for _, p in self.batches]
+        if None not in places:
+            top, nums = max(places, default=0), []
+            for ints, p in self.batches:
+                nums += ints if p == top else [v * 10 ** (top - p) for v in ints]
+            return Column.numeric(nums, 10**top)
+        values: list = []
+        for data, p in self.batches:
+            values += data if p is None else map(_rational, data, repeat(10**p))
+        return Column.of(values)
 
 
 # Cells joined by line breaks that parse_scalar and parse_cell keep as they
@@ -239,18 +235,20 @@ def _plain_run(texts: Sequence[str]) -> Optional[tuple[list[int], int]]:
 _BATCH_ROWS = 1024  # rows read and checked together, column by column
 
 
-def _read_table(path: str, schema: Optional[FdSchema], builder: Callable[[], Any],
+def _read_table(path: str, schema: Optional[FdSchema], read: Callable[[str], Any] = parse_scalar,
                 reserved: Sequence[str] = RESERVED):
-    """Read and check a table: (builders by attribute, labels, sorted label
+    """Read and check a table: (columns by attribute, labels, sorted label
     alphabet, weight column, rank order, marked ids), refusing a header that
     names a reserved column outside ``reserved``.
 
-    One ``builder()`` per attribute takes its cells a batch at a time; its
-    ``extend`` returns None, or (row in batch, message) for the first cell
-    it refuses. An error names the first failing row of the file: its cells
-    in attribute order first, then label, weight, rank and uncertain. The
-    weights, rank order and marked ids are None when their column is absent;
-    an all-zero uncertain column is an explicit empty marking, not the same.
+    The table is read a batch at a time, and each batch checked as read:
+    one ``_ColumnBuilder(read)`` per attribute keeps its cells, and the
+    weights are kept as read, one shared value per distinct text. Each
+    column's scale is settled once, after the last batch. An error names
+    the first failing row of the file: its cells in attribute order first,
+    then label, weight, rank and uncertain. The weights, rank order and
+    marked ids are None when their column is absent; an all-zero uncertain
+    column is an explicit empty marking, not the same.
     """
     batches = _read_batches(path)
     header = next(batches)
@@ -260,11 +258,11 @@ def _read_table(path: str, schema: Optional[FdSchema], builder: Callable[[], Any
     if not attrs:
         raise InputError(f"{path}: no attribute columns")
     column = {name: j for j, name in enumerate(header)}
-    builders = {a: builder() for a in attrs}
+    builders = {a: _ColumnBuilder(read) for a in attrs}
     label_col, weight_col, rank_col, uncertain_col = map(column.get, RESERVED)
 
     alphabet: dict[str, str] = {}  # one shared str per label
-    weights, scale = [], 1  # ints over the lcm of the weights' denominators
+    weights: list = []
     row_labels: list[str] = []
     ranks: list[int] = []
     uncertain: list[int] = []
@@ -283,19 +281,15 @@ def _read_table(path: str, schema: Optional[FdSchema], builder: Callable[[], Any
             texts, distinct = cells[weight_col], list(set(cells[weight_col]))
             stripped = [text.strip() or "1" for text in distinct]  # a blank weight is 1
             run = _plain_run(stripped)
-            read = dict(zip(distinct, map(Fraction, run[0], repeat(10 ** run[1])) if run
-                            else map(parse_scalar, stripped)))
-            if bad := [t for t, w in read.items() if isinstance(w, str) or w <= 0]:
+            weight = dict(zip(distinct, map(_rational, run[0], repeat(10 ** run[1])) if run
+                              else map(parse_scalar, stripped)))
+            if bad := [t for t, w in weight.items() if isinstance(w, str) or w <= 0]:
                 i = min(map(texts.index, bad))
-                fault = (f"expected a number, got {texts[i]!r}" if isinstance(read[texts[i]], str)
+                fault = (f"expected a number, got {texts[i]!r}" if isinstance(weight[texts[i]], str)
                          else "weight must be positive")
                 faults.append((i, 1, f"row {start + i}: {fault}"))
             else:
-                top = math.lcm(scale, *[w.denominator for w in read.values()])
-                if top > scale:  # rescale the weights read so far
-                    weights, scale = [w * (top // scale) for w in weights], top
-                nums = {t: w.numerator * (scale // w.denominator) for t, w in read.items()}
-                weights.extend(map(nums.__getitem__, texts))
+                weights.extend(map(weight.__getitem__, texts))
         if rank_col is not None:
             try:
                 ranks.extend(map(int, cells[rank_col]))  # keeps the ranks before a failure
@@ -321,8 +315,9 @@ def _read_table(path: str, schema: Optional[FdSchema], builder: Callable[[], Any
             raise InputError(f"row {row}: rank column must hold distinct integers")
         rank_order = tuple(tid for _, tid in sorted(zip(ranks, range(len(ranks)))))
     marked = frozenset(uncertain) if uncertain_col is not None else None
-    weights = Column.numeric(weights, scale) if weight_col is not None else None
-    return builders, row_labels, tuple(sorted(alphabet)), weights, rank_order, marked
+    columns = {a: b.column() for a, b in builders.items()}
+    weight_column = Column.of(weights) if weight_col is not None else None
+    return columns, row_labels, tuple(sorted(alphabet)), weight_column, rank_order, marked
 
 
 def load_dataset(
@@ -332,10 +327,10 @@ def load_dataset(
 ) -> tuple[LabeledDataset, Optional[tuple[int, ...]], Optional[frozenset[int]]]:
     """Load a CSV into a dataset; returns (dataset, ranks, uncertain ids).
     With ``schema`` None the attributes come from the header, with no FDs."""
-    columns, labels, alphabet, weights, ranks, marked = _read_table(path, schema, _ColumnBuilder)
+    columns, labels, alphabet, weights, ranks, marked = _read_table(path, schema)
     dataset = LabeledDataset(
         schema or FdSchema.of(tuple(columns), []),
-        tuple(b.column() for b in columns.values()),
+        tuple(columns.values()),
         tuple(labels),
         weights if weights is not None else Column(array("q", [1]) * len(labels), 1),
         alphabet,
@@ -372,12 +367,11 @@ def parse_cell(text: str):
 
 def load_uncertain_table(path: str) -> tuple[tuple[str, ...], list[tuple]]:
     """(attributes, rows), each row a (cells, label) pair, the cells read by
-    ``_ColumnBuilder(parse_cell)``: without ``<...>`` or ``[...]`` cells a
-    table loads as in ``load_dataset``."""
-    builders, labels = _read_table(path, None, lambda: _ColumnBuilder(parse_cell),
-                                   reserved=("label",))[:2]
-    cells = zip(*[b.column().values() for b in builders.values()])
-    return tuple(builders), list(zip(cells, labels))
+    ``parse_cell`` and kept and settled as in ``load_dataset``: without
+    ``<...>`` or ``[...]`` cells a table loads as there."""
+    columns, labels = _read_table(path, None, parse_cell, reserved=("label",))[:2]
+    cells = zip(*[c.values() for c in columns.values()])
+    return tuple(columns), list(zip(cells, labels))
 
 
 def open_for_writing(path: str, mode: str = "w", **kwargs):

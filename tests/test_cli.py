@@ -105,6 +105,14 @@ class TestCheckSchema:
                                      "--features", "B", "--point", "0", "--k", "1"])
         assert (code, payload) == (2, {"error": "attribute names must be strings"})
 
+    def test_a_schema_needs_an_attribute(self, tmp_path, capsys):
+        path, data = tmp_path / "s.json", tmp_path / "d.csv"
+        path.write_text(json.dumps({"attributes": [], "fds": []}))
+        data.write_text("A,label\n1,0\n")
+        code, payload = run(capsys, ["certify", "--schema", str(path), "--data", str(data),
+                                     "--features", "A", "--point", "0", "--k", "1"])
+        assert (code, payload) == (2, {"error": "schema needs at least one attribute"})
+
 
 CERT_ARGS = ["--features", "A,B", "--point", "0,0", "--p", "1", "--k", "3"]
 
@@ -692,6 +700,16 @@ def test_repeated_column_exits_two(tmp_path, capsys, command, name):
     assert (code, payload) == (cli.EXIT_INPUT, {"error": error})
 
 
+@pytest.mark.parametrize("command", list(REPEAT_COMMANDS))
+def test_an_empty_csv_exits_two(tmp_path, capsys, command):
+    (tmp_path / "s.json").write_text(json.dumps({"attributes": ["A"], "fds": []}))
+    data = tmp_path / "d.csv"
+    data.write_text("")
+    argv = [a.format(dir=tmp_path) for a in REPEAT_COMMANDS[command]]
+    code, payload = run(capsys, argv + ["--data", str(data), "--features", "A", "--point", "0"])
+    assert (code, payload) == (cli.EXIT_INPUT, {"error": f"{data}: empty file"})
+
+
 # Tables every table command refuses alike, each with the error it names.
 TABLE_REFUSALS = {
     "empty-label": ("A,label\n1,0\n2, \n", "row 1: empty label"),
@@ -945,6 +963,19 @@ class TestGenHard:
         argv = GEN_HARD + ["--k", k, "--out", "{dir}/d.csv", "--point-out", "{dir}/p.json"]
         code, payload = run(capsys, [a.format(dir=tmp_path) for a in argv])
         assert (code, payload) == (cli.EXIT_INPUT, {"error": "need at least one variable"})
+        assert not (tmp_path / "d.csv").exists() and not (tmp_path / "p.json").exists()
+
+    @pytest.mark.parametrize("formula, extra, error", [
+        ("1 2 0\n1 2 0\n-1 -2 0\n", ["--p", "0"], "p must be >= 1"),
+        ("1 2 0\n1 2 0\n-1 -2 0\n", ["--k", "0"], "k must be >= 1"),
+        ("1 0 2 0\n1 2 0\n-1 -2 0\n", [], "clause 1: literal 0 out of range"),
+    ], ids=["p-zero", "k-zero", "literal-zero"])
+    def test_a_refusal_writes_no_output(self, tmp_path, capsys, formula, extra, error):
+        (tmp_path / "phi.cnf3r").write_text(formula)
+        (tmp_path / "target.json").write_text(json.dumps(HARD_TARGET))
+        argv = GEN_HARD + ["--out", "{dir}/d.csv", "--point-out", "{dir}/p.json"] + extra
+        code, payload = run(capsys, [a.format(dir=tmp_path) for a in argv])
+        assert (code, payload) == (cli.EXIT_INPUT, {"error": error})
         assert not (tmp_path / "d.csv").exists() and not (tmp_path / "p.json").exists()
 
 

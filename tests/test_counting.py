@@ -110,6 +110,11 @@ class TestCountLabel:
         assert counting.count_label(ds, ordering, 3, "1") == 0
         assert counting.count_label(ds, ordering, 3, "2") == 0
 
+    def test_empty_dataset_counts_nothing(self):
+        schema = kc.FdSchema.of(("A", "B"), [(["A"], ["B"])])
+        ds = kc.make_dataset(schema, [], features=("B",), labels=("0",))
+        assert counting.count_label(ds, kc.Ordering(()), 2, "0") == 0
+
     def test_uniform_label_counts_all_repairs(self):
         rng = random.Random(79)
         for _ in range(15):

@@ -186,8 +186,9 @@ class TestOrdering:
 
     @pytest.mark.parametrize(
         "ranked",
-        [(0, 1, 1), (0, 1, 3), (-1, 0, 1), (0, 0.5, 1), ("a", 0)],
-        ids=["duplicate", "gap", "minus-one", "half", "unorderable"],
+        [(0, 1, 1), (0, 1, 3), (-1, 0, 1), (0, 0.5, 1), ("a", 0), (1.0, 0.0),
+         (Fraction(1), 0)],
+        ids=["duplicate", "gap", "minus-one", "half", "unorderable", "floats", "fraction"],
     )
     def test_non_permutation_rejected(self, ranked):
         with pytest.raises(InputError, match=r"^ordering must be a permutation of 0\.\.n-1$"):
@@ -196,6 +197,12 @@ class TestOrdering:
     def test_permutation_accepted(self):
         assert kc.Ordering((2, 0, 1)).rank_of == (2, 3, 1)
         assert kc.Ordering(()).ranked == ()
+
+    def test_integer_ids_of_other_types_accepted(self):
+        np = pytest.importorskip("numpy")
+        assert kc.Ordering((True, False)).rank_of == (2, 1)
+        assert kc.Ordering(tuple(np.array([1, 2, 0]))).rank_of == (3, 1, 2)
+        assert kc.Ordering((np.int32(1), 0)).rank_of == (2, 1)
 
 
 # Cells for the ordering property: small ints tie often, huge ints pass

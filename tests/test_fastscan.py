@@ -166,6 +166,12 @@ class TestPrune:
         kept = fastscan.prune(keyed, "3", "1", ordering)
         assert [t + 1 for t in kept] == [3, 4, 7, 9, 11, 16]
 
+    @pytest.mark.parametrize("ell2, ell1", [("9", "1"), ("2", "9")])
+    def test_unknown_label_rejected(self, figure3, ell2, ell1):
+        ds, ordering = figure3
+        with pytest.raises(kc.InputError, match="^unknown label '9'$"):
+            fastscan.prune(fastscan.as_keyed(ds), ell2, ell1, ordering)
+
     def test_noop_when_no_rule_fires(self):
         schema = kc.FdSchema.of(("K", "V"), [(["K"], ["V"])])
         rows = [((i, 0), "7") for i in range(4)]
@@ -265,6 +271,12 @@ class TestCertifyPk:
         for k in (1, 2, 3, 7):
             res = fastscan.certify_pk(ds, ordering, k)
             assert res.robust and res.certain_label == "5"
+
+    def test_ordering_of_another_length_rejected(self, figure3):
+        ds, ordering = figure3
+        shorter = kc.Ordering(tuple(range(ds.size - 1)))
+        with pytest.raises(kc.InputError, match="^ordering must rank every tuple of the dataset$"):
+            fastscan.certify_pk(ds, shorter, 3)
 
     def test_k_beyond_block_count_clamps(self):
         schema = kc.FdSchema.of(("K", "V"), [(["K"], ["V"])])

@@ -173,6 +173,31 @@ class TestDatasetCsv:
         assert ds.weights.scale == 6
         assert ds.weights.values() == [ingest.parse_scalar(t) if t else 1 for t in texts]
 
+    def test_columns_do_not_depend_on_batch_ends(self, tmp_path, monkeypatch):
+        # Wherever the batches end, each column and the weights come out the
+        # same: a later batch with more places, a later switch to values,
+        # padded cells, and blank, fractional and decimal weights.
+        places = ["1", "-2", "3.5", "4", "5.25", "6", "0.125", "-7", "8.5", "9"] * 2
+        switch = list(places)
+        switch[13] = "x"
+        padded = [" 1.5", "2 ", "\t3.25", "4", "-5.5 ", "6"] * 3 + ["7", " 8"]
+        symbols = [f"k{i % 4}" for i in range(19)] + ["2.5"]
+        weights = ["", "1/2", "0.25", "3", " 2.5 ", "1/3", "", "4", "0.5", "2/3"] * 2
+        path = write_columns(tmp_path / "d.csv", [places, switch, padded, symbols, weights],
+                             ["A", "B", "C", "D", "weight"])
+        seen = set()
+        for rows in (1, 2, 3, 7, 1024):
+            monkeypatch.setattr(ingest, "_BATCH_ROWS", rows)
+            ds, _, _ = ingest.load_dataset(path, None, [])
+            columns = (*ds.columns, ds.weights)
+            seen.add(tuple((tuple(c.data), c.scale) for c in columns))
+            for column, texts in zip(columns, [places, switch, padded, symbols]):
+                want = [ingest.parse_scalar(t) for t in texts]
+                assert [(type(v), v) for v in column.values()] == [(type(v), v) for v in want]
+            assert ds.weights.values() == [ingest.parse_scalar(t.strip() or "1") for t in weights]
+        assert len(seen) == 1
+        assert [scale for _, scale in seen.pop()] == [1000, None, 100, None, 12]
+
     def test_rank_column(self, tmp_path):
         path = self.write(tmp_path, "A,label,rank\n5,0,2\n6,1,1\n")
         _, ranks, _ = ingest.load_dataset(path, None, ["A"])

@@ -97,6 +97,13 @@ class TestQsetCertify:
         with pytest.raises(AssertionError, match="still predicts '0'"):
             models.qset_certify(q, ordering, 2)
 
+    @pytest.mark.parametrize("uncertain", [{5}, {0, 9}, {-1}],
+                             ids=["past-end", "one-of-two", "minus-one"])
+    def test_ids_outside_the_dataset_rejected(self, uncertain):
+        ds, _ = plain_dataset(random.Random(7), 5)
+        with pytest.raises(InputError, match="^uncertain ids outside the dataset$"):
+            models.QSetInstance(ds, frozenset(uncertain), 0)
+
     def test_k_must_leave_full_neighborhoods(self):
         rng = random.Random(6)
         ds, ordering = plain_dataset(rng, 4)
@@ -328,6 +335,10 @@ class TestExpansionRefusals:
         assert models.orset_expand(("A",), rows, ("A",), cap=4).dataset.size == 4
         with pytest.raises(kc.CapExceededError, match="^or-set expansion exceeds cap 3$"):
             models.orset_expand(("A",), rows, ("A",), cap=3)
+
+    def test_an_or_set_offers_a_value(self):
+        with pytest.raises(InputError, match="^or-set must offer at least one value$"):
+            models.OrSetCell(())
 
     def test_orset_expand_refuses_an_interval_cell(self):
         rows = [((1,), "0"), ((models.CoddCell(Fraction(1), Fraction(3)),), "1")]

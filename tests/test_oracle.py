@@ -179,3 +179,15 @@ class TestQsetWorlds:
         ds, _, _ = example1
         worlds = oracle.enumerate_qset_worlds(ds, (0, 1), 2)
         assert len(worlds) == 4
+
+    @pytest.mark.parametrize("budget", [-1, 3])
+    def test_budget_out_of_range_rejected(self, example1, budget):
+        ds, _, _ = example1
+        with pytest.raises(kc.InputError, match=r"^budget must lie in 0\.\.\|uncertain\|$"):
+            oracle.enumerate_qset_worlds(ds, (0, 1), budget)
+
+    def test_worlds_over_the_cap_rejected(self, example1):
+        ds, _, _ = example1
+        assert len(oracle.enumerate_qset_worlds(ds, (0, 1), 2, cap=4)) == 4
+        with pytest.raises(CapExceededError, match="^4 worlds exceed cap 3$"):
+            oracle.enumerate_qset_worlds(ds, (0, 1), 2, cap=3)
