@@ -13,8 +13,10 @@ dispatches by schema shape, decided once from the FDs alone
 linear scan, unless a block holds identical rows, and that or any other
 lhs-chain equivalent goes to the DP; anything else is refused with a
 pointer at the ``oracle`` subcommands, whose exponential enumeration is
-opt-in and capped. The JSON is written by ``_dumps``, byte for byte what
-``json.dumps(payload, sort_keys=True, indent=2)`` writes.
+opt-in and capped. ``orset-certify`` and ``codd-certify`` load their table
+as a dataset (``read=ingest.parse_cell``) and certify the expansion of its
+cells by ``models`` with the same scan. The JSON is written by ``_dumps``,
+byte for byte what ``json.dumps(payload, sort_keys=True, indent=2)`` writes.
 
 A call loads only the code its subcommand runs: ``models``, ``hardgen``
 and ``oracle`` are imported inside their handlers, and ``fastscan`` loads
@@ -193,13 +195,13 @@ def _cmd_poison(args) -> dict:
 
 
 def _certify_table(args, expand) -> tuple[dict, object]:
-    """(payload, extra): the table and point of ``args`` loaded, expanded by
-    ``expand(attrs, rows, point, features)`` into (keyed instance, extra),
-    and the instance certified by the primary-key scan."""
-    attrs, rows = ingest.load_uncertain_table(args.data)
+    """(payload, extra): the uncertain table and point of ``args`` loaded,
+    expanded by ``expand(dataset, point, features)`` into (keyed instance,
+    extra), and the instance certified by the primary-key scan."""
+    dataset = ingest.load_dataset(args.data, None, (), read=ingest.parse_cell)[0]
     features = [f for f in (args.features or "").split(",") if f]
     point = ingest.parse_point(args.point or "", len(features))
-    keyed, extra = expand(attrs, rows, point, features)
+    keyed, extra = expand(dataset, point, features)
     ordering = fastscan.rank_by_distance(keyed.dataset, point, args.p)
     result = fastscan.certify_pk(keyed, ordering, args.k)
     return _result_json(result, keyed.dataset, ordering, args.k), extra
@@ -219,8 +221,8 @@ def _cmd_codd(args) -> dict:
 def _cmd_orset(args) -> dict:
     from . import models
 
-    def expand(attrs, rows, point, features):
-        keyed = models.orset_expand(attrs, rows, features, cap=args.cap)
+    def expand(dataset, point, features):
+        keyed = models.orset_expand(dataset, features, cap=args.cap)
         return keyed, keyed.dataset.size
 
     payload, size = _certify_table(args, expand)

@@ -17,11 +17,11 @@ agree), so no ``Fraction`` and no per-row record is built. Each column is
 settled once, after the last batch: fixed-point ints over its largest
 number of places when every batch was plain decimals, else ``Column.of``
 its values (see ``dataset.Column``); the weights become ``Column.of`` the
-values read. Other cells are read by ``parse_scalar`` for ``load_dataset``
-and by ``parse_cell`` for ``load_uncertain_table``, so a table with no
-or-set or interval cell loads alike through both; the latter refuses the
-reserved columns it would not read. It stays pure Python: the chain
-subcommands, which never load numpy, share it.
+values read. Other cells are read by ``load_dataset``'s ``read``:
+``parse_scalar``, or ``parse_cell`` for an uncertain table, so a table with
+no or-set or interval cell loads alike through both; the latter reads no
+reserved column but ``label`` and refuses a header naming another. It
+stays pure Python: the chain subcommands, which never load numpy, share it.
 """
 
 from __future__ import annotations
@@ -156,9 +156,10 @@ class _ColumnBuilder:
     reads them, kept a batch at a time as read: a run of unpadded symbols
     not opening with ``<`` or ``[`` as its texts, a run of plain ASCII
     decimals (``_plain_run``, offered the stripped cells when a cell is
-    padded) as its ``(ints, places)``, and any other batch as ``read``'s
-    value for each distinct text, each read once. ``column`` settles the
-    scale once, so where a batch ends never matters.
+    padded) as its ``(ints, places)``, and any other batch as the value of
+    each distinct text, read once: by ``_plain_run`` if the texts not opening
+    with ``<`` or ``[`` are plain decimals, else and for the rest by ``read``.
+    ``column`` settles the scale once, so where a batch ends never matters.
     """
 
     __slots__ = ("read", "batches")
@@ -175,8 +176,10 @@ class _ColumnBuilder:
         elif run := _plain_run(texts) or _plain_run([text.strip() for text in texts]):
             self.batches.append(run)
         else:  # each distinct text once, by first appearance: the first refused is the first row
-            read = {}
-            for text in dict.fromkeys(texts):
+            plain = [t for t in dict.fromkeys(texts) if not t.lstrip().startswith(("<", "["))]
+            run = plain and _plain_run([text.strip() for text in plain])
+            read = dict(zip(plain, map(_rational, run[0], repeat(10 ** run[1])))) if run else {}
+            for text in [text for text in dict.fromkeys(texts) if text not in read]:
                 try:
                     read[text] = self.read(text)
                 except InputError as exc:
@@ -235,11 +238,10 @@ def _plain_run(texts: Sequence[str]) -> Optional[tuple[list[int], int]]:
 _BATCH_ROWS = 1024  # rows read and checked together, column by column
 
 
-def _read_table(path: str, schema: Optional[FdSchema], read: Callable[[str], Any] = parse_scalar,
-                reserved: Sequence[str] = RESERVED):
+def _read_table(path: str, schema: Optional[FdSchema], read: Callable[[str], Any]):
     """Read and check a table: (columns by attribute, labels, sorted label
-    alphabet, weight column, rank order, marked ids), refusing a header that
-    names a reserved column outside ``reserved``.
+    alphabet, weight column, rank order, marked ids). Read by ``parse_cell``,
+    a header naming a reserved column other than ``label`` is refused.
 
     The table is read a batch at a time, and each batch checked as read:
     one ``_ColumnBuilder(read)`` per attribute keeps its cells, and the
@@ -252,7 +254,7 @@ def _read_table(path: str, schema: Optional[FdSchema], read: Callable[[str], Any
     """
     batches = _read_batches(path)
     header = next(batches)
-    if unread := [h for h in header if h in RESERVED and h not in reserved]:
+    if read is parse_cell and (unread := [h for h in header if h in RESERVED[1:]]):
         raise InputError(f"{path}: column {unread[0]!r} is not read from an uncertain table")
     attrs = _attributes(header, schema)
     if not attrs:
@@ -324,10 +326,13 @@ def load_dataset(
     path: str,
     schema: Optional[FdSchema],
     features: Sequence[str],
+    read: Callable[[str], Any] = parse_scalar,
 ) -> tuple[LabeledDataset, Optional[tuple[int, ...]], Optional[frozenset[int]]]:
     """Load a CSV into a dataset; returns (dataset, ranks, uncertain ids).
-    With ``schema`` None the attributes come from the header, with no FDs."""
-    columns, labels, alphabet, weights, ranks, marked = _read_table(path, schema)
+    With ``schema`` None the attributes come from the header, with no FDs;
+    ``read=parse_cell`` loads an uncertain table, its cells OrSetCells,
+    CoddCells or scalars."""
+    columns, labels, alphabet, weights, ranks, marked = _read_table(path, schema, read)
     dataset = LabeledDataset(
         schema or FdSchema.of(tuple(columns), []),
         tuple(columns.values()),
@@ -363,15 +368,6 @@ def parse_cell(text: str):
     if len(parts) != 2:
         raise InputError(f"interval cell needs two endpoints: {text!r}")
     return CoddCell(parse_number(parts[0]), parse_number(parts[1]))
-
-
-def load_uncertain_table(path: str) -> tuple[tuple[str, ...], list[tuple]]:
-    """(attributes, rows), each row a (cells, label) pair, the cells read by
-    ``parse_cell`` and kept and settled as in ``load_dataset``: without
-    ``<...>`` or ``[...]`` cells a table loads as there."""
-    columns, labels = _read_table(path, None, parse_cell, reserved=("label",))[:2]
-    cells = zip(*[c.values() for c in columns.values()])
-    return tuple(columns), list(zip(cells, labels))
 
 
 def open_for_writing(path: str, mode: str = "w", **kwargs):

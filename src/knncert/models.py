@@ -3,10 +3,11 @@
 ?-sets: up to a budget of marked tuples may be deleted. The best world
 deletes the nearest incumbent-labeled ones first, then neutral, then
 challenger-labeled ones: one pass over the distance order reads its vote off
-prefix counts. Or-sets and Codd tables both become a primary-key instance
-through one expansion, ``_keyed_blocks``: each row becomes a block of
-alternative tuples under a fresh key ``id``, so a world is a block repair
-and the primary-key scan certifies it. For an or-set row the block holds
+prefix counts. Or-set and Codd tables, datasets read by ``parse_cell``,
+both become a primary-key instance through one expansion of their cells,
+``_keyed_blocks``: each row becomes a block of alternative tuples under a
+fresh key ``id``, so a world is a block repair and the primary-key scan
+certifies it. For an or-set row the block holds
 every realization of its cells; for a row of a Codd table, whose missing
 values range over rational intervals, only the nearest and farthest
 completions matter, so the block holds those two.
@@ -21,7 +22,7 @@ from math import prod
 from typing import Sequence
 
 from .certresult import CertResult, challenge
-from .dataset import LabeledDataset, Ordering, TestPoint, make_dataset
+from .dataset import Column, LabeledDataset, Ordering, TestPoint
 from .errors import CapExceededError, InputError
 from .fastscan import KeyedDataset, as_keyed
 from .fdschema import FdSchema
@@ -125,44 +126,46 @@ _REFUSAL = {OrSetCell: "or-set cells are not allowed in codd-certify input",
             CoddCell: "interval cells are not allowed in orset-certify input"}
 
 
-def _keyed_blocks(attributes, rows, features, foreign: type, block) -> tuple[KeyedDataset, tuple]:
+def _keyed_blocks(dataset, features, foreign: type, block) -> tuple[KeyedDataset, tuple]:
     """Key each row's block of alternative tuples on a fresh ``id``.
 
-    ``rows`` holds (cells, label) pairs, and ``block(cells)`` returns the
-    row's (role, values) pairs. A cell of the ``foreign`` model anywhere
-    is refused first, then an ``id`` attribute, then each row's arity and
-    its blocks' feature values in turn. Returns the keyed dataset and, per
-    tuple, its (row, role).
+    ``block(cells)`` returns the (role, cells) pairs of a row of
+    ``dataset.cells``: a numeric column keeps its ints and scale, a column
+    of values is settled again by ``Column.of``. Refused in turn: a cell of
+    the ``foreign`` model anywhere, an ``id`` attribute, each row's
+    non-numeric feature values, an unknown feature. Returns the keyed
+    dataset and, per tuple, its (row, role).
     """
-    if any(isinstance(cell, foreign) for row in rows for cell in row[0]):
+    columns, attributes = dataset.columns, dataset.schema.attributes
+    if any(isinstance(cell, foreign) for c in columns if c.scale is None for cell in c.data):
         raise InputError(_REFUSAL[foreign])
     if "id" in attributes:
         raise InputError("attribute 'id' already present")
-    schema = FdSchema.of(tuple(attributes) + ("id",), [(["id"], list(attributes))])
-    feature_cols = [j for j, attr in enumerate(attributes) if attr in features]
-    tuples, roles = [], []
-    for row_index, row in enumerate(rows):
-        if len(row[0]) != len(attributes):
-            raise InputError(f"row {row_index}: arity mismatch")
-        for role, values in block(row[0]):
-            if not all(isinstance(values[j], (int, Fraction)) for j in feature_cols):
-                raise InputError(f"row {row_index}: non-numeric feature value")
-            tuples.append((values + (row_index,), row[1]))
-            roles.append((row_index, role))
-    return as_keyed(make_dataset(schema, tuples, features)), tuple(roles)
+    checked = [j for j, c in enumerate(columns) if c.scale is None and attributes[j] in features]
+    tuples, rows, roles = [], [], []
+    for row, cells in enumerate(dataset.cells):
+        for role, values in block(cells):
+            if not all(isinstance(values[j], (int, Fraction)) for j in checked):
+                raise InputError(f"row {row}: non-numeric feature value")
+            tuples.append(values)
+            rows.append(row)
+            roles.append((row, role))
+    gathered = [Column.of(data) if c.scale is None else Column.numeric(data, c.scale)
+                for c, data in zip(columns, list(zip(*tuples)) or [()] * len(columns))]
+    schema = FdSchema.of(attributes + ("id",), [(["id"], list(attributes))])
+    labels = tuple(map(dataset.row_labels.__getitem__, rows))  # each row's, so the alphabet stays
+    keyed = LabeledDataset(schema, (*gathered, Column.numeric(rows, 1)), labels,
+                           Column.numeric([1] * len(rows), 1), dataset.labels, tuple(features))
+    return as_keyed(keyed), tuple(roles)
 
 
-def orset_expand(
-    attributes: Sequence[str],
-    rows: Sequence[tuple],
-    features: Sequence[str],
-    cap: int = 100_000,
-) -> KeyedDataset:
+def orset_expand(dataset: LabeledDataset, features: Sequence[str], cap: int = 100_000
+                 ) -> KeyedDataset:
     """Expand or-set rows into one tuple per realization under a fresh key.
 
-    ``rows`` holds (cells, label) pairs where each cell is a plain value or
-    an OrSetCell. All realizations of a row share its id, so the expanded
-    schema is a primary key on id and worlds become block repairs.
+    Each cell of ``dataset`` is a plain value or an OrSetCell. All
+    realizations of a row share its id, so the expanded schema is a primary
+    key on id and worlds become block repairs.
     """
     if cap < 0:
         raise InputError("cap must be >= 0")
@@ -176,7 +179,7 @@ def orset_expand(
             raise CapExceededError(f"or-set expansion exceeds cap {cap}")
         return list(enumerate(itertools.product(*options)))
 
-    return _keyed_blocks(attributes, rows, features, CoddCell, realizations)[0]
+    return _keyed_blocks(dataset, features, CoddCell, realizations)[0]
 
 
 def _completion_pair(cells, x: TestPoint, attributes, features):
@@ -198,21 +201,19 @@ def _completion_pair(cells, x: TestPoint, attributes, features):
     return tuple(nearest), tuple(farthest)
 
 
-def codd_extremal_instance(
-    attributes: Sequence[str],
-    rows: Sequence[tuple],
-    x: TestPoint,
-    features: Sequence[str],
-) -> tuple[KeyedDataset, tuple]:
+def codd_extremal_instance(dataset: LabeledDataset, x: TestPoint, features: Sequence[str]
+                           ) -> tuple[KeyedDataset, tuple]:
     """Build the two-completions-per-row instance keyed on a fresh id.
 
-    Returns the keyed dataset and, per tuple, (row, kind) with kind one of
-    "only", "min", "max". Rows whose extremes coincide emit a single tuple.
-    Certifying it with the primary-key scan certifies every completion.
+    A missing value of ``dataset`` is a CoddCell. Returns the keyed dataset
+    and, per tuple, (row, kind) with kind one of "only", "min", "max". Rows
+    whose extremes coincide emit a single tuple. Certifying it with the
+    primary-key scan certifies every completion.
     """
+    attributes = dataset.schema.attributes
 
     def completions(cells: tuple) -> list[tuple]:
         near, far = _completion_pair(cells, x, attributes, features)
         return [("only", near)] if near == far else [("min", near), ("max", far)]
 
-    return _keyed_blocks(attributes, rows, features, OrSetCell, completions)
+    return _keyed_blocks(dataset, features, OrSetCell, completions)

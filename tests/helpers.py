@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import knncert as kc
@@ -207,10 +208,67 @@ def fraction_min_rep(ds, weights, ids=None):
     return tuple(repair), weight
 
 
+def uncertain_table(attributes, rows):
+    """An uncertain table from (cells, label) rows, with no FDs and no
+    features, as ``ingest.load_dataset(..., read=ingest.parse_cell)`` holds
+    one: a column with an or-set or interval cell is a column of values."""
+    return kc.make_dataset(kc.FdSchema.of(tuple(attributes), []), rows, ())
+
+
 def codd_certify(attributes, rows, x, k, p, features):
     """Certify a table with interval cells through its extremal instance."""
-    keyed, _ = models.codd_extremal_instance(attributes, rows, x, features)
+    keyed, _ = models.codd_extremal_instance(uncertain_table(attributes, rows), x, features)
     return fastscan.certify_pk(keyed, kc.order_by_distance(keyed.dataset, x, p), k)
+
+
+def orset_realizations(cap):
+    """The or-set block of a row of values: (index, realization) pairs,
+    counting realizations against ``cap`` over the calls."""
+    total = 0
+
+    def block(cells):
+        nonlocal total
+        options = [c.distinct() if isinstance(c, models.OrSetCell) else (c,) for c in cells]
+        total += math.prod(map(len, options))
+        if total > cap:
+            raise kc.CapExceededError(f"or-set expansion exceeds cap {cap}")
+        return list(enumerate(itertools.product(*options)))
+
+    return block
+
+
+def codd_completions(x, attributes, features):
+    """The Codd block of a row of values: its nearest and farthest
+    completions, one "only" tuple when they coincide."""
+    def block(cells):
+        near, far = models._completion_pair(cells, x, attributes, features)
+        return [("only", near)] if near == far else [("min", near), ("max", far)]
+
+    return block
+
+
+def keyed_by_rows(dataset, features, foreign, block):
+    """The row route to an expanded uncertain table, for reference: each
+    row's values (``Column.values()``), refused for a ``foreign`` cell, an
+    ``id`` attribute and then row by row for a non-numeric feature value,
+    each row's ``block`` under its row index, then ``make_dataset`` and
+    ``fastscan.as_keyed``. Returns (keyed dataset, per tuple (row, role))."""
+    attributes = dataset.schema.attributes
+    rows = list(zip(zip(*[c.values() for c in dataset.columns]), dataset.row_labels))
+    if any(isinstance(cell, foreign) for cells, _ in rows for cell in cells):
+        raise kc.InputError(models._REFUSAL[foreign])
+    if "id" in attributes:
+        raise kc.InputError("attribute 'id' already present")
+    feature_cols = [j for j, attr in enumerate(attributes) if attr in features]
+    tuples, roles = [], []
+    for row, (cells, label) in enumerate(rows):
+        for role, values in block(cells):
+            if not all(isinstance(values[j], (int, Fraction)) for j in feature_cols):
+                raise kc.InputError(f"row {row}: non-numeric feature value")
+            tuples.append((values + (row,), label))
+            roles.append((row, role))
+    schema = kc.FdSchema.of(attributes + ("id",), [(["id"], list(attributes))])
+    return fastscan.as_keyed(kc.make_dataset(schema, tuples, features)), tuple(roles)
 
 
 def brute_max_diff(ds, ordering, label, ref_label, tau, k, weighted=False):

@@ -196,7 +196,8 @@ def test_criterion_6_uncertainty_models():
         x = kc.TestPoint((0, 0))
         p = rng.choice((1, 2))
         k = rng.randint(1, n_rows)
-        keyed = models.orset_expand(("A", "B"), rows, features=("A", "B"))
+        keyed = models.orset_expand(helpers.uncertain_table(("A", "B"), rows),
+                                    features=("A", "B"))
         ordering = kc.order_by_distance(keyed.dataset, x, p)
         got = fastscan.certify_pk(keyed, ordering, k).robust
         options = []

@@ -10,6 +10,11 @@ import knncert as kc
 from knncert import InputError, NotPrimaryKeyError, dataset, fastscan, ingest, models
 
 
+def load_uncertain(path):
+    """The uncertain table at ``path``, loaded as orset- and codd-certify load it."""
+    return ingest.load_dataset(path, None, (), read=ingest.parse_cell)[0]
+
+
 class TestScalars:
     def test_integer(self):
         assert ingest.parse_scalar("42") == 42
@@ -96,7 +101,7 @@ class TestCells:
         path = tmp_path / "d.csv"
         path.write_text(f"A,label\n1,0\n{cell},1\n")
         with pytest.raises(InputError, match=f"^row 1: {error}$"):
-            ingest.load_uncertain_table(str(path))
+            load_uncertain(str(path))
 
     def test_plain_batches_read_as_parse_cell_reads_them(self, tmp_path):
         # Whole values come back as ints, others as Fractions, in a batch
@@ -104,10 +109,10 @@ class TestCells:
         texts = ["2.000", "-0.50", "7", "+3.25", "-0", "0.125", "10.10"]
         path = tmp_path / "d.csv"
         path.write_text("A,B,label\n" + "".join(f"{t},<{t}|1>,0\n" for t in texts))
-        _, rows = ingest.load_uncertain_table(str(path))
-        plain = [cells[0] for cells, _ in rows]
+        rows = load_uncertain(str(path)).tuples
+        plain = [cells[0] for cells in rows]
         assert [(type(c), c) for c in plain] == [(type(v), v) for v in map(ingest.parse_cell, texts)]
-        assert [cells[1].choices[0] for cells, _ in rows] == plain
+        assert [cells[1].choices[0] for cells in rows] == plain
         assert [type(c) for c in plain] == [int, Fraction, int, Fraction, int, Fraction, Fraction]
 
     def test_cell_faults_come_first_in_their_row(self, tmp_path):
@@ -115,17 +120,17 @@ class TestCells:
         path = tmp_path / "d.csv"
         path.write_text('A,B,label\n1,2,0\n"[4,1]","[4,x]",\n')
         with pytest.raises(InputError, match="^row 1: interval low must not exceed high$"):
-            ingest.load_uncertain_table(str(path))
+            load_uncertain(str(path))
         path.write_text('A,B,label\n1,"[4,x]",0\n"[4,1]",1,\n')
         with pytest.raises(InputError, match="^row 0: expected a number, got 'x'$"):
-            ingest.load_uncertain_table(str(path))
+            load_uncertain(str(path))
 
 
 # Every input file, each with a loader and its text, to be read with a BOM.
 BOM_FILES = {
     "label-first": (lambda p: ingest.load_dataset(p, None, ["A"])[0].tuples, "label,A\n0,1\n"),
     "label-last": (lambda p: ingest.load_dataset(p, None, ["A"])[0].tuples, "A,label\n1,0\n"),
-    "uncertain-table": (ingest.load_uncertain_table, 'A,label\n"[1,2]",0\n'),
+    "uncertain-table": (lambda p: load_uncertain(p).tuples, 'A,label\n"[1,2]",0\n'),
     "schema": (ingest.load_schema, '{"attributes": ["A"], "fds": []}'),
     "formula": (ingest.load_formula, "1 -2 3 0\n"),
 }
@@ -445,13 +450,40 @@ class TestUncertainColumns:
         error = first_cell_error(columns)
         if error is not None:
             with pytest.raises(InputError, match=f"^{re.escape(error)}$"):
-                ingest.load_uncertain_table(path)
+                load_uncertain(path)
             return
-        _, rows = ingest.load_uncertain_table(path)
+        rows = load_uncertain(path).tuples
         for j, column in enumerate(columns):
             for i, text in enumerate(column):
-                got, want = rows[i][0][j], ingest.parse_cell(text)
+                got, want = rows[i][j], ingest.parse_cell(text)
                 assert type(got) is type(want) and got == want, (i, j, text)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        st.lists(st.one_of(PLAIN_CELL, PLAIN_CELL.map(" {}\t".format), st.sampled_from([
+            "<1|2>", "<a|1.5>", " <0.25|-3> ", "<x>", "[1,2]", "[-0.5,1/2]", " [2,3] ", "<1|2",
+            "[1,2"])), min_size=1, max_size=40),
+        st.sampled_from(["", "", "", "x", "1/3", " 2.50", "<1|>", "[2,1]"]),
+        st.integers(0, 40),
+        st.integers(0, 2),
+    )
+    def test_mixed_batches_hold_parse_cell_values(self, cells_path, cells, other, at, second):
+        # One batch of plain decimals, padded or not, next to <...> and
+        # [...] cells, now and then with a symbol, a fraction or a refused
+        # cell among them, in the first batch or after full ones: each cell
+        # holds parse_cell's value and type, and the first refused names its
+        # row.
+        cells = cells[:at] + [other] + cells[at:] if other else cells
+        texts = filler_cells("decimals", second * ingest._BATCH_ROWS) + cells
+        path = write_columns(cells_path, [texts])
+        error = first_cell_error([texts])
+        if error is not None:
+            with pytest.raises(InputError, match=f"^{re.escape(error)}$"):
+                load_uncertain(path)
+            return
+        got = [row[0] for row in load_uncertain(path).tuples]
+        want = list(map(ingest.parse_cell, texts))
+        assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
 
     def test_plain_batches_after_an_orset_batch(self, tmp_path):
         # The first batch switches the column to values; later plain batches
@@ -459,9 +491,9 @@ class TestUncertainColumns:
         rows = 3 * ingest._BATCH_ROWS
         texts = ["<1|2.5>"] + [f"{i}.{i % 4 * 25}" if i % 3 else str(-i) for i in range(1, rows)]
         path = write_columns(tmp_path / "d.csv", [texts])
-        _, got = ingest.load_uncertain_table(path)
+        got = load_uncertain(path).tuples
         want = list(map(ingest.parse_cell, texts))
-        assert [(type(cells[0]), cells[0]) for cells, _ in got] == [(type(v), v) for v in want]
+        assert [(type(cells[0]), cells[0]) for cells in got] == [(type(v), v) for v in want]
         assert {type(v) for v in want} == {models.OrSetCell, int, Fraction}
 
     @pytest.mark.parametrize("bad", [["[4,x]", "[4,x]"], ["[4,x]", "<1|>"]],
@@ -473,7 +505,7 @@ class TestUncertainColumns:
         path = write_columns(tmp_path / "d.csv", [texts])
         message = str(pytest.raises(InputError, ingest.parse_cell, bad[0]).value)
         with pytest.raises(InputError) as err:
-            ingest.load_uncertain_table(path)
+            load_uncertain(path)
         assert str(err.value) == f"row {ingest._BATCH_ROWS + 2}: {message}"
 
     def test_a_symbol_key_column_loads_as_symbols(self, tmp_path):
@@ -481,10 +513,11 @@ class TestUncertainColumns:
         keys = [f"k{i}" for i in range(rows)]
         values = [f"<{i}|{i + 1}>" if i % 500 == 0 else str(i) for i in range(rows)]
         path = write_columns(tmp_path / "d.csv", [keys, values], ["K", "X"])
-        attrs, got = ingest.load_uncertain_table(path)
+        table = load_uncertain(path)
+        attrs, got = table.schema.attributes, table.tuples
         assert attrs == ("K", "X")
-        assert [cells[0] for cells, _ in got] == keys
-        assert {type(cells[0]) for cells, _ in got} == {str}
+        assert [cells[0] for cells in got] == keys
+        assert {type(cells[0]) for cells in got} == {str}
 
     def test_orset_and_interval_texts_stay_symbols_in_a_dataset(self, tmp_path):
         # load_dataset reads with parse_scalar: "<a|b>" and "[x]" are symbols,

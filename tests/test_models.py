@@ -115,8 +115,7 @@ class TestQsetCertify:
 class TestOrsetExpand:
     def test_two_choices_make_two_tuples(self):
         keyed = models.orset_expand(
-            ("A", "B"),
-            [((models.OrSetCell((2, 5)), 7), "0")],
+            helpers.uncertain_table(("A", "B"), [((models.OrSetCell((2, 5)), 7), "0")]),
             features=("A", "B"),
         )
         assert keyed.dataset.size == 2
@@ -124,7 +123,8 @@ class TestOrsetExpand:
         assert values == {(2, 7, 0), (5, 7, 0)}
 
     def test_plain_rows_stay_single(self):
-        keyed = models.orset_expand(("A",), [((1,), "0"), ((2,), "1")], features=("A",))
+        keyed = models.orset_expand(helpers.uncertain_table(("A",), [((1,), "0"), ((2,), "1")]),
+                                    features=("A",))
         assert keyed.dataset.size == 2
         assert keyed.num_blocks == 2
 
@@ -145,13 +145,13 @@ class TestOrsetExpand:
                         cells.append(rng.randint(0, 5))
                 rows.append(((cells[0], cells[1]), str(rng.randint(0, 1))))
                 expected += count
-            keyed = models.orset_expand(("A", "B"), rows, features=("A", "B"))
+            keyed = models.orset_expand(helpers.uncertain_table(("A", "B"), rows),
+                                        features=("A", "B"))
             assert keyed.dataset.size == expected
 
     def test_same_row_realizations_conflict(self):
         keyed = models.orset_expand(
-            ("A",),
-            [((models.OrSetCell((1, 2, 3)),), "0")],
+            helpers.uncertain_table(("A",), [((models.OrSetCell((1, 2, 3)),), "0")]),
             features=("A",),
         )
         ds = keyed.dataset
@@ -177,7 +177,8 @@ class TestOrsetExpand:
             p = rng.choice((1, 2))
             k = rng.randint(1, n_rows)
 
-            keyed = models.orset_expand(("A", "B"), rows, features=("A", "B"))
+            keyed = models.orset_expand(helpers.uncertain_table(("A", "B"), rows),
+                                        features=("A", "B"))
             ordering = kc.order_by_distance(keyed.dataset, x, p)
             got = fastscan.certify_pk(keyed, ordering, k)
 
@@ -230,8 +231,8 @@ class TestCoddCells:
     def test_interval_outside_the_features_completes_at_its_low_end(self, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text('A,B,label\n1,"[2,9]",0\n3,4,1\n')
-        attrs, rows = ingest.load_uncertain_table(str(data))
-        keyed, roles = models.codd_extremal_instance(attrs, rows, kc.TestPoint((0,)), ("A",))
+        table = ingest.load_dataset(str(data), None, (), read=ingest.parse_cell)[0]
+        keyed, roles = models.codd_extremal_instance(table, kc.TestPoint((0,)), ("A",))
         assert roles == ((0, "only"), (1, "only"))
         assert keyed.dataset.columns[1].value(0) == 2
 
@@ -305,9 +306,9 @@ class TestCoddCertify:
 
 
 EXPANDERS = {
-    "orset": lambda attrs, rows: models.orset_expand(attrs, rows, ("A",)),
+    "orset": lambda attrs, rows: models.orset_expand(helpers.uncertain_table(attrs, rows), ("A",)),
     "codd": lambda attrs, rows: models.codd_extremal_instance(
-        attrs, rows, kc.TestPoint((0,)), ("A",)
+        helpers.uncertain_table(attrs, rows), kc.TestPoint((0,)), ("A",)
     ),
 }
 
@@ -327,14 +328,16 @@ class TestExpansionRefusals:
 
     @pytest.mark.parametrize("model", sorted(EXPANDERS))
     def test_row_arity_mismatch(self, model):
-        with pytest.raises(InputError, match="^row 0: arity mismatch$"):
+        # A dataset cannot be ragged: the table is refused before expansion.
+        with pytest.raises(InputError, match="^tuple 0: arity mismatch$"):
             EXPANDERS[model](("A", "B"), [((1,), "0"), ((1, 2), "0")])
 
     def test_orset_expansion_over_cap(self):
         rows = [((models.OrSetCell((1, 2)),), "0"), ((models.OrSetCell((3, 4)),), "1")]
-        assert models.orset_expand(("A",), rows, ("A",), cap=4).dataset.size == 4
+        table = helpers.uncertain_table(("A",), rows)
+        assert models.orset_expand(table, ("A",), cap=4).dataset.size == 4
         with pytest.raises(kc.CapExceededError, match="^or-set expansion exceeds cap 3$"):
-            models.orset_expand(("A",), rows, ("A",), cap=3)
+            models.orset_expand(table, ("A",), cap=3)
 
     def test_an_or_set_offers_a_value(self):
         with pytest.raises(InputError, match="^or-set must offer at least one value$"):
@@ -343,12 +346,13 @@ class TestExpansionRefusals:
     def test_orset_expand_refuses_an_interval_cell(self):
         rows = [((1,), "0"), ((models.CoddCell(Fraction(1), Fraction(3)),), "1")]
         with pytest.raises(InputError, match="^interval cells are not allowed in orset-certify"):
-            models.orset_expand(("A",), rows, ("A",))
+            models.orset_expand(helpers.uncertain_table(("A",), rows), ("A",))
 
     def test_codd_extremal_instance_refuses_an_or_set_cell(self):
         rows = [((1,), "0"), ((models.OrSetCell((1, 3)),), "1")]
         with pytest.raises(InputError, match="^or-set cells are not allowed in codd-certify"):
-            models.codd_extremal_instance(("A",), rows, kc.TestPoint((0,)), ("A",))
+            models.codd_extremal_instance(helpers.uncertain_table(("A",), rows),
+                                          kc.TestPoint((0,)), ("A",))
 
     @pytest.mark.parametrize(
         "model, bad", [("orset", "x"), ("orset", models.OrSetCell((1, "x"))), ("codd", "x")]
@@ -366,7 +370,7 @@ class TestExpansionRefusals:
             EXPANDERS[model](("A",), [(("x",), "0"), ((cell,), "1")])
         with pytest.raises(InputError, match="^attribute 'id' already present$"):
             EXPANDERS[model](("A", "id"), [(("x", 1), "0")])
-        with pytest.raises(InputError, match="^row 0: arity mismatch$"):
+        with pytest.raises(InputError, match="^tuple 0: arity mismatch$"):
             EXPANDERS[model](("A",), [(("x", 1), "0")])
 
     @pytest.mark.parametrize("model", sorted(EXPANDERS))

@@ -9,11 +9,13 @@ chain routines return against a linear consistency-and-maximality check,
 the one-pass evaluations of the decomposition and the flat layout a sweep
 reads, with its tables, against a walk over the default tree, and the three
 uncertainty models against plain prediction, against their own budget or
-widening, and against an independent DP. Last, the CLI's bytes are tied to
-themselves: scaling or shifting every feature and the point, or permuting
-the features with the point's coordinates and the CSV's columns, leaves
-them as they are, through both rankers, the dataset and uncertain-table
-readers, ``count`` and ``poison-certify``.
+widening, and against an independent DP; the expansion of a loaded
+uncertain table's cells against the row route it replaced. Last, the CLI's
+bytes are tied to themselves: scaling or shifting every feature and the
+point, or permuting the features with the point's coordinates and the
+CSV's columns, leaves them as they are, and renaming the labels in order
+maps each label in them, through both rankers, the dataset and
+uncertain-table readers, ``count`` and ``poison-certify``.
 """
 
 import contextlib
@@ -457,7 +459,7 @@ def table_instances(draw, cell):
 
 def _codd_verdict(rows, k):
     x = kc.TestPoint((0,))
-    keyed, _ = models.codd_extremal_instance(("A", "B"), rows, x, ("A",))
+    keyed, _ = models.codd_extremal_instance(helpers.uncertain_table(("A", "B"), rows), x, ("A",))
     res = fastscan.certify_pk(keyed, kc.order_by_distance(keyed.dataset, x, 1), k)
     return res.robust, res.certain_label
 
@@ -467,7 +469,7 @@ class TestOrSetAndCoddAtScale:
     @given(table_instances(_orset_cell))
     def test_orset_blocks_scan_as_the_dp_certifies(self, inst):
         rows, k, _ = inst
-        keyed = models.orset_expand(("A", "B"), rows, ("A",))
+        keyed = models.orset_expand(helpers.uncertain_table(("A", "B"), rows), ("A",))
         ordering = kc.order_by_distance(keyed.dataset, kc.TestPoint((0,)), 1)
         scan = fastscan.certify_pk(keyed, ordering, k)
         dp = certify_dp.certify(keyed.dataset, ordering, k)
@@ -498,6 +500,116 @@ class TestOrSetAndCoddAtScale:
         robust = [robust for robust, _ in verdicts]
         assert robust == sorted(robust, reverse=True)
         assert len({label for robust, label in verdicts if robust}) <= 1
+
+
+def _number(rng, form):
+    """A cell text of a numeric column: an int, a decimal of one or three
+    places, or a fraction a/b."""
+    if form == "int":
+        return str(rng.randint(-500, 500))
+    if form == "fraction":
+        return f"{rng.randint(-90, 90)}/{rng.randint(1, 12)}"
+    places = rng.choice((1, 3))
+    v = rng.randint(-50_000, 50_000)
+    return f"{'-' if v < 0 else ''}{abs(v) // 10**places}.{abs(v) % 10**places:0{places}d}"
+
+
+def _uncertain_cell(rng, kind, form):
+    """An or-set of one to three alternatives, or an interval, of ``form``."""
+    if form == "symbol":
+        return f"<{'|'.join(f's{rng.randint(0, 40)}' for _ in range(rng.randint(1, 3)))}>"
+    if kind == "or":
+        return f"<{'|'.join(_number(rng, form) for _ in range(rng.randint(1, 3)))}>"
+    low, high = sorted((Fraction(_number(rng, form)), Fraction(_number(rng, form))))
+    return f"[{low},{high}]"
+
+
+# Faults an expansion refuses, in the order it refuses them: a cell of the
+# other model, an ``id`` attribute, the or-set cap or a non-numeric feature
+# value, whichever row comes first, and an unknown feature. A low cap may
+# also stay unreached.
+FAULTS = [(), ("cap",), ("non-numeric",), ("cap", "non-numeric"), ("unknown",),
+          ("non-numeric", "unknown"), ("id", "cap", "unknown"), ("foreign", "id", "non-numeric")]
+
+
+def _uncertain_table(kind, seed, n, faults):
+    """(CSV rows, features, cap) of a table of ``n`` rows: two to four
+    columns of symbols, ints, decimals or fractions, some holding 1 to 5 %
+    ``kind`` cells ("or" or "interval"), features in any order, and
+    ``faults``."""
+    rng = random.Random(seed)
+    forms = [rng.choice(("symbol", "int", "decimal", "fraction")) for _ in range(rng.randint(2, 4))]
+    forms[rng.randrange(len(forms))] = rng.choice(("decimal", "fraction"))  # one numeric, at least
+    rates = [rng.uniform(0.01, 0.05) if rng.random() < 0.5 else 0 for _ in forms]
+    if kind == "interval":
+        rates = [0 if form == "symbol" else rate for form, rate in zip(forms, rates)]
+    names = list("ABCD"[:len(forms)])
+    rows = [[_uncertain_cell(rng, kind, form) if rng.random() < rate else
+             f"s{rng.randint(0, 40)}" if form == "symbol" else _number(rng, form)
+             for form, rate in zip(forms, rates)] + [rng.choice("012")] for _ in range(n)]
+    numeric = [j for j, form in enumerate(forms) if form != "symbol"]
+    feature_cols = rng.sample(numeric, rng.randint(1, len(numeric)))
+    if "foreign" in faults:
+        rows[rng.randrange(n)][rng.choice(numeric)] = "<1|2>" if kind == "interval" else "[1,2]"
+    if "id" in faults:
+        names[-1] = "id"
+    if "non-numeric" in faults:
+        symbol = rng.choice(("x", "<1|x>")) if kind == "or" else "x"
+        rows[rng.randrange(n)][rng.choice(feature_cols)] = symbol
+    features = [names[j] for j in feature_cols]
+    if "unknown" in faults:
+        features.insert(rng.randint(0, len(features)), "Z")
+    cap = rng.randint(n // 2, n + n // 50) if "cap" in faults else 100_000
+    return [names + ["label"]] + rows, features, cap
+
+
+def _expansion(expand):
+    """What ``expand()``, a (keyed, roles) pair, gives: the first error, or
+    the keyed dataset's roles, schema, labels, blocks and column values."""
+    try:
+        keyed, roles = expand()
+    except (kc.InputError, kc.CapExceededError) as exc:
+        return type(exc), str(exc)
+    ds = keyed.dataset
+    return (roles, ds.schema, ds.row_labels, ds.labels, ds.features, list(keyed.block_of),
+            [c.values() for c in ds.columns], ds.weights.values())
+
+
+def _loaded(tmp_path_factory, rows):
+    """The CSV ``rows`` loaded as orset- and codd-certify load a table."""
+    path = tmp_path_factory.mktemp("table") / "d.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return ingest.load_dataset(str(path), None, (), read=ingest.parse_cell)[0]
+
+
+class TestExpansionMatchesTheRowRoute:
+    """The expansion of a loaded table's cells against the row route in
+    ``helpers.keyed_by_rows``: same tuples, blocks and first error."""
+
+    @pytest.mark.parametrize("faults", FAULTS, ids=lambda faults: "+".join(faults) or "none")
+    @settings(AT_SCALE, max_examples=3)
+    @given(st.integers(0, 2**32 - 1), st.integers(1_000, 10_000))
+    def test_orset(self, tmp_path_factory, faults, seed, n):
+        rows, features, cap = _uncertain_table("or", seed, n, faults)
+        table = _loaded(tmp_path_factory, rows)
+        got = _expansion(lambda: (models.orset_expand(table, features, cap), None))
+        want = _expansion(lambda: (helpers.keyed_by_rows(
+            table, features, CoddCell, helpers.orset_realizations(cap))[0], None))
+        assert got == want
+
+    @pytest.mark.parametrize("faults", FAULTS, ids=lambda faults: "+".join(faults) or "none")
+    @settings(AT_SCALE, max_examples=3)
+    @given(st.integers(0, 2**32 - 1), st.integers(1_000, 10_000))
+    def test_codd(self, tmp_path_factory, faults, seed, n):
+        rows, features, _ = _uncertain_table("interval", seed, n, faults)
+        table = _loaded(tmp_path_factory, rows)
+        x = kc.TestPoint(tuple(Fraction(i - 1, 3) for i in range(len(features))))
+        got = _expansion(lambda: models.codd_extremal_instance(table, x, features))
+        want = _expansion(lambda: helpers.keyed_by_rows(
+            table, features, OrSetCell,
+            helpers.codd_completions(x, table.schema.attributes, features)))
+        assert got == want
 
 
 def _tenths(n):
@@ -617,6 +729,21 @@ def _table_rows(kind):
         ("u0", near_or_far, 250, "1"), ("u1", near_or_far, 251, "1")]
 
 
+# An order-preserving renaming of the labels, and the payload it gives: each
+# label string mapped where the payload names one.
+RENAMED = {"0": "a0", "1": "b1", "2": "c2"}
+
+
+def _renamed(payload):
+    if isinstance(payload, list):
+        return [_renamed(item) for item in payload]
+    if not isinstance(payload, dict):
+        return payload
+    return {key: RENAMED.get(value, value) if key in ("label", "certain_label") else
+            [RENAMED[v] for v in value] if key == "possible_labels" else _renamed(value)
+            for key, value in payload.items()}
+
+
 class TestCliBytesUnderExactSymmetries:
     """Metamorphic: no oracle, only the base call's bytes."""
 
@@ -643,6 +770,12 @@ class TestCliBytesUnderExactSymmetries:
             assert f'"method": "{"dp" if "--force-dp" in argv else "fastscan"}"' in base[1]
         for name, edit, permuted in EDITED:
             assert _cli_bytes(tmp_path, rows, argv, point, edit, permuted) == base, name
+        # Labels renamed in order: the same document, each label mapped.
+        assert json.dumps(json.loads(base[1]), sort_keys=True, indent=2) + "\n" == base[1]
+        renamed = [row[:3] + (RENAMED[row[3]],) + row[4:] for row in rows]
+        argv = [RENAMED[a] if flag == "--label" else a for flag, a in zip([""] + argv, argv)]
+        mapped = json.dumps(_renamed(json.loads(base[1])), sort_keys=True, indent=2) + "\n"
+        assert _cli_bytes(tmp_path, renamed, argv, point, _unedited) == (base[0], mapped)
 
     def test_times_two_to_the_forty_ranks_in_python_ints(self, tmp_path):
         x = kc.TestPoint((Fraction(0), Fraction(0)))
