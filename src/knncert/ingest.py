@@ -156,10 +156,9 @@ class _ColumnBuilder:
     reads them, kept a batch at a time as read: a run of unpadded symbols
     not opening with ``<`` or ``[`` as its texts, a run of plain ASCII
     decimals (``_plain_run``, offered the stripped cells when a cell is
-    padded) as its ``(ints, places)``, and any other batch as the value of
-    each distinct text, read once: by ``_plain_run`` if the texts not opening
-    with ``<`` or ``[`` are plain decimals, else and for the rest by ``read``.
-    ``column`` settles the scale once, so where a batch ends never matters.
+    padded) as its ``(ints, places)``, and any other batch as ``read``'s
+    value for each distinct text, each read once. ``column`` settles the
+    scale once, so where a batch ends never matters.
     """
 
     __slots__ = ("read", "batches")
@@ -176,10 +175,8 @@ class _ColumnBuilder:
         elif run := _plain_run(texts) or _plain_run([text.strip() for text in texts]):
             self.batches.append(run)
         else:  # each distinct text once, by first appearance: the first refused is the first row
-            plain = [t for t in dict.fromkeys(texts) if not t.lstrip().startswith(("<", "["))]
-            run = plain and _plain_run([text.strip() for text in plain])
-            read = dict(zip(plain, map(_rational, run[0], repeat(10 ** run[1])))) if run else {}
-            for text in [text for text in dict.fromkeys(texts) if text not in read]:
+            read = {}
+            for text in dict.fromkeys(texts):
                 try:
                     read[text] = self.read(text)
                 except InputError as exc:
